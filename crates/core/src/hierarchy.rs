@@ -159,6 +159,68 @@ fn smoother_diagonals(ctx: &Ctx, a: &Csr) -> (Vec<f64>, Vec<f64>) {
     (l1, dg)
 }
 
+/// Coarsest-level factorization for the direct coarse solvers, inside a
+/// "coarse factorization" span with one `CoarseSolve` charge. Shared by
+/// [`setup`] and [`resetup`] so both charge the ledger alike.
+fn factor_coarse(
+    device: &Device,
+    cfg: &AmgConfig,
+    levels: &[Level],
+) -> (Option<Lu>, Option<SparseLdl>) {
+    if let crate::config::CoarseSolver::Jacobi(_) = cfg.coarse_solver {
+        return (None, None);
+    }
+    let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
+    let last = levels.last().expect("hierarchy has a level");
+    let ctx = Ctx::new(
+        device,
+        Phase::Setup,
+        (levels.len() - 1) as u32,
+        Precision::Fp64,
+    )
+    .with_policy(cfg.policy)
+    .with_exec(cfg.exec);
+    let timer = ctx.timer();
+    match cfg.coarse_solver {
+        crate::config::CoarseSolver::DirectLu => {
+            let n = last.n();
+            let lu = Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular");
+            ctx.charge_timed(
+                KernelKind::CoarseSolve,
+                Algo::Shared,
+                &KernelCost {
+                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
+                    bytes: (n * n * 8) as f64,
+                    launches: 1,
+                    ..Default::default()
+                },
+                timer,
+            );
+            (Some(lu), None)
+        }
+        crate::config::CoarseSolver::SparseLdl { reorder } => {
+            let f = SparseLdl::factor(&last.a.csr, reorder)
+                .expect("coarsest matrix not LDL^T-factorizable");
+            // Charge by actual factor fill: ~2 flops per L entry per
+            // elimination plus the symbolic traversal.
+            ctx.charge_timed(
+                KernelKind::CoarseSolve,
+                Algo::Shared,
+                &KernelCost {
+                    cuda_flops: 4.0 * f.l_nnz() as f64,
+                    int_ops: 2.0 * (f.l_nnz() + last.a.nnz()) as f64,
+                    bytes: (f.l_nnz() * 12 + last.a.nnz() * 12) as f64,
+                    launches: 2,
+                    ..Default::default()
+                },
+                timer,
+            );
+            (None, Some(f))
+        }
+        crate::config::CoarseSolver::Jacobi(_) => unreachable!("handled above"),
+    }
+}
+
 /// Run the full setup phase on a device.
 pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
     assert_eq!(a0.nrows(), a0.ncols(), "AMG needs a square system");
@@ -270,59 +332,7 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
     stats.levels = levels.len();
     stats.operator_complexity = stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / nnz0 as f64;
 
-    // Coarsest-level factorization for the direct options.
-    let last_level = (levels.len() - 1) as u32;
-    let mut coarse_lu = None;
-    let mut coarse_ldl = None;
-    match cfg.coarse_solver {
-        crate::config::CoarseSolver::DirectLu => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let n = last.n();
-            let timer = ctx.timer();
-            coarse_lu = Some(Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular"));
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
-                    bytes: (n * n * 8) as f64,
-                    launches: 1,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        crate::config::CoarseSolver::SparseLdl { reorder } => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let timer = ctx.timer();
-            let f = SparseLdl::factor(&last.a.csr, reorder)
-                .expect("coarsest matrix not LDL^T-factorizable");
-            // Charge by actual factor fill: ~2 flops per L entry per
-            // elimination plus the symbolic traversal.
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64,
-                    int_ops: 2.0 * (f.l_nnz() + last.a.nnz()) as f64,
-                    bytes: (f.l_nnz() * 12 + last.a.nnz() * 12) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-            coarse_ldl = Some(f);
-        }
-        crate::config::CoarseSolver::Jacobi(_) => {}
-    }
+    let (coarse_lu, coarse_ldl) = factor_coarse(device, cfg, &levels);
 
     let h = Hierarchy {
         levels,
@@ -378,39 +388,7 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
     h.stats.operator_complexity =
         h.stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / h.stats.grid_nnz[0].max(1) as f64;
 
-    // Refresh the coarse factorization.
-    let last_level = (n_levels - 1) as u32;
-    match cfg.coarse_solver {
-        crate::config::CoarseSolver::DirectLu => {
-            let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-            let last = h.levels.last().unwrap();
-            let ctx = Ctx::new(device, Phase::Setup, last_level, Precision::Fp64)
-                .with_policy(cfg.policy)
-                .with_exec(cfg.exec);
-            let n = last.n();
-            let timer = ctx.timer();
-            h.coarse_lu = Some(Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular"));
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
-                    bytes: (n * n * 8) as f64,
-                    launches: 1,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        crate::config::CoarseSolver::SparseLdl { reorder } => {
-            let last = h.levels.last().unwrap();
-            h.coarse_ldl = Some(
-                SparseLdl::factor(&last.a.csr, reorder)
-                    .expect("coarsest matrix not LDL^T-factorizable"),
-            );
-        }
-        crate::config::CoarseSolver::Jacobi(_) => {}
-    }
+    (h.coarse_lu, h.coarse_ldl) = factor_coarse(device, cfg, &h.levels);
 
     if let Some(rec) = device.recorder() {
         rec.set_hierarchy(h.diagnostics());
@@ -421,7 +399,7 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
 mod tests {
     use super::*;
     use crate::config::{AmgConfig, CoarseSolver};
-    use amgt_sim::GpuSpec;
+    use amgt_sim::{GpuSpec, KernelEvent};
     use amgt_sparse::gen::{elasticity_3d, laplacian_2d, NeighborSet, Stencil2d};
 
     fn build(cfg: &AmgConfig, a: Csr) -> (Device, Hierarchy) {
@@ -571,6 +549,34 @@ mod tests {
                 .csr
                 .matmul(&l0.a.csr.matmul(&l0.p.as_ref().unwrap().csr));
         assert!(h.levels[1].a.csr.max_abs_diff(&expect) < 1e-9);
+    }
+
+    #[test]
+    fn resetup_charges_sparse_ldl_factorization_like_setup() {
+        let mut cfg = AmgConfig::amgt_fp64();
+        cfg.coarse_solver = CoarseSolver::SparseLdl { reorder: true };
+        cfg.max_coarse_size = 60;
+        let a = laplacian_2d(16, 16, Stencil2d::Five);
+        let dev = Device::new(GpuSpec::a100());
+        let coarse_events = |from: usize| -> Vec<KernelEvent> {
+            dev.events()[from..]
+                .iter()
+                .filter(|e| e.kind == KernelKind::CoarseSolve)
+                .cloned()
+                .collect()
+        };
+        let mut h = setup(&dev, &cfg, a.clone());
+        let from_setup = coarse_events(0);
+        let before = dev.events().len();
+        resetup(&dev, &cfg, &mut h, a);
+        let from_resetup = coarse_events(before);
+        assert!(h.coarse_ldl.is_some());
+        assert_eq!(from_setup.len(), 1, "setup charges one factorization");
+        assert_eq!(from_resetup.len(), 1, "resetup charges one factorization");
+        let (s, r) = (&from_setup[0], &from_resetup[0]);
+        assert_eq!((s.algo, s.phase, s.level), (r.algo, r.phase, r.level));
+        assert_eq!(s.precision, r.precision);
+        assert_eq!(s.seconds.to_bits(), r.seconds.to_bits());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use amgt_kernels::Ctx;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::Csr;
-use rayon::prelude::*;
 
 /// The boolean strength pattern: CSR-like structure without values.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,49 +63,55 @@ pub fn strength_graph(ctx: &Ctx, a: &Csr, theta: f64, max_row_sum: f64) -> Stren
     let timer = ctx.timer();
     assert_eq!(a.nrows(), a.ncols());
     let n = a.nrows();
-    let rows: Vec<Vec<u32>> = (0..n)
-        .into_par_iter()
-        .map(|r| {
-            let (cols, vals) = a.row(r);
-            let mut diag = 0.0f64;
-            let mut max_neg = 0.0f64;
-            let mut row_sum = 0.0f64;
-            for (&c, &v) in cols.iter().zip(vals) {
-                row_sum += v;
-                if c as usize == r {
-                    diag = v;
-                } else {
-                    max_neg = max_neg.max(-v);
-                }
+    // Count pass: each row's strength cut (`None` = no strong connections)
+    // and its strong-entry count; then fill the flat `col_idx` at the
+    // prefix-summed offsets with the same filter.
+    let row_cut = |r: usize| -> Option<f64> {
+        let (cols, vals) = a.row(r);
+        let mut diag = 0.0f64;
+        let mut max_neg = 0.0f64;
+        let mut row_sum = 0.0f64;
+        for (&c, &v) in cols.iter().zip(vals) {
+            row_sum += v;
+            if c as usize == r {
+                diag = v;
+            } else {
+                max_neg = max_neg.max(-v);
             }
-            // Weak-row guard: when the row sum barely deviates from zero
-            // relative to the diagonal, HYPRE treats all connections as
-            // weak (smooth error is nearly constant there anyway).
-            if diag != 0.0 && max_row_sum < 1.0 {
-                let ratio = 1.0 - (row_sum / diag);
-                if ratio.abs() < 1.0 - max_row_sum {
-                    return Vec::new();
-                }
+        }
+        // Weak-row guard: when the row sum barely deviates from zero
+        // relative to the diagonal, HYPRE treats all connections as
+        // weak (smooth error is nearly constant there anyway).
+        if diag != 0.0 && max_row_sum < 1.0 {
+            let ratio = 1.0 - (row_sum / diag);
+            if ratio.abs() < 1.0 - max_row_sum {
+                return None;
             }
-            if max_neg <= 0.0 {
-                return Vec::new();
-            }
-            let cut = theta * max_neg;
-            cols.iter()
-                .zip(vals)
-                .filter(|&(&c, &v)| c as usize != r && -v >= cut && v < 0.0)
-                .map(|(&c, _)| c)
-                .collect()
-        })
-        .collect();
-
+        }
+        (max_neg > 0.0).then_some(theta * max_neg)
+    };
+    let strong = |r: usize, cut: f64| {
+        let (cols, vals) = a.row(r);
+        cols.iter()
+            .zip(vals)
+            .filter(move |&(&c, &v)| c as usize != r && -v >= cut && v < 0.0)
+            .map(|(&c, _)| c)
+    };
+    let mut cuts = vec![0.0f64; n];
     let mut row_ptr = vec![0usize; n + 1];
-    for (r, row) in rows.iter().enumerate() {
-        row_ptr[r + 1] = row_ptr[r] + row.len();
+    for r in 0..n {
+        let len = row_cut(r).map_or(0, |cut| {
+            cuts[r] = cut;
+            strong(r, cut).count()
+        });
+        row_ptr[r + 1] = row_ptr[r] + len;
     }
-    let mut col_idx = Vec::with_capacity(row_ptr[n]);
-    for row in rows {
-        col_idx.extend(row);
+    let mut col_idx = vec![0u32; row_ptr[n]];
+    for r in 0..n {
+        let row = &mut col_idx[row_ptr[r]..row_ptr[r + 1]];
+        for (dst, c) in row.iter_mut().zip(strong(r, cuts[r])) {
+            *dst = c;
+        }
     }
 
     let cost = KernelCost {

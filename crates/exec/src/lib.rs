@@ -137,20 +137,19 @@ pub trait ExecBackend: Send + Sync {
     ) -> ([f64; 4], u64, u64);
 
     /// One SpGEMM tensor-core step: multiply `a_tile` by one or two valid
-    /// B tiles (`targets` = `(b_pos, map_c)` pairs, at most 2) and
-    /// accumulate bitmap + values into the C block-row (`c_idx`/`c_map`/
-    /// `c_val` are that row's slices; positions outside the accumulated
-    /// bitmap are forced back to exact zero).
-    #[allow(clippy::too_many_arguments)]
+    /// B tiles and accumulate bitmap + values into the C block-row
+    /// (`c_map`/`c_val` are that row's slices; positions outside the
+    /// accumulated bitmap are forced back to exact zero). `targets` holds
+    /// at most 2 `(b_pos, slot, map_c)` triples: the B tile, the C slot
+    /// the kernel resolved for its block column, and the product bitmap.
     fn spgemm_tc_mma(
         &self,
         prec: Precision,
         a_tile: &[f64; 16],
         b: &Mbsr,
-        c_idx: &[u32],
         c_map: &mut [u16],
         c_val: &mut [f64],
-        targets: &[(usize, u16)],
+        targets: &[(usize, usize, u16)],
     );
 
     /// One SpGEMM CUDA-core tile product accumulating into `out` (16

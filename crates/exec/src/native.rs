@@ -131,32 +131,29 @@ impl ExecBackend for Native {
         prec: Precision,
         a_tile: &[f64; 16],
         b: &Mbsr,
-        c_idx: &[u32],
         c_map: &mut [u16],
         c_val: &mut [f64],
-        targets: &[(usize, u16)],
+        targets: &[(usize, usize, u16)],
     ) {
         debug_assert!(!targets.is_empty() && targets.len() <= 2);
         // Each MMA target is an independent 4x4 product accumulated from
         // zero (the emulator gives each `issue_mma` a fresh fragment and
         // extracts per-slot tiles), so the native step is one plain tile
         // matmul per target with the emulator's k-ascending chains.
-        for &(b_pos, map_c) in targets {
-            let b_tile = b.tile_array(b_pos);
-            let j = b.blc_idx[b_pos];
-            let slot = c_idx.binary_search(&j).expect("symbolic covered block");
+        for &(b_pos, slot, map_c) in targets {
+            let b_tile = b.tile(b_pos);
             c_map[slot] |= map_c;
             let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
             match prec {
                 Precision::Fp64 => {
                     let mut prod = [0.0f64; TILE_AREA];
-                    tile_matmul_f64(a_tile, &b_tile, &mut prod);
+                    tile_matmul_f64(a_tile, b_tile, &mut prod);
                     for (o, p) in out.iter_mut().zip(prod.iter()) {
                         *o += p;
                     }
                 }
-                Precision::Fp32 => accum_tile_matmul_f32::<Tf32>(a_tile, &b_tile, out),
-                Precision::Fp16 => accum_tile_matmul_f32::<Half>(a_tile, &b_tile, out),
+                Precision::Fp32 => accum_tile_matmul_f32::<Tf32>(a_tile, b_tile, out),
+                Precision::Fp16 => accum_tile_matmul_f32::<Half>(a_tile, b_tile, out),
             }
             for bit in 0..TILE_AREA {
                 if c_map[slot] & (1 << bit) == 0 {

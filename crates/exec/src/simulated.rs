@@ -131,22 +131,19 @@ impl ExecBackend for Simulated {
         prec: Precision,
         a_tile: &[f64; 16],
         b: &Mbsr,
-        c_idx: &[u32],
         c_map: &mut [u16],
         c_val: &mut [f64],
-        targets: &[(usize, u16)],
+        targets: &[(usize, usize, u16)],
     ) {
         debug_assert!(!targets.is_empty() && targets.len() <= 2);
         let frag_a = FragA::pack_tiles(a_tile, a_tile);
         let zero = [0.0f64; TILE_AREA];
-        let t0 = b.tile_array(targets[0].0);
-        let t1 = targets.get(1).map(|&(p, _)| b.tile_array(p));
-        let frag_b = FragB::pack_tiles(&t0, t1.as_ref().unwrap_or(&zero));
+        let t0 = b.tile(targets[0].0);
+        let t1 = targets.get(1).map_or(&zero, |&(p, _, _)| b.tile(p));
+        let frag_b = FragB::pack_tiles(t0, t1);
         let mut frag_c = FragC::ZERO;
         mma_8x8x4(&mut frag_c, &frag_a, &frag_b, prec);
-        for (slot_idx, &(b_pos, map_c)) in targets.iter().enumerate() {
-            let j = b.blc_idx[b_pos];
-            let slot = c_idx.binary_search(&j).expect("symbolic covered block");
+        for (slot_idx, &(_, slot, map_c)) in targets.iter().enumerate() {
             c_map[slot] |= map_c;
             let (tile, _shuffles) = frag_c.extract_tile(0, slot_idx);
             let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];

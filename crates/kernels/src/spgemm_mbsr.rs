@@ -28,6 +28,7 @@ use amgt_sim::mma::MMA_FLOPS;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::bitmap::{self, TILE_AREA};
 use amgt_sparse::Mbsr;
+use std::cell::RefCell;
 
 /// Paper-default number of bins; thresholds 128 * 2^k, k = 0..6, plus the
 /// final `>= 8192` bin. Kept as the capacity of [`SpgemmMbsrStats::bins`];
@@ -68,11 +69,19 @@ pub struct SpgemmMbsrStats {
 
 /// Open-addressing hash table with linear probing, sized per bin like the
 /// shared-memory tables of the paper; counts probes for the cost model.
+///
+/// A row's table is the first `capacity()` slots of a slab that only
+/// grows. Every slab slot is `EMPTY` between rows: a row remembers the
+/// slots it filled and [`Self::drain_sorted_into`] empties exactly those,
+/// so resetting and compressing cost O(keys), not O(capacity). Probe
+/// sequences depend only on the capacity and the keys, never on the slab
+/// length, so `probes` is what a freshly cleared table would count.
 #[derive(Debug, Default)]
 struct HashTable {
     slots: Vec<u32>,
+    /// Slab positions filled by the current row, in insertion order.
+    filled: Vec<u32>,
     mask: usize,
-    len: usize,
     probes: u64,
 }
 
@@ -86,16 +95,20 @@ impl HashTable {
         t
     }
 
-    /// Re-size for a new row bound and clear every slot, keeping the slab's
-    /// capacity so repeated rows (and repeated SpGEMMs through a
-    /// [`SpgemmWorkspace`]) do not reallocate.
+    /// Size the table for a new row bound; the slab is already all
+    /// `EMPTY` (see the type docs), so only a larger bound touches it.
     fn reset(&mut self, distinct_bound: usize) {
         let cap = (2 * distinct_bound.max(4)).next_power_of_two();
-        self.slots.clear();
-        self.slots.resize(cap, EMPTY);
+        if self.slots.len() < cap {
+            self.slots.resize(cap, EMPTY);
+        }
         self.mask = cap - 1;
-        self.len = 0;
         self.probes = 0;
+    }
+
+    /// Slots of the current row's table (the modeled table size).
+    fn capacity(&self) -> usize {
+        self.mask + 1
     }
 
     #[inline]
@@ -109,26 +122,21 @@ impl HashTable {
             }
             if slot == EMPTY {
                 self.slots[h] = key;
-                self.len += 1;
+                self.filled.push(h as u32);
                 return;
             }
             h = (h + 1) & self.mask;
         }
     }
 
-    /// Compress non-empty slots and sort them (symbolic step 2 tail).
-    #[cfg(test)]
-    fn compress_sorted(&self) -> Vec<u32> {
-        let mut keys: Vec<u32> = self.slots.iter().copied().filter(|&k| k != EMPTY).collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    /// [`Self::compress_sorted`] appending into flat storage; returns the
-    /// number of keys written.
-    fn compress_sorted_into(&self, out: &mut Vec<u32>) -> usize {
+    /// Compress the row's keys into `out`, sorted (symbolic step 2 tail),
+    /// and empty their slots for the next row. Returns the number of keys.
+    fn drain_sorted_into(&mut self, out: &mut Vec<u32>) -> usize {
         let start = out.len();
-        out.extend(self.slots.iter().copied().filter(|&k| k != EMPTY));
+        for &h in &self.filled {
+            out.push(std::mem::replace(&mut self.slots[h as usize], EMPTY));
+        }
+        self.filled.clear();
         out[start..].sort_unstable();
         out.len() - start
     }
@@ -221,9 +229,9 @@ pub fn spgemm_mbsr_with_workspace(
             }
         }
         probes += 2 * table.probes; // Steps 1 and 2.
-        table_slots += 2 * table.slots.len() as u64;
+        table_slots += 2 * table.capacity() as u64;
         valid_total += valid;
-        let len = table.compress_sorted_into(&mut ws.row_cols);
+        let len = table.drain_sorted_into(&mut ws.row_cols);
         blc_ptr[br + 1] = blc_ptr[br] + len;
     }
     let n_blocks = blc_ptr[blk_rows];
@@ -410,6 +418,29 @@ fn numeric_rows(
         );
     }
 
+    SLOT_OF.with_borrow_mut(|slot_of| numeric_leaf(args, r0, r1, idx, map, val, slot_of))
+}
+
+thread_local! {
+    /// Per-thread C-slot map of the numeric phase: `slot_of[j]` is the
+    /// slot of block column `j` in the block-row being accumulated. It
+    /// grows to the widest `B` seen and is never cleared: each block-row
+    /// writes its own columns' entries first, and symbolic put every
+    /// column a product can reach into that row, so a stale entry is
+    /// never read.
+    static SLOT_OF: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The sequential body of [`numeric_rows`] on one leaf's rows.
+fn numeric_leaf(
+    args: NumericArgs<'_>,
+    r0: usize,
+    r1: usize,
+    idx: &mut [u32],
+    map: &mut [u16],
+    val: &mut [f64],
+    slot_of: &mut Vec<u32>,
+) -> (u64, u64, u64, u64, u64, u64) {
     let NumericArgs {
         a,
         b,
@@ -419,6 +450,9 @@ fn numeric_rows(
         prec,
         be,
     } = args;
+    if slot_of.len() < b.blk_cols() {
+        slot_of.resize(b.blk_cols(), 0);
+    }
     let (mut tc_blocks, mut val_slots_read) = (0u64, 0u64);
     let (mut cuda_blocks, mut mma_count) = (0u64, 0u64);
     let (mut cuda_flops, mut searches) = (0u64, 0u64);
@@ -436,45 +470,43 @@ fn numeric_rows(
         val_rest = v1;
 
         c_idx.copy_from_slice(&row_cols[blc_ptr[br]..blc_ptr[br + 1]]);
+        for (slot, &j) in c_idx.iter().enumerate() {
+            slot_of[j as usize] = slot as u32;
+        }
+        // The modeled GPU kernel binary-searches `c_idx` once per valid
+        // product; `searches` counts those searches for the cost model
+        // even though the host resolves slots through `slot_of`.
         let (acols, amaps) = a.block_row(br);
         let (mut tc, mut cu, mut mma_n, mut flops, mut srch) = (0u64, 0u64, 0u64, 0u64, 0u64);
         let mut slots = 0u64;
         for (apos_rel, (&cid_a, &map_a)) in acols.iter().zip(amaps).enumerate() {
-            let a_tile = a.tile_array(a.blc_ptr[br] + apos_rel);
+            let a_tile = a.tile(a.blc_ptr[br] + apos_rel);
             let k = cid_a as usize;
             let (b_lo, b_hi) = (b.blc_ptr[k], b.blc_ptr[k + 1]);
             if bitmap::popcount(map_a) >= policy.tc_popcount_threshold {
                 // --- Tensor-core path: pairs of valid blockBs. ---
                 tc += 1;
                 slots += TILE_AREA as u64; // fragA tile load.
-                let mut pending: Option<(usize, u16)> = None; // (b_pos, mapC)
+                let mut pending: Option<(usize, usize, u16)> = None; // (b_pos, slot, mapC)
                 for b_pos in b_lo..b_hi {
-                    let map_b = b.blc_map[b_pos];
-                    let map_c = bitmap::bitmap_multiply(map_a, map_b);
+                    let map_c = bitmap::bitmap_multiply(map_a, b.blc_map[b_pos]);
                     if map_c == 0 {
                         continue;
                     }
                     slots += TILE_AREA as u64; // fragB tile load.
+                    let target = (b_pos, slot_of[b.blc_idx[b_pos] as usize] as usize, map_c);
                     match pending.take() {
-                        None => pending = Some((b_pos, map_c)),
-                        Some((p0, m0)) => {
-                            be.spgemm_tc_mma(
-                                prec,
-                                &a_tile,
-                                b,
-                                c_idx,
-                                c_map,
-                                c_val,
-                                &[(p0, m0), (b_pos, map_c)],
-                            );
+                        None => pending = Some(target),
+                        Some(first) => {
+                            be.spgemm_tc_mma(prec, a_tile, b, c_map, c_val, &[first, target]);
                             mma_n += 1;
                             srch += 2;
                         }
                     }
                 }
-                if let Some((p0, m0)) = pending {
+                if let Some(first) = pending {
                     // Odd tail: the backend pads fragB with a zero tile.
-                    be.spgemm_tc_mma(prec, &a_tile, b, c_idx, c_map, c_val, &[(p0, m0)]);
+                    be.spgemm_tc_mma(prec, a_tile, b, c_map, c_val, &[first]);
                     mma_n += 1;
                     srch += 1;
                 }
@@ -489,13 +521,11 @@ fn numeric_rows(
                         continue;
                     }
                     slots += 4 * nonempty_rows(map_b);
-                    let j = b.blc_idx[b_pos];
-                    let slot = c_idx.binary_search(&j).expect("symbolic covered block");
+                    let slot = slot_of[b.blc_idx[b_pos] as usize] as usize;
                     srch += 1;
                     c_map[slot] |= map_c;
-                    let b_tile = b.tile_array(b_pos);
                     let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
-                    flops += be.spgemm_cuda_tile(prec, &a_tile, map_a, &b_tile, map_b, out);
+                    flops += be.spgemm_cuda_tile(prec, a_tile, map_a, b.tile(b_pos), map_b, out);
                 }
             }
         }
@@ -751,8 +781,40 @@ mod tests {
         for k in [3u32, 7, 3, 3, 9, 7] {
             t.insert(k);
         }
-        assert_eq!(t.len, 3);
         assert!(t.probes >= 6);
-        assert_eq!(t.compress_sorted(), vec![3, 7, 9]);
+        let mut out = Vec::new();
+        assert_eq!(t.drain_sorted_into(&mut out), 3);
+        assert_eq!(out, vec![3, 7, 9]);
+        assert!(
+            t.slots.iter().all(|&k| k == EMPTY),
+            "drain empties the slab"
+        );
+    }
+
+    #[test]
+    fn reused_table_counts_like_a_fresh_one() {
+        // Rows with shrinking and growing bounds through one slab must see
+        // the probe counts, capacities and keys of a fresh table per row.
+        let rows: [(usize, &[u32]); 4] = [
+            (40, &[5, 77, 5, 1024, 3, 77, 9000, 12, 12, 640]),
+            (4, &[8, 16, 8, 24]),
+            (200, &[1, 2, 3, 300, 301, 2, 1]),
+            (6, &[0, 64, 128, 0, 192]),
+        ];
+        let mut reused = HashTable::default();
+        for (bound, keys) in rows {
+            let mut fresh = HashTable::with_bound(bound);
+            reused.reset(bound);
+            for &k in keys {
+                fresh.insert(k);
+                reused.insert(k);
+            }
+            assert_eq!(reused.probes, fresh.probes);
+            assert_eq!(reused.capacity(), fresh.capacity());
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            fresh.drain_sorted_into(&mut a);
+            reused.drain_sorted_into(&mut b);
+            assert_eq!(a, b);
+        }
     }
 }

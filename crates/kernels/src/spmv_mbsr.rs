@@ -316,15 +316,12 @@ pub fn tc_warp_fragments(
     let mut b = job.start;
     let end = job.start + job.len;
     while b < end {
-        let t0 = a.tile_array(b);
+        let t0 = *a.tile(b);
         let bc0 = a.blc_idx[b] as usize;
         let x0: [f64; TILE] = std::array::from_fn(|k| xp[bc0 * TILE + k]);
         let (t1, x1) = if b + 1 < end {
             let bc1 = a.blc_idx[b + 1] as usize;
-            (
-                a.tile_array(b + 1),
-                std::array::from_fn(|k| xp[bc1 * TILE + k]),
-            )
+            (*a.tile(b + 1), std::array::from_fn(|k| xp[bc1 * TILE + k]))
         } else {
             (zero_tile, zero_x)
         };

@@ -60,25 +60,20 @@ pub const fn col_mask(map: u16, c: usize) -> u16 {
 /// Boolean 4x4 matrix product of two tile patterns: the result has bit
 /// `(i, j)` set when `exists k: a(i,k) && b(k,j)`. This is `BITMAPMULTIPLY`
 /// from Algorithms 3 and 4.
+///
+/// Branchless: `(a >> k) & 0x1111` has bit `4i` set for every row `i` with
+/// `a(i,k)`, and multiplying it by row `k` of `b` (at most `0xF`) copies
+/// that row into each such 4-bit field. The fields are 4 bits apart and
+/// each partial product is at most `0xF`, so no carries cross fields and
+/// the OR over `k` is the boolean product.
 #[inline]
 pub fn bitmap_multiply(a: u16, b: u16) -> u16 {
-    let mut c = 0u16;
+    let (a, b) = (u32::from(a), u32::from(b));
+    let mut c = 0u32;
     for k in 0..TILE {
-        let b_row_k = row_mask(b, k); // row k of B as 4 bits
-        if b_row_k == 0 {
-            continue;
-        }
-        // Rows i of A with a(i,k) set: bit 4*i of `rows`.
-        let rows = (a >> k) & 0x1111;
-        // OR row k of B into every such row of C.
-        let mut m = rows;
-        while m != 0 {
-            let i = (m.trailing_zeros() as usize) / TILE;
-            c |= b_row_k << (TILE * i);
-            m &= m - 1;
-        }
+        c |= ((a >> k) & 0x1111) * ((b >> (TILE * k)) & 0xF);
     }
-    c
+    c as u16
 }
 
 /// Pattern transpose of a tile bitmap.
@@ -174,8 +169,26 @@ mod tests {
     }
 
     #[test]
-    fn multiply_matches_reference_exhaustive_sample() {
-        // Deterministic pseudo-random sample of pattern pairs.
+    fn multiply_matches_reference_on_every_single_row_b() {
+        // Every `a` against every `b` with exactly one nonempty row: 2^16 x
+        // 4 rows x 15 row masks. Any `b` is the OR of its rows, so together
+        // with OR-linearity in `b` (below) this covers all 2^32 pairs.
+        for a in 0..=u16::MAX {
+            for row in 0..TILE {
+                for mask in 1..16u16 {
+                    let b = mask << (TILE * row);
+                    assert_eq!(
+                        bitmap_multiply(a, b),
+                        bitmap_multiply_reference(a, b),
+                        "a={a:#06x} b={b:#06x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn multiply_is_or_linear_in_b() {
         let mut state = 0x12345678u32;
         let mut next = move || {
             state ^= state << 13;
@@ -183,13 +196,12 @@ mod tests {
             state ^= state << 5;
             (state & 0xffff) as u16
         };
-        for _ in 0..2000 {
-            let a = next();
-            let b = next();
+        for a in 0..=u16::MAX {
+            let (b1, b2) = (next(), next());
             assert_eq!(
-                bitmap_multiply(a, b),
-                bitmap_multiply_reference(a, b),
-                "a={a:#06x} b={b:#06x}"
+                bitmap_multiply(a, b1 | b2),
+                bitmap_multiply(a, b1) | bitmap_multiply(a, b2),
+                "a={a:#06x} b1={b1:#06x} b2={b2:#06x}"
             );
         }
     }

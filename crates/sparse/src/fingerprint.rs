@@ -10,6 +10,7 @@
 //! "same system" from "same pattern, new values".
 
 use crate::bitmap::TILE;
+use crate::mbsr::TileMerge;
 use crate::{Csr, Mbsr};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -77,35 +78,17 @@ pub fn of_mbsr(m: &Mbsr) -> Fingerprint {
 }
 
 /// Fingerprint of a CSR matrix, computed *without* materializing the mBSR
-/// image: the block structure is derived on the fly by merging each group
-/// of four CSR rows, reproducing `Mbsr::from_csr`'s pass-1 ordering exactly
-/// — `of_csr(a) == of_mbsr(&Mbsr::from_csr(a))` for every matrix.
+/// image: each block-row's tiles come from the same [`TileMerge`] that
+/// `Mbsr::from_csr` uses (once to count them, once to hash them), so
+/// `of_csr(a) == of_mbsr(&Mbsr::from_csr(a))` for every matrix.
 pub fn of_csr(a: &Csr) -> Fingerprint {
-    let blk_rows = a.nrows().div_ceil(TILE);
     let mut h = Fnv::new();
-    let mut tiles: Vec<u32> = Vec::new();
-    let mut maps: Vec<u16> = Vec::new();
-    for br in 0..blk_rows {
-        tiles.clear();
-        for r in br * TILE..((br + 1) * TILE).min(a.nrows()) {
-            tiles.extend(a.row(r).0.iter().map(|&c| c / TILE as u32));
-        }
-        tiles.sort_unstable();
-        tiles.dedup();
-        maps.clear();
-        maps.resize(tiles.len(), 0);
-        for r in br * TILE..((br + 1) * TILE).min(a.nrows()) {
-            let lr = r - br * TILE;
-            for &c in a.row(r).0 {
-                let bc = c / TILE as u32;
-                let t = tiles.binary_search(&bc).expect("tile listed in pass 1");
-                maps[t] |= 1 << (lr * TILE + (c as usize % TILE));
-            }
-        }
-        h.write_u64(tiles.len() as u64);
-        for (bc, map) in tiles.iter().zip(&maps) {
-            h.write_u64(u64::from(*bc));
-            h.write_u64(u64::from(*map));
+    for br in 0..a.nrows().div_ceil(TILE) {
+        h.write_u64(TileMerge::new(a, br).count() as u64);
+        let mut tiles = TileMerge::new(a, br);
+        while let Some((bc, map)) = tiles.next_tile(|_, _| {}) {
+            h.write_u64(u64::from(bc));
+            h.write_u64(u64::from(map));
         }
     }
     Fingerprint {

@@ -10,7 +10,6 @@
 
 use crate::bitmap::{self, TILE, TILE_AREA};
 use crate::csr::Csr;
-use rayon::prelude::*;
 
 /// A sparse matrix in mBSR format.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,16 +118,10 @@ impl Mbsr {
 
     /// Values of tile `b` (16 slots, row-major).
     #[inline]
-    pub fn tile(&self, b: usize) -> &[f64] {
-        &self.blc_val[b * TILE_AREA..(b + 1) * TILE_AREA]
-    }
-
-    /// Copy tile `b` into a fixed-size array.
-    #[inline]
-    pub fn tile_array(&self, b: usize) -> [f64; TILE_AREA] {
-        let mut t = [0.0; TILE_AREA];
-        t.copy_from_slice(self.tile(b));
-        t
+    pub fn tile(&self, b: usize) -> &[f64; TILE_AREA] {
+        self.blc_val[b * TILE_AREA..(b + 1) * TILE_AREA]
+            .try_into()
+            .expect("tile slice is TILE_AREA long")
     }
 
     /// Total count of nonempty 4-wide tile rows across all blocks: the
@@ -169,71 +162,33 @@ impl Mbsr {
 
     /// Convert from CSR (the `CSR2MBSR` step of the AmgT data flow).
     ///
-    /// Parallel over block-rows: a first sweep merges the tile columns of
-    /// the four scalar rows, a second sweep scatters values and bitmap bits.
+    /// Two sweeps over block-rows, each a 4-way [`TileMerge`] of the
+    /// block-row's scalar rows: the first counts tiles into `blc_ptr`, the
+    /// second writes indices, bitmaps and values. The second forks over
+    /// block-rows with disjoint `blc_ptr`-delimited output slices.
     pub fn from_csr(a: &Csr) -> Mbsr {
         let nrows = a.nrows();
         let ncols = a.ncols();
         let blk_rows = nrows.div_ceil(TILE);
         let blk_cols = ncols.div_ceil(TILE);
 
-        // Pass 1: tile columns per block-row.
-        let row_tiles: Vec<Vec<u32>> = (0..blk_rows)
-            .into_par_iter()
-            .map(|br| {
-                let mut tiles: Vec<u32> = Vec::new();
-                for r in br * TILE..((br + 1) * TILE).min(nrows) {
-                    tiles.extend(a.row(r).0.iter().map(|&c| c / TILE as u32));
-                }
-                tiles.sort_unstable();
-                tiles.dedup();
-                tiles
-            })
-            .collect();
-
         let mut blc_ptr = vec![0usize; blk_rows + 1];
-        for (br, tiles) in row_tiles.iter().enumerate() {
-            blc_ptr[br + 1] = blc_ptr[br] + tiles.len();
+        for br in 0..blk_rows {
+            blc_ptr[br + 1] = blc_ptr[br] + TileMerge::new(a, br).count();
         }
         let n_blocks = blc_ptr[blk_rows];
         let mut blc_idx = vec![0u32; n_blocks];
         let mut blc_map = vec![0u16; n_blocks];
         let mut blc_val = vec![0.0f64; n_blocks * TILE_AREA];
-
-        // Pass 2: scatter values. Disjoint per-block-row output slices let
-        // rayon fill them without synchronisation.
-        {
-            let mut idx_rest: &mut [u32] = &mut blc_idx;
-            let mut map_rest: &mut [u16] = &mut blc_map;
-            let mut val_rest: &mut [f64] = &mut blc_val;
-            let mut chunks: Vec<(usize, &mut [u32], &mut [u16], &mut [f64])> =
-                Vec::with_capacity(blk_rows);
-            for br in 0..blk_rows {
-                let len = blc_ptr[br + 1] - blc_ptr[br];
-                let (ic, ir) = idx_rest.split_at_mut(len);
-                let (mc, mr) = map_rest.split_at_mut(len);
-                let (vc, vr) = val_rest.split_at_mut(len * TILE_AREA);
-                idx_rest = ir;
-                map_rest = mr;
-                val_rest = vr;
-                chunks.push((br, ic, mc, vc));
-            }
-            chunks.into_par_iter().for_each(|(br, idx, map, val)| {
-                let tiles = &row_tiles[br];
-                idx.copy_from_slice(tiles);
-                for r in br * TILE..((br + 1) * TILE).min(nrows) {
-                    let local_r = r - br * TILE;
-                    let (cols, vals) = a.row(r);
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        let bc = c / TILE as u32;
-                        let local_c = (c % TILE as u32) as usize;
-                        let t = tiles.binary_search(&bc).expect("tile present by pass 1");
-                        map[t] |= 1 << bitmap::bit_index(local_r, local_c);
-                        val[t * TILE_AREA + local_r * TILE + local_c] = v;
-                    }
-                }
-            });
-        }
+        fill_tiles(
+            a,
+            &blc_ptr,
+            0,
+            blk_rows,
+            &mut blc_idx,
+            &mut blc_map,
+            &mut blc_val,
+        );
 
         Mbsr {
             nrows,
@@ -358,6 +313,105 @@ impl Mbsr {
                 }
             }
         }
+    }
+}
+
+/// Block-rows per leaf of [`Mbsr::from_csr`]'s fill sweep. Any split
+/// gives the same bits (each leaf writes its own rows); this only keeps
+/// leaves large enough to amortize the fork.
+const FILL_GRAIN: usize = 64;
+
+/// Fill block-rows `[r0, r1)` of a CSR->mBSR conversion into `idx`/`map`/
+/// `val`, which start at row `r0`'s first tile. Halves the row range — and
+/// the output slices at the matching `blc_ptr` boundary — until at most
+/// [`FILL_GRAIN`] rows remain.
+fn fill_tiles(
+    a: &Csr,
+    blc_ptr: &[usize],
+    r0: usize,
+    r1: usize,
+    idx: &mut [u32],
+    map: &mut [u16],
+    val: &mut [f64],
+) {
+    if r1 - r0 > FILL_GRAIN {
+        let mid = r0 + (r1 - r0) / 2;
+        let cut = blc_ptr[mid] - blc_ptr[r0];
+        let (idx_lo, idx_hi) = idx.split_at_mut(cut);
+        let (map_lo, map_hi) = map.split_at_mut(cut);
+        let (val_lo, val_hi) = val.split_at_mut(cut * TILE_AREA);
+        rayon::join(
+            || fill_tiles(a, blc_ptr, r0, mid, idx_lo, map_lo, val_lo),
+            || fill_tiles(a, blc_ptr, mid, r1, idx_hi, map_hi, val_hi),
+        );
+        return;
+    }
+    for br in r0..r1 {
+        let mut tiles = TileMerge::new(a, br);
+        for t in blc_ptr[br] - blc_ptr[r0]..blc_ptr[br + 1] - blc_ptr[r0] {
+            let out = &mut val[t * TILE_AREA..(t + 1) * TILE_AREA];
+            (idx[t], map[t]) = tiles
+                .next_tile(|slot, v| out[slot] = v)
+                .expect("tile counted by the first sweep");
+        }
+    }
+}
+
+/// The tiles of one CSR block-row in ascending block-column order: a 4-way
+/// merge of its scalar rows' block-column streams. CSR columns are
+/// strictly ascending within a row ([`Csr::new`]), so each stream is
+/// non-decreasing and every row's entries for one tile are adjacent — one
+/// forward cursor per row finds them without sorting or searching.
+pub(crate) struct TileMerge<'a> {
+    cols: [&'a [u32]; TILE],
+    vals: [&'a [f64]; TILE],
+}
+
+impl<'a> TileMerge<'a> {
+    /// Cursors at the start of block-row `br`'s (up to four) rows.
+    pub(crate) fn new(a: &'a Csr, br: usize) -> Self {
+        let mut cols: [&[u32]; TILE] = [&[]; TILE];
+        let mut vals: [&[f64]; TILE] = [&[]; TILE];
+        for lr in 0..TILE.min(a.nrows() - br * TILE) {
+            (cols[lr], vals[lr]) = a.row(br * TILE + lr);
+        }
+        TileMerge { cols, vals }
+    }
+
+    /// Advance past the next tile and return its block column and bitmap,
+    /// calling `put(slot, value)` for each of its entries (`slot` is the
+    /// row-major position within the tile). `None` once the block-row is
+    /// exhausted.
+    #[inline]
+    pub(crate) fn next_tile(&mut self, mut put: impl FnMut(usize, f64)) -> Option<(u32, u16)> {
+        let bc = self
+            .cols
+            .iter()
+            .filter_map(|c| c.first())
+            .map(|&c| c / TILE as u32)
+            .min()?;
+        let mut map = 0u16;
+        for lr in 0..TILE {
+            let cols = self.cols[lr];
+            let n = cols.iter().take_while(|&&c| c / TILE as u32 == bc).count();
+            for (&c, &v) in cols[..n].iter().zip(self.vals[lr]) {
+                let slot = lr * TILE + (c as usize % TILE);
+                map |= 1 << slot;
+                put(slot, v);
+            }
+            self.cols[lr] = &cols[n..];
+            self.vals[lr] = &self.vals[lr][n..];
+        }
+        Some((bc, map))
+    }
+
+    /// Number of tiles left in the block-row.
+    pub(crate) fn count(mut self) -> usize {
+        let mut n = 0;
+        while self.next_tile(|_, _| {}).is_some() {
+            n += 1;
+        }
+        n
     }
 }
 

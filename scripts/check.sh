@@ -16,6 +16,11 @@ cargo clippy -p amgt-trace --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+echo "==> benchmark harness build (perfbench is its own cargo workspace)"
+# A root `cargo build` never compiles perfbench/, so a solver API change
+# could break the benchmark silently; build it here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
