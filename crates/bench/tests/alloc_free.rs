@@ -17,24 +17,54 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn hot_paths_are_allocation_free() {
     steady_state_solve_has_zero_allocs_per_iteration();
+    mixed_native_solve_has_zero_allocs_per_iteration();
     server_cache_hit_reuses_cached_workspace();
+}
+
+/// Allocation counts of a 4-iteration and an 8-iteration solve through one
+/// reused workspace, after one warm 8-iteration solve has grown every
+/// buffer. Each call pays the same fixed cost (the report's history
+/// vector), so any per-iteration allocation makes the two differ.
+fn solve_alloc_deltas(
+    dev: &Device,
+    cfg: &AmgConfig,
+    h: &Hierarchy,
+    b: &[f64],
+    ws: &mut SolveWorkspace,
+) -> (u64, u64) {
+    let n = b.len();
+    let mut cfg8 = cfg.clone();
+    cfg8.tolerance = 0.0; // fixed iteration counts
+    cfg8.max_iterations = 8;
+    let mut x = vec![0.0; n];
+    solve_with_workspace(dev, &cfg8, h, b, &mut x, ws);
+
+    // Everything the measured region needs, allocated up front: configs,
+    // solution vectors, and headroom in the device's event ledger.
+    let mut cfg4 = cfg8.clone();
+    cfg4.max_iterations = 4;
+    let mut x4 = vec![0.0; n];
+    let mut x8 = vec![0.0; n];
+    dev.reserve_events(4_000_000);
+
+    let s0 = snapshot();
+    solve_with_workspace(dev, &cfg4, h, b, &mut x4, ws);
+    let s1 = snapshot();
+    solve_with_workspace(dev, &cfg8, h, b, &mut x8, ws);
+    let s2 = snapshot();
+    (s1.since(&s0).allocs, s2.since(&s1).allocs)
 }
 
 /// Acceptance gate: after one warm solve has grown every buffer, the solve
 /// phase performs ZERO heap allocations per V-cycle iteration on the AmgT
 /// backend — under BOTH execution backends (the native rayon + SIMD path
 /// must stay as allocation-clean as the emulator; any thread-pool warmup
-/// happens outside the measured region). Measured by solving 4 then 8
-/// iterations through one reused workspace: each call pays the same fixed
-/// cost (the report's history vector), so any per-iteration allocation
-/// would make the deltas differ.
+/// happens outside the measured region).
 fn steady_state_solve_has_zero_allocs_per_iteration() {
     let a = laplacian_2d(24, 24, Stencil2d::Five);
     let b = rhs_of_ones(&a);
-    let n = b.len();
     let dev = Device::new(GpuSpec::a100());
     let mut cfg = AmgConfig::amgt_fp64();
-    cfg.tolerance = 0.0; // fixed iteration counts
     let h = setup(&dev, &cfg, a);
     let mut ws = SolveWorkspace::for_hierarchy(&h);
 
@@ -44,28 +74,7 @@ fn steady_state_solve_has_zero_allocs_per_iteration() {
     {
         cfg.exec = exec;
         cfg.cycle = cycle;
-        // Warm: grow every workspace buffer for this cycle shape.
-        cfg.max_iterations = 8;
-        let mut x = vec![0.0; n];
-        solve_with_workspace(&dev, &cfg, &h, &b, &mut x, &mut ws);
-
-        // Everything the measured region needs, allocated up front: configs,
-        // solution vectors, and headroom in the device's event ledger.
-        let mut cfg4 = cfg.clone();
-        cfg4.max_iterations = 4;
-        let cfg8 = cfg.clone();
-        let mut x4 = vec![0.0; n];
-        let mut x8 = vec![0.0; n];
-        dev.reserve_events(4_000_000);
-
-        let s0 = snapshot();
-        solve_with_workspace(&dev, &cfg4, &h, &b, &mut x4, &mut ws);
-        let s1 = snapshot();
-        solve_with_workspace(&dev, &cfg8, &h, &b, &mut x8, &mut ws);
-        let s2 = snapshot();
-
-        let d4 = s1.since(&s0).allocs;
-        let d8 = s2.since(&s1).allocs;
+        let (d4, d8) = solve_alloc_deltas(&dev, &cfg, &h, &b, &mut ws);
         assert_eq!(
             d8,
             d4,
@@ -73,6 +82,32 @@ fn steady_state_solve_has_zero_allocs_per_iteration() {
              allocs, 8 iters cost {d8} (per-iteration leak = {} allocs)",
             exec.label(),
             (d8 as f64 - d4 as f64) / 4.0
+        );
+    }
+}
+
+/// The same gate for native mixed-precision solves, on both tile-image
+/// paths of the FP32/FP16 SpMV: a natively set-up hierarchy whose plans
+/// carry the images, and an emulator-built one whose plans carry none (the
+/// kernels then build them into their grow-only scratch on every call).
+fn mixed_native_solve_has_zero_allocs_per_iteration() {
+    let a = laplacian_2d(24, 24, Stencil2d::Five);
+    let b = rhs_of_ones(&a);
+    let dev = Device::new(GpuSpec::a100());
+    for setup_exec in [ExecMode::Native, ExecMode::Simulated] {
+        let mut cfg = AmgConfig::amgt_mixed();
+        cfg.exec = setup_exec;
+        let h = setup(&dev, &cfg, a.clone());
+        assert!(h.levels.iter().any(|l| l.precision != Precision::Fp64));
+        cfg.exec = ExecMode::Native;
+        let mut ws = SolveWorkspace::for_hierarchy(&h);
+        let (d4, d8) = solve_alloc_deltas(&dev, &cfg, &h, &b, &mut ws);
+        assert_eq!(
+            d8,
+            d4,
+            "mixed native solve on a {}-built hierarchy allocates per iteration: \
+             4 iters cost {d4} allocs, 8 iters cost {d8}",
+            setup_exec.label()
         );
     }
 }

@@ -94,27 +94,41 @@ pub trait ExecBackend: Send + Sync {
 
     /// Precompute the reduced-precision image of a padded SpMV operand for
     /// repeated warp calls over it: fills `x32` with exactly the per-element
-    /// input rounding the backend's warp kernels would apply on the fly
-    /// (TF32/F16 to `f32`), or clears it when the backend takes no such
-    /// shortcut (the emulator, or FP64 where inputs pass through unrounded).
-    /// Purely an amortization — warp results are bitwise identical whether
-    /// or not a (possibly empty) `x32` is supplied.
+    /// input rounding the backend's warp kernels apply (TF32/F16 to `f32`),
+    /// or clears it when the backend needs no such image (the emulator, or
+    /// FP64 where inputs pass through unrounded).
     fn spmv_quantize_x(&self, prec: Precision, xp: &[f64], x32: &mut Vec<f32>) {
         let _ = (prec, xp);
         x32.clear();
     }
 
+    /// Build the reduced-precision value image of the SpMV operand `a` for
+    /// warp calls at `prec`: each tile's 16 values rounded once through the
+    /// warp kernels' input conversion, stored column-major within the tile
+    /// (see [`native`]). Cleared when the backend needs no image (the
+    /// emulator, or FP64). Built once per matrix by the SpMV preprocessing,
+    /// so the per-call kernels never convert a matrix value.
+    fn spmv_tile_image(&self, prec: Precision, a: &Mbsr, a32: &mut Vec<f32>) {
+        let _ = (prec, a);
+        a32.clear();
+    }
+
     /// One tensor-core SpMV warp (Algorithm 5, dense path): process the
     /// contiguous tile range `[start, start + len)` of `a` against the
-    /// padded operand `xp`, two tiles per `mma`. `x32` is the operand image
-    /// from [`ExecBackend::spmv_quantize_x`] (empty = convert on the fly).
-    /// Returns the block-row's 4 partial sums and the number of `mma`
-    /// instructions issued.
+    /// padded operand `xp`, two tiles per `mma`. `a32` and `x32` are the
+    /// images from [`ExecBackend::spmv_tile_image`] and
+    /// [`ExecBackend::spmv_quantize_x`] at `prec` (a backend that built
+    /// none ignores them). Operands must pass [`operand_is_finite`]: the
+    /// native kernels are bitwise-exact only for finite operands, so
+    /// callers route any other operand through the emulator. Returns the
+    /// block-row's 4 partial sums and the number of `mma` instructions
+    /// issued.
     #[allow(clippy::too_many_arguments)]
     fn spmv_tc_warp(
         &self,
         prec: Precision,
         a: &Mbsr,
+        a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
@@ -122,14 +136,15 @@ pub trait ExecBackend: Send + Sync {
     ) -> ([f64; 4], u64);
 
     /// One CUDA-core SpMV warp (Algorithm 5, sparse path): four lanes per
-    /// tile guided by the bitmap, then the grouped warp sum. `x32` as in
-    /// [`ExecBackend::spmv_tc_warp`]. Returns the 4 partial sums, the flop
-    /// count, and the nonempty tile rows touched.
+    /// tile guided by the bitmap, then the grouped warp sum. Images and
+    /// operand as in [`ExecBackend::spmv_tc_warp`]. Returns the 4 partial
+    /// sums, the flop count, and the nonempty tile rows touched.
     #[allow(clippy::too_many_arguments)]
     fn spmv_cuda_warp(
         &self,
         prec: Precision,
         a: &Mbsr,
+        a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
@@ -171,6 +186,26 @@ pub trait ExecBackend: Send + Sync {
     /// Quantize values to their storage precision in place (the value side
     /// of the format-conversion kernels; identity at FP64).
     fn quantize(&self, prec: Precision, values: &mut [f64]);
+}
+
+/// Smallest magnitude TF32 input rounding sends to infinity: halfway
+/// between the largest finite TF32 value `(2 - 2^-10) * 2^127` and `2^128`
+/// (that value's significand is odd, so the tie itself rounds up).
+const TF32_OVERFLOW: f64 = (2.0 - 1.0 / 2048.0) * 1.7014118346046923e38;
+
+/// Whether the warp kernels' input rounding at `prec` of the quantized
+/// operand value `q` (`prec.quantize(x)`) is finite. The native SpMV
+/// sweeps are dense: an unmapped `+/-0.0` slot times an infinite operand
+/// is NaN where the emulator skips the slot. SpMV/SpMM callers therefore
+/// fold this check into their operand sweep and run a call whose operand
+/// fails it on the emulator, which gives the same bits and charges.
+#[inline]
+pub fn operand_is_finite(prec: Precision, q: f64) -> bool {
+    match prec {
+        // A finite f32 within half a TF32 ulp of f32::MAX rounds to inf.
+        Precision::Fp32 => q.abs() < TF32_OVERFLOW,
+        Precision::Fp64 | Precision::Fp16 => q.is_finite(),
+    }
 }
 
 /// The shared instance of the backend selected by `mode`.

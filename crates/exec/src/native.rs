@@ -37,8 +37,40 @@
 //! round-to-nearest accumulator chain that starts at `+0.0` can never
 //! reach `-0.0` (an RN sum is `-0.0` only when both addends are), so the
 //! extra `acc + (+/-0.0)` steps the dense sweep inserts reproduce the
-//! branchy chain bit-for-bit. Operation counters still come from the
-//! bitmaps, so charges are untouched.
+//! branchy chain bit-for-bit. The argument holds in `f32` exactly as in
+//! `f64`: an unmapped slot's image value is `to_f32(+/-0.0) = +/-0.0`, and
+//! its product with a finite operand is `+/-0.0` again. Operation counters
+//! still come from the bitmaps, so charges are untouched.
+//!
+//! ## Tile images for FP32/FP16 SpMV
+//!
+//! The reduced-precision SpMV kernels never convert a matrix value. The
+//! SpMV preprocessing asks [`ExecBackend::spmv_tile_image`] for an `f32`
+//! **tile image** of the operand, built once per matrix: tile `t`'s 16
+//! values rounded through the precision's input conversion ([`Tf32`] or
+//! [`Half`]), stored column-major at `a32[16 t + 4 k + r]` so that column
+//! `k` of a tile is one 4-lane load. A warp then runs, per tile, four
+//! column loads times the broadcast operand value `x32[4 bc + k]`, with a
+//! separate `f32` multiply and add, into per-group accumulators that stay
+//! in registers (slot parity on the tensor-core path, `offset % 8` groups
+//! then the warp-sum tree on the CUDA-core path — one kernel, see
+//! [`sweep_f32`]).
+//!
+//! * **Build order.** The image may be built before the level's values are
+//!   quantized to their storage precision: `to_f32(quantize(v)) ==
+//!   to_f32(v)` at both reduced precisions. At FP16 both sides are one
+//!   binary16 rounding (quantizing twice to binary16 is idempotent); at
+//!   FP32 the storage rounding is `f64 -> f32` and TF32 rounding of an
+//!   `f32` is what `Tf32::to_f32` applies anyway.
+//! * **Non-finite operands.** The dense sweep multiplies every slot, so an
+//!   infinite operand value meets the `+/-0.0` of unmapped slots and gives
+//!   NaN where the emulator skips the slot (at FP64 too). Callers check
+//!   [`crate::operand_is_finite`] while they quantize the operand and run
+//!   a call whose operand fails it on the emulator — same bits, same
+//!   counters, so the same charge.
+//! * **Memory.** The image costs 64 B per tile on FP32/FP16 operands (FP64
+//!   operands and the emulator build none). The `f64` tile values stay,
+//!   because SpGEMM and the emulator read them.
 
 use crate::simd::{simd_level, SimdLevel};
 use crate::ExecBackend;
@@ -81,11 +113,9 @@ impl ExecBackend for Native {
     }
 
     fn spmv_quantize_x(&self, prec: Precision, xp: &[f64], x32: &mut Vec<f32>) {
-        // Hoists the warp kernels' per-tile input conversions to one pass
-        // per operand: each element is rounded once instead of every time a
-        // tile references it. The values are exactly what the on-the-fly
-        // path would produce, so results are bitwise unchanged. The sweep
-        // is elementwise, so it forks over disjoint chunks.
+        // One rounding pass per operand: each element is rounded once
+        // instead of every time a tile references it. The sweep is
+        // elementwise, so it forks over disjoint chunks.
         x32.clear();
         match prec {
             Precision::Fp64 => {}
@@ -94,36 +124,61 @@ impl ExecBackend for Native {
         }
     }
 
+    fn spmv_tile_image(&self, prec: Precision, a: &Mbsr, a32: &mut Vec<f32>) {
+        a32.clear();
+        match prec {
+            Precision::Fp64 => {}
+            Precision::Fp32 => image_sweep::<Tf32>(a, a32),
+            Precision::Fp16 => image_sweep::<Half>(a, a32),
+        }
+    }
+
     fn spmv_tc_warp(
         &self,
         prec: Precision,
         a: &Mbsr,
+        a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
         x32: &[f32],
     ) -> ([f64; 4], u64) {
-        match prec {
-            Precision::Fp64 => tc_warp_f64(a, start, len, xp),
-            Precision::Fp32 => tc_warp_f32::<Tf32>(a, start, len, xp, x32),
-            Precision::Fp16 => tc_warp_f32::<Half>(a, start, len, xp, x32),
+        let mma_n = len.div_ceil(2) as u64;
+        if prec == Precision::Fp64 {
+            return (tc_warp_f64(a, start, len, xp), mma_n);
         }
+        // Tiles alternate between the two fragment halves; the final
+        // pair-sum is a round_accum too, i.e. one more f32 add.
+        let diag = sweep_f32::<2>(a32, &a.blc_idx[start..start + len], start, x32);
+        (
+            std::array::from_fn(|r| f64::from(diag[0][r] + diag[1][r])),
+            mma_n,
+        )
     }
 
     fn spmv_cuda_warp(
         &self,
         prec: Precision,
         a: &Mbsr,
+        a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
         x32: &[f32],
     ) -> ([f64; 4], u64, u64) {
-        match prec {
-            Precision::Fp64 => cuda_warp_f64(a, start, len, xp),
-            Precision::Fp32 => cuda_warp_f32::<Tf32>(a, start, len, xp, x32),
-            Precision::Fp16 => cuda_warp_f32::<Half>(a, start, len, xp, x32),
-        }
+        let (flops, ntr) = cuda_counters(&a.blc_map[start..start + len]);
+        let out = if prec == Precision::Fp64 {
+            cuda_warp_f64(a, start, len, xp)
+        } else {
+            // Group accumulators widen to f64 exactly, the tree runs in
+            // f64, and only the final value rounds back (see below).
+            let gacc = sweep_f32::<8>(a32, &a.blc_idx[start..start + len], start, x32);
+            std::array::from_fn(|r| {
+                let s = reduce_tree(std::array::from_fn(|g| f64::from(gacc[g][r])));
+                f64::from(s as f32)
+            })
+        };
+        (out, flops, ntr)
     }
 
     fn spgemm_tc_mma(
@@ -262,32 +317,50 @@ fn convert_sweep<C: Cvt>(xp: &[f64], x32: &mut Vec<f32>) {
     );
 }
 
+/// Tiles per leaf of the tile-image sweep (the same element count per
+/// leaf as the operand sweeps).
+const IMAGE_GRAIN: usize = QUANT_GRAIN / TILE_AREA;
+
+/// Parallel tile-image build: `a32[16 t + 4 k + r] = round(tile t [r][k])`
+/// (column-major within each tile, see the module docs).
+fn image_sweep<C: Cvt>(a: &Mbsr, a32: &mut Vec<f32>) {
+    let n = a.n_blocks();
+    a32.resize(n * TILE_AREA, 0.0);
+    let out = crate::par::SendPtr::new(a32.as_mut_ptr());
+    crate::par::join_ranges(
+        0,
+        n,
+        IMAGE_GRAIN,
+        &|lo, hi| {
+            for t in lo..hi {
+                let tile = a.tile(t);
+                // Image slot `4k + r` holds tile row `r`, column `k`.
+                let img: [f32; TILE_AREA] =
+                    std::array::from_fn(|i| C::to_f32(tile[(i % TILE) * TILE + i / TILE]));
+                // SAFETY: tile ranges are disjoint across leaves and `a32`
+                // (n_blocks * 16 long) outlives the fork-join region.
+                unsafe {
+                    std::ptr::copy_nonoverlapping(img.as_ptr(), out.add(t * TILE_AREA), TILE_AREA);
+                }
+            }
+        },
+        &|(), ()| (),
+    );
+}
+
 // ---------------------------------------------------------------------------
 // SpMV tensor-core warp
 // ---------------------------------------------------------------------------
 
-fn tc_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> ([f64; 4], u64) {
+fn tc_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> [f64; 4] {
     let avx2 = simd_level() == SimdLevel::Avx2;
     let mut diag = [[0.0f64; TILE]; 2];
-    let mut mma_n = 0u64;
-    let mut b = start;
-    let end = start + len;
-    while b < end {
-        for slot in 0..2 {
-            let pos = b + slot;
-            if pos >= end {
-                break;
-            }
-            let tile = a.tile(pos);
-            let bc = a.blc_idx[pos] as usize;
-            let xseg = &xp[bc * TILE..bc * TILE + TILE];
-            tile_rows_fma_f64(avx2, tile, xseg, &mut diag[slot]);
-        }
-        mma_n += 1;
-        b += 2;
+    for (offset, pos) in (start..start + len).enumerate() {
+        let bc = a.blc_idx[pos] as usize;
+        let xseg = &xp[bc * TILE..bc * TILE + TILE];
+        tile_rows_fma_f64(avx2, a.tile(pos), xseg, &mut diag[offset % 2]);
     }
-    let out = std::array::from_fn(|r| diag[0][r] + diag[1][r]);
-    (out, mma_n)
+    std::array::from_fn(|r| diag[0][r] + diag[1][r])
 }
 
 /// `acc[r] += sum_k tile[r][k] * xseg[k]` with each row's chain in
@@ -311,52 +384,49 @@ fn tile_rows_fma_f64(avx2: bool, tile: &[f64], xseg: &[f64], acc: &mut [f64; 4])
     }
 }
 
-/// The four operand values of block-column `bc`, in the f32 chain's input
-/// precision: read from the precomputed image when one was supplied,
-/// converted on the fly otherwise (identical values either way).
+/// The reduced-precision SpMV sweep shared by both warp paths: tile
+/// `offset` of the job (`idx` = its block columns, starting at absolute
+/// tile `first`) accumulates into group `offset % G` — slot parity for
+/// the tensor-core path (`G = 2`), the eight lane groups of the CUDA-core
+/// path (`G = 8`). Each group's 4 row chains run k-ascending from `+0.0`
+/// over the tile image `a32` and the operand image `x32`, the emulator's
+/// order. SSE2 is part of the x86-64 baseline, so that body needs no
+/// runtime detection; other targets run the portable body.
 #[inline]
-fn quantized_xseg<C: Cvt>(xp: &[f64], x32: &[f32], bc: usize) -> [f32; TILE] {
-    if x32.is_empty() {
-        std::array::from_fn(|k| C::to_f32(xp[bc * TILE + k]))
-    } else {
-        std::array::from_fn(|k| x32[bc * TILE + k])
+fn sweep_f32<const G: usize>(
+    a32: &[f32],
+    idx: &[u32],
+    first: usize,
+    x32: &[f32],
+) -> [[f32; TILE]; G] {
+    let tiles = &a32[first * TILE_AREA..(first + idx.len()) * TILE_AREA];
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: SSE2 is part of the x86-64 baseline.
+        unsafe { x86::sweep_f32_sse::<G>(tiles, idx, x32) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        sweep_f32_portable::<G>(tiles, idx, x32)
     }
 }
 
-fn tc_warp_f32<C: Cvt>(
-    a: &Mbsr,
-    start: usize,
-    len: usize,
-    xp: &[f64],
-    x32: &[f32],
-) -> ([f64; 4], u64) {
-    let mut diag = [[0.0f32; TILE]; 2];
-    let mut mma_n = 0u64;
-    let mut b = start;
-    let end = start + len;
-    while b < end {
-        for slot in 0..2 {
-            let pos = b + slot;
-            if pos >= end {
-                break;
-            }
-            let tile = a.tile(pos);
-            let bc = a.blc_idx[pos] as usize;
-            let xq = quantized_xseg::<C>(xp, x32, bc);
+/// Portable body of [`sweep_f32`] over the job's own image slice.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+fn sweep_f32_portable<const G: usize>(tiles: &[f32], idx: &[u32], x32: &[f32]) -> [[f32; TILE]; G] {
+    let mut acc = [[0.0f32; TILE]; G];
+    for (offset, &bc) in idx.iter().enumerate() {
+        let tile = &tiles[offset * TILE_AREA..(offset + 1) * TILE_AREA];
+        let bc = bc as usize;
+        let xs = &x32[bc * TILE..bc * TILE + TILE];
+        let g = &mut acc[offset % G];
+        for k in 0..TILE {
             for r in 0..TILE {
-                let mut acc = diag[slot][r];
-                for k in 0..TILE {
-                    acc += C::to_f32(tile[r * TILE + k]) * xq[k];
-                }
-                diag[slot][r] = acc;
+                g[r] += tile[k * TILE + r] * xs[k];
             }
         }
-        mma_n += 1;
-        b += 2;
     }
-    // The final pair-sum is a round_accum too, i.e. one more f32 add.
-    let out = std::array::from_fn(|r| f64::from(diag[0][r] + diag[1][r]));
-    (out, mma_n)
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -370,81 +440,32 @@ fn tc_warp_f32<C: Cvt>(
 // f32 modes the group accumulators widen to f64 exactly, the tree runs in
 // f64, and only the final value is rounded back.
 
-/// Nonzero 4-bit row masks in a tile bitmap (the emulator's per-row visit
-/// count), computed without branches.
+/// The emulator's CUDA-core counters for a job's bitmaps: flops (2 per
+/// mapped slot) and nonempty tile rows, computed without branches.
 #[inline]
-fn nonzero_rows(map: u16) -> u64 {
-    let mut n = 0u64;
-    for r in 0..TILE {
-        n += u64::from(bitmap::row_mask(map, r) != 0);
+fn cuda_counters(maps: &[u16]) -> (u64, u64) {
+    let (mut bits, mut rows) = (0u64, 0u64);
+    for &map in maps {
+        bits += u64::from(map.count_ones());
+        // Fold each 4-bit row onto its lowest bit, then count rows.
+        let m = map | (map >> 1);
+        rows += u64::from(((m | (m >> 2)) & 0x1111).count_ones());
     }
-    n
+    (bits * 2, rows)
 }
 
-fn cuda_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> ([f64; 4], u64, u64) {
+fn cuda_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> [f64; 4] {
     let avx2 = simd_level() == SimdLevel::Avx2;
     let mut gacc = [[0.0f64; TILE]; 8];
-    let (mut bits, mut ntr) = (0u64, 0u64);
     for (offset, pos) in (start..start + len).enumerate() {
-        let group = offset % 8;
-        let map = a.blc_map[pos];
-        let tile = a.tile(pos);
         let bc = a.blc_idx[pos] as usize;
         let xseg = &xp[bc * TILE..bc * TILE + TILE];
-        bits += u64::from(map.count_ones());
-        ntr += nonzero_rows(map);
         // Dense accumulation: unmapped slots hold +/-0.0 (mBSR invariant),
         // and their products only insert `acc + (+/-0.0)` no-op steps into
         // each row's k-ascending chain (see module docs).
-        tile_rows_fma_f64(avx2, tile, xseg, &mut gacc[group]);
+        tile_rows_fma_f64(avx2, a.tile(pos), xseg, &mut gacc[offset % 8]);
     }
-    let mut out = [0.0f64; TILE];
-    for r in 0..TILE {
-        out[r] = reduce_tree(std::array::from_fn(|g| gacc[g][r]));
-    }
-    (out, bits * 2, ntr)
-}
-
-fn cuda_warp_f32<C: Cvt>(
-    a: &Mbsr,
-    start: usize,
-    len: usize,
-    xp: &[f64],
-    x32: &[f32],
-) -> ([f64; 4], u64, u64) {
-    let mut gacc = [[0.0f32; TILE]; 8];
-    let (mut bits, mut ntr) = (0u64, 0u64);
-    for (offset, pos) in (start..start + len).enumerate() {
-        let group = offset % 8;
-        let map = a.blc_map[pos];
-        let tile = a.tile(pos);
-        let bc = a.blc_idx[pos] as usize;
-        let xq = quantized_xseg::<C>(xp, x32, bc);
-        bits += u64::from(map.count_ones());
-        ntr += nonzero_rows(map);
-        // Unlike the f64 kernel this stays per-bit gated: at these
-        // precisions the input *conversions* dominate, so converting only
-        // mapped slots beats a dense branchless sweep.
-        for r in 0..TILE {
-            let row = bitmap::row_mask(map, r);
-            if row == 0 {
-                continue;
-            }
-            let mut acc = gacc[group][r];
-            for k in 0..TILE {
-                if row & (1 << k) != 0 {
-                    acc += C::to_f32(tile[r * TILE + k]) * xq[k];
-                }
-            }
-            gacc[group][r] = acc;
-        }
-    }
-    let mut out = [0.0f64; TILE];
-    for r in 0..TILE {
-        let s = reduce_tree(std::array::from_fn(|g| f64::from(gacc[g][r])));
-        out[r] = f64::from(s as f32);
-    }
-    (out, bits * 2, ntr)
+    std::array::from_fn(|r| reduce_tree(std::array::from_fn(|g| gacc[g][r])))
 }
 
 /// The emulated warp reduction's exact association over 8 group values.
@@ -584,10 +605,61 @@ fn csr_row_f32<C: Cvt>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{TILE, TILE_AREA};
     use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_permute2f128_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd, _mm256_unpacklo_pd,
+        __m128, _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_permute2f128_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd,
+        _mm256_unpacklo_pd, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps,
+        _mm_storeu_ps,
     };
+
+    /// SSE body of [`super::sweep_f32`]: one `__m128` accumulator per
+    /// group, each tile four column loads times the broadcast operand value
+    /// with a separate multiply and add. Tiles are taken `G` at a time with
+    /// a constant group per unrolled step, so the accumulators stay in
+    /// registers.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn sweep_f32_sse<const G: usize>(
+        tiles: &[f32],
+        idx: &[u32],
+        x32: &[f32],
+    ) -> [[f32; TILE]; G] {
+        #[target_feature(enable = "sse2")]
+        #[inline]
+        fn step(acc: __m128, tile: &[f32], bc: u32, x32: &[f32]) -> __m128 {
+            let tile = &tile[..TILE_AREA];
+            let xs = &x32[bc as usize * TILE..bc as usize * TILE + TILE];
+            let mut acc = acc;
+            for k in 0..TILE {
+                // SAFETY: `tile` holds 16 values, so column `k` (4 values
+                // at `4k`) is in bounds.
+                let col = unsafe { _mm_loadu_ps(tile.as_ptr().add(k * TILE)) };
+                acc = _mm_add_ps(acc, _mm_mul_ps(col, _mm_set1_ps(xs[k])));
+            }
+            acc
+        }
+        let mut acc = [_mm_setzero_ps(); G];
+        let full = idx.len() / G;
+        for c in 0..full {
+            for g in 0..G {
+                let t = c * G + g;
+                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], x32);
+            }
+        }
+        let rem = idx.len() - full * G;
+        for g in 0..G {
+            if g < rem {
+                let t = full * G + g;
+                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], x32);
+            }
+        }
+        let mut out = [[0.0f32; TILE]; G];
+        for g in 0..G {
+            // SAFETY: `out[g]` holds 4 `f32`s.
+            unsafe { _mm_storeu_ps(out[g].as_mut_ptr(), acc[g]) };
+        }
+        out
+    }
 
     /// `acc[r] += sum_k tile[r][k] * xseg[k]`: transpose the tile so each
     /// vector holds one k-column across the 4 rows, then run the k-chain
@@ -674,22 +746,24 @@ mod tests {
             let m = Mbsr::from_csr(&a);
             for prec in PRECS {
                 let xp = padded_x(&m, prec, seed ^ 0xabcd);
-                // Native must agree with the emulator both when converting
-                // the operand on the fly (empty x32) and when handed the
-                // precomputed image from `spmv_quantize_x`.
-                let mut x32 = Vec::new();
+                let (mut a32, mut x32) = (Vec::new(), Vec::new());
+                Native.spmv_tile_image(prec, &m, &mut a32);
                 Native.spmv_quantize_x(prec, &xp, &mut x32);
+                assert_eq!(a32.is_empty(), prec == Precision::Fp64);
                 for br in 0..m.blk_rows() {
                     let (lo, hi) = (m.blc_ptr[br], m.blc_ptr[br + 1]);
-                    if lo == hi {
-                        continue;
-                    }
-                    let (ts, tm) = Simulated.spmv_tc_warp(prec, &m, lo, hi - lo, &xp, &[]);
-                    let (cs, fs, rs) = Simulated.spmv_cuda_warp(prec, &m, lo, hi - lo, &xp, &[]);
-                    for pre in [&[][..], &x32[..]] {
-                        let (tn, nm) = Native.spmv_tc_warp(prec, &m, lo, hi - lo, &xp, pre);
+                    // Jobs that start mid-row index the image absolutely.
+                    for s in [lo, lo + (hi - lo) / 2] {
+                        if s == hi {
+                            continue;
+                        }
+                        let len = hi - s;
+                        let (ts, tm) = Simulated.spmv_tc_warp(prec, &m, &[], s, len, &xp, &[]);
+                        let (tn, nm) = Native.spmv_tc_warp(prec, &m, &a32, s, len, &xp, &x32);
                         assert_eq!(tm, nm);
-                        let (cn, fx, rn) = Native.spmv_cuda_warp(prec, &m, lo, hi - lo, &xp, pre);
+                        let (cs, fs, rs) =
+                            Simulated.spmv_cuda_warp(prec, &m, &[], s, len, &xp, &[]);
+                        let (cn, fx, rn) = Native.spmv_cuda_warp(prec, &m, &a32, s, len, &xp, &x32);
                         assert_eq!((fs, rs), (fx, rn));
                         for r in 0..TILE {
                             assert_eq!(ts[r].to_bits(), tn[r].to_bits(), "tc {prec:?} row {r}");
@@ -699,6 +773,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The SIMD body of the f32 sweep and its portable body agree bit for
+    /// bit (hosts with SSE2 never run the portable body otherwise).
+    #[test]
+    fn f32_sweep_simd_body_matches_portable() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for case in 0..64 {
+            let n_cols = 1 + case % 9;
+            let len = 1 + rng.gen_range(0..40usize);
+            let idx: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n_cols as u32)).collect();
+            let vals: Vec<f64> = (0..len * TILE_AREA)
+                .map(|i| {
+                    // Signed zeros stand in for unmapped slots.
+                    if rng.gen_range(0..3) == 0 {
+                        [0.0, -0.0][i % 2]
+                    } else {
+                        rng.gen_range(-1e3..1e3)
+                    }
+                })
+                .collect();
+            let xp: Vec<f64> = (0..n_cols * TILE)
+                .map(|_| rng.gen_range(-50.0..50.0))
+                .collect();
+            for cvt in [Tf32::to_f32 as fn(f64) -> f32, Half::to_f32] {
+                let tiles: Vec<f32> = vals.iter().map(|&v| cvt(v)).collect();
+                let x32: Vec<f32> = xp.iter().map(|&v| cvt(v)).collect();
+                let p2 = sweep_f32_portable::<2>(&tiles, &idx, &x32);
+                let p8 = sweep_f32_portable::<8>(&tiles, &idx, &x32);
+                let s2 = sweep_f32::<2>(&tiles, &idx, 0, &x32);
+                let s8 = sweep_f32::<8>(&tiles, &idx, 0, &x32);
+                let bits = |a: &[[f32; TILE]]| -> Vec<u32> {
+                    a.iter().flatten().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&p2), bits(&s2), "case {case}");
+                assert_eq!(bits(&p8), bits(&s8), "case {case}");
+            }
+        }
+    }
+
+    /// The FP32 finiteness check agrees with TF32 rounding around the
+    /// overflow boundary.
+    #[test]
+    fn operand_is_finite_matches_tf32_rounding() {
+        let max = f64::from(f32::MAX);
+        let mut probes = vec![0.0, 1.0, max, -max, f64::INFINITY, f64::NAN, 1e300];
+        for bits in 0x7f7f_e000u32..=0x7f7f_ffff {
+            if bits % 97 == 0 || (0x7f7f_eff0..0x7f7f_f010).contains(&bits) {
+                probes.push(f64::from(f32::from_bits(bits)));
+            }
+        }
+        for q in probes {
+            for q in [q, -q] {
+                let q = Precision::Fp32.quantize(q);
+                let want = round_tf32(q as f32).is_finite();
+                assert_eq!(crate::operand_is_finite(Precision::Fp32, q), want, "{q:e}");
+            }
+        }
+        assert!(!crate::operand_is_finite(Precision::Fp16, f64::INFINITY));
+        assert!(!crate::operand_is_finite(Precision::Fp64, f64::NAN));
+        assert!(crate::operand_is_finite(Precision::Fp64, 1e300));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! instruction set is absent. The scalar path is not a second-class
 //! citizen: it computes the identical bit patterns (the SIMD kernels
 //! vectorize *across independent accumulation chains* only, never inside
-//! one), so CI hosts without AVX2 exercise the same contract.
+//! one), so CI hosts without AVX2 exercise the same contract. The FP32/
+//! FP16 SpMV sweep is the exception to the detection: it uses SSE2, which
+//! every x86-64 host has, and its portable body runs on other targets.
 
 use std::sync::OnceLock;
 

@@ -32,6 +32,7 @@ impl ExecBackend for Simulated {
         &self,
         prec: Precision,
         a: &Mbsr,
+        _a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
@@ -77,6 +78,7 @@ impl ExecBackend for Simulated {
         &self,
         prec: Precision,
         a: &Mbsr,
+        _a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],

@@ -7,7 +7,7 @@
 //! IV.D only consumes the diagonal). Multi-RHS solves (multiple load
 //! vectors in FEM, block Krylov methods) hit exactly this kernel.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, ExecMode};
 use crate::spmv_mbsr::{SpmvPath, SpmvPlan};
 use amgt_sim::mma::MMA_FLOPS;
 use amgt_sim::{Algo, KernelCost, KernelKind};
@@ -112,8 +112,10 @@ pub fn spmm_mbsr(ctx: &Ctx, a: &Mbsr, plan: &SpmvPlan, x: &MultiVector) -> Multi
 pub struct SpmmScratch {
     xq: Vec<f64>,
     /// Reduced-precision image of `xq` from `ExecBackend::spmv_quantize_x`
-    /// (empty when the backend converts on the fly).
+    /// (empty whenever the active backend needs none).
     x32: Vec<f32>,
+    /// Tile image for a plan that carries none at the call's precision.
+    a32: Vec<f32>,
 }
 
 /// `Y = A X` on mBSR, returning per-call [`SpmmStats`].
@@ -162,34 +164,44 @@ pub fn spmm_mbsr_into(
     // Quantized, padded, column-major operand (per column, exactly the
     // padded vector spmv_mbsr builds). Pad tails are re-zeroed each call:
     // the scratch may carry stale values from a previous operand. Columns
-    // are independent, so the quantize sweep forks per column.
+    // are independent, so the quantize sweep forks per column. The sweep
+    // also checks the operand is finite; if not, the call runs on the
+    // emulator (see `amgt_exec::operand_is_finite`).
     scratch.xq.resize(padded * nrhs, 0.0);
     let xq = &mut scratch.xq[..padded * nrhs];
     let x_nrows = x.nrows;
-    amgt_exec::par::join_block_chunks(
+    let finite = amgt_exec::par::join_block_chunks(
         xq,
         0,
         nrhs,
         padded,
         1,
         &|first_col, ncol, chunk| {
+            let mut finite = true;
             for jc in 0..ncol {
                 let dst = &mut chunk[jc * padded..(jc + 1) * padded];
                 for (d, &v) in dst[..x_nrows].iter_mut().zip(x.col(first_col + jc)) {
                     *d = prec.quantize(v);
+                    finite &= amgt_exec::operand_is_finite(prec, *d);
                 }
                 dst[x_nrows..].fill(0.0);
             }
+            finite
         },
-        &|(), ()| (),
+        &|l, r| l & r,
     );
     let xq = &scratch.xq[..padded * nrhs];
 
     y.reshape(a.nrows(), nrhs);
     let nrows = a.nrows();
-    let be = ctx.backend();
+    let be = if finite {
+        ctx.backend()
+    } else {
+        amgt_exec::backend(ExecMode::Simulated)
+    };
     be.spmv_quantize_x(prec, xq, &mut scratch.x32);
     let x32_all = &scratch.x32[..];
+    let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
     let mut mma_total = 0u64;
     let mut flops_total = 0u64;
     let mut nonempty_tile_rows = 0u64;
@@ -227,8 +239,9 @@ pub fn spmm_mbsr_into(
                         for job in plan.jobs_for_row(br) {
                             match plan.path {
                                 SpmvPath::TensorCore => {
-                                    let (part, _pair_mmas) =
-                                        be.spmv_tc_warp(prec, a, job.start, job.len, xcol, xcol32);
+                                    let (part, _pair_mmas) = be.spmv_tc_warp(
+                                        prec, a, a32, job.start, job.len, xcol, xcol32,
+                                    );
                                     // One mma per tile per slab: fragB is the
                                     // X sub-slab, so tiles cannot pair the way
                                     // SpMV's half-empty fragments do. Count once
@@ -241,8 +254,9 @@ pub fn spmm_mbsr_into(
                                     }
                                 }
                                 SpmvPath::CudaCore => {
-                                    let (part, f, tr) = be
-                                        .spmv_cuda_warp(prec, a, job.start, job.len, xcol, xcol32);
+                                    let (part, f, tr) = be.spmv_cuda_warp(
+                                        prec, a, a32, job.start, job.len, xcol, xcol32,
+                                    );
                                     flops += f; // Scalar flops happen per column.
                                     if c == 0 {
                                         tile_rows += tr; // A-value traffic: once per slab.

@@ -10,7 +10,7 @@
 //!   on the accumulator diagonal), below that a CUDA-core path where four
 //!   threads cooperate on a tile and finish with a warp-level sum.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, ExecBackend, ExecMode};
 use amgt_sim::mma::{mma_8x8x4, FragA, FragB, FragC, MMA_FLOPS, TILE};
 use amgt_sim::precision::Precision;
 use amgt_sim::{Algo, KernelCost, KernelKind};
@@ -48,21 +48,47 @@ pub struct WarpJob {
     pub len: usize,
 }
 
-/// The preprocessing result: schedule + adaptive-selection decisions.
+/// The preprocessing result: schedule + adaptive-selection decisions, plus
+/// the backend's reduced-precision tile image of the matrix.
 #[derive(Clone, Debug)]
 pub struct SpmvPlan {
     pub load_balanced: bool,
     pub path: SpmvPath,
     pub avg_nnz_blc: f64,
     pub variation: f64,
-    /// Per block-row list of warp jobs (each job's chunk, in order).
-    jobs_per_row: Vec<Vec<WarpJob>>,
+    /// Every block-row's warp jobs (each job's chunk, in order), rows
+    /// concatenated; block-row `br` owns `jobs[job_ptr[br]..job_ptr[br + 1]]`.
+    jobs: Vec<WarpJob>,
+    job_ptr: Vec<usize>,
     pub n_warps: usize,
+    /// `ExecBackend::spmv_tile_image` of the matrix at `image_prec` (empty
+    /// when the backend that analyzed the matrix builds none).
+    image: Vec<f32>,
+    image_prec: Precision,
 }
 
 impl SpmvPlan {
     pub fn jobs_for_row(&self, br: usize) -> &[WarpJob] {
-        &self.jobs_per_row[br]
+        &self.jobs[self.job_ptr[br]..self.job_ptr[br + 1]]
+    }
+
+    /// The tile image to hand the warp kernels at `prec`: the plan's own
+    /// when it was built at `prec`, otherwise one built by `be` into
+    /// `scratch` (grow-only, so steady-state calls do not allocate).
+    pub(crate) fn tile_image<'s>(
+        &'s self,
+        be: &dyn ExecBackend,
+        prec: Precision,
+        a: &Mbsr,
+        scratch: &'s mut Vec<f32>,
+    ) -> &'s [f32] {
+        if self.image_prec == prec && !self.image.is_empty() {
+            debug_assert_eq!(self.image.len(), a.n_blocks() * TILE * TILE);
+            &self.image
+        } else {
+            be.spmv_tile_image(prec, a, scratch);
+            scratch
+        }
     }
 }
 
@@ -95,36 +121,39 @@ pub fn analyze_spmv_with(
         SpmvPath::CudaCore
     };
 
-    let mut n_warps = 0usize;
-    let jobs_per_row: Vec<Vec<WarpJob>> = (0..a.blk_rows())
-        .map(|br| {
-            let (lo, hi) = (a.blc_ptr[br], a.blc_ptr[br + 1]);
-            if lo == hi {
-                return Vec::new();
-            }
-            let mut jobs = Vec::new();
-            if load_balanced {
-                let mut s = lo;
-                while s < hi {
-                    let len = (hi - s).min(ctx.policy.spmv_warp_capacity);
-                    jobs.push(WarpJob {
-                        block_row: br as u32,
-                        start: s,
-                        len,
-                    });
-                    s += len;
-                }
-            } else {
-                jobs.push(WarpJob {
-                    block_row: br as u32,
-                    start: lo,
-                    len: hi - lo,
-                });
-            }
-            n_warps += jobs.len();
-            jobs
-        })
-        .collect();
+    // Exact job count first, so the flat schedule is two allocations.
+    let cap = ctx.policy.spmv_warp_capacity;
+    let row_jobs = |br: usize| {
+        let n = a.blc_ptr[br + 1] - a.blc_ptr[br];
+        if load_balanced {
+            n.div_ceil(cap)
+        } else {
+            usize::from(n > 0)
+        }
+    };
+    let n_warps: usize = (0..a.blk_rows()).map(row_jobs).sum();
+    let mut jobs = Vec::with_capacity(n_warps);
+    let mut job_ptr = Vec::with_capacity(a.blk_rows() + 1);
+    job_ptr.push(0);
+    for br in 0..a.blk_rows() {
+        let (lo, hi) = (a.blc_ptr[br], a.blc_ptr[br + 1]);
+        let chunk = if load_balanced { cap } else { hi - lo };
+        let mut s = lo;
+        while s < hi {
+            let len = (hi - s).min(chunk);
+            jobs.push(WarpJob {
+                block_row: br as u32,
+                start: s,
+                len,
+            });
+            s += len;
+        }
+        job_ptr.push(jobs.len());
+    }
+    debug_assert_eq!(jobs.len(), n_warps);
+
+    let mut image = Vec::new();
+    ctx.backend().spmv_tile_image(ctx.precision, a, &mut image);
 
     let cost = KernelCost {
         int_ops: a.n_blocks() as f64 + a.blk_rows() as f64 * 4.0,
@@ -139,8 +168,11 @@ pub fn analyze_spmv_with(
         path,
         avg_nnz_blc: avg,
         variation,
-        jobs_per_row,
+        jobs,
+        job_ptr,
         n_warps,
+        image,
+        image_prec: ctx.precision,
     }
 }
 
@@ -152,8 +184,10 @@ pub fn analyze_spmv_with(
 pub struct SpmvScratch {
     xp: Vec<f64>,
     /// Reduced-precision operand image from `ExecBackend::spmv_quantize_x`
-    /// (empty whenever the active backend takes no conversion shortcut).
+    /// (empty whenever the active backend needs none).
     x32: Vec<f32>,
+    /// Tile image for a plan that carries none at the call's precision.
+    a32: Vec<f32>,
 }
 
 /// `y = A x` with the AmgT algorithm under a precomputed plan.
@@ -182,21 +216,30 @@ pub fn spmv_mbsr_into(
 
     // Pad x to a multiple of the tile size so tile-column slices are easy.
     // The pad region is re-zeroed each call: the scratch may carry stale
-    // values from a differently-shaped previous operand.
+    // values from a differently-shaped previous operand. The same sweep
+    // checks the operand is finite; if not, the call runs on the emulator
+    // (see `amgt_exec::operand_is_finite`).
     let padded_cols = a.blk_cols() * TILE;
     scratch.xp.resize(padded_cols, 0.0);
     let xp = &mut scratch.xp[..padded_cols];
+    let mut finite = true;
     for (dst, &src) in xp.iter_mut().zip(x.iter()) {
         *dst = prec.quantize(src);
+        finite &= amgt_exec::operand_is_finite(prec, *dst);
     }
     xp[x.len()..].fill(0.0);
     let xp = &scratch.xp[..padded_cols];
 
     let nrows = a.nrows();
     y.resize(nrows, 0.0);
-    let be = ctx.backend();
+    let be = if finite {
+        ctx.backend()
+    } else {
+        amgt_exec::backend(ExecMode::Simulated)
+    };
     be.spmv_quantize_x(prec, xp, &mut scratch.x32);
     let x32 = &scratch.x32[..];
+    let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
 
     // One pass over block-rows, writing straight into `y`; each row's warp
     // jobs run in order so the accumulation order (and hence the rounding)
@@ -219,7 +262,8 @@ pub fn spmv_mbsr_into(
                 for job in plan.jobs_for_row(br) {
                     match plan.path {
                         SpmvPath::TensorCore => {
-                            let (part, m) = be.spmv_tc_warp(prec, a, job.start, job.len, xp, x32);
+                            let (part, m) =
+                                be.spmv_tc_warp(prec, a, a32, job.start, job.len, xp, x32);
                             mma += m;
                             for (o, p) in acc.iter_mut().zip(part.iter()) {
                                 *o = prec.round_accum(*o + p);
@@ -227,7 +271,7 @@ pub fn spmv_mbsr_into(
                         }
                         SpmvPath::CudaCore => {
                             let (part, f, tr) =
-                                be.spmv_cuda_warp(prec, a, job.start, job.len, xp, x32);
+                                be.spmv_cuda_warp(prec, a, a32, job.start, job.len, xp, x32);
                             flops += f;
                             ntr += tr;
                             for (o, p) in acc.iter_mut().zip(part.iter()) {
@@ -293,6 +337,7 @@ fn tc_warp(prec: Precision, a: &Mbsr, job: &WarpJob, xp: &[f64]) -> ([f64; TILE]
     amgt_exec::backend(amgt_exec::ExecMode::Simulated).spmv_tc_warp(
         prec,
         a,
+        &[],
         job.start,
         job.len,
         xp,

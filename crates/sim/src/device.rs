@@ -257,27 +257,6 @@ impl Device {
         seconds
     }
 
-    /// Record an externally priced duration (used by the cluster layer for
-    /// steps whose time is a max over member devices).
-    pub fn charge_priced(
-        &self,
-        kind: KernelKind,
-        algo: Algo,
-        phase: Phase,
-        level: u32,
-        precision: Precision,
-        seconds: f64,
-    ) {
-        let sim_start = self.ledger_push(kind, algo, phase, level, precision, seconds);
-        if self.traced.load(Ordering::Relaxed) {
-            let cost = KernelCost::default();
-            self.trace_kernel(
-                kind, algo, phase, level, precision, sim_start, seconds, &cost, 0,
-            );
-        }
-        self.flight_kernel(kind, algo, phase, level, precision, sim_start, seconds);
-    }
-
     /// Flight-recorder kernel hook: one relaxed load when the global gate
     /// is off, one more for the per-device identity when it is on.
     #[allow(clippy::too_many_arguments)]

@@ -25,6 +25,9 @@ echo "==> tier-1: cargo test -q"
 cargo test -q
 
 echo "==> exec-backend equivalence: native vs emulator, bitwise"
+# The build identity block names the SIMD level the native kernels
+# detected on this host, so the log shows which bodies the bitwise tests ran.
+cargo run --release -q --bin amgt-cli -- --version --verbose
 cargo test --release -q -p amgt-integration-tests --test exec_equivalence
 
 echo "==> trace exporter smoke: solve -> chrome trace JSON"

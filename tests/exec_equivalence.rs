@@ -196,6 +196,57 @@ fn tile_popcount_extremes_agree() {
     }
 }
 
+/// Operands the native dense sweeps cannot take as they stand: infinite
+/// entries (an unmapped `+/-0.0` slot times `inf` is NaN, where the
+/// emulator skips the slot) and finite entries past the FP16 range (they
+/// quantize to `inf`). SpMV and SpMM route such calls through the
+/// emulator, so both modes agree bitwise and charge the same, on the
+/// CUDA-core path (5-point Laplacian) and the tensor-core path
+/// (`elasticity_3d`), at every precision.
+#[test]
+fn non_finite_and_fp16_overflow_operands_agree() {
+    use amgt_kernels::spmv_mbsr::analyze_spmv;
+    use amgt_sparse::gen::{elasticity_3d, NeighborSet};
+    let cases = [
+        (laplacian_2d(13, 17, Stencil2d::Five), SpmvPath::CudaCore),
+        (
+            elasticity_3d(3, 3, 3, 4, NeighborSet::Face, 1),
+            SpmvPath::TensorCore,
+        ),
+    ];
+    for (a, path) in cases {
+        let m = Mbsr::from_csr(&a);
+        let base = arb_vector(a.ncols(), 7);
+        let spiked = |v: f64| -> Vec<f64> {
+            let mut x = base.clone();
+            for (i, xi) in x.iter_mut().enumerate().step_by(7) {
+                *xi = if i % 2 == 0 { v } else { -v };
+            }
+            x
+        };
+        let (x_inf, x_big) = (spiked(f64::INFINITY), spiked(1e6));
+        for prec in PRECISIONS {
+            for (what, x) in [("inf", &x_inf), ("1e6", &x_big)] {
+                let (nat, sim) = per_mode(prec, |ctx| {
+                    let plan = analyze_spmv(ctx, &m);
+                    assert_eq!(plan.path, path);
+                    spmv_mbsr(ctx, &m, &plan, x)
+                });
+                assert_bits_eq(&nat, &sim, &format!("spmv {what} {prec:?} {path:?}"));
+                if what == "inf" || prec == Precision::Fp16 {
+                    assert!(sim.iter().any(|v| !v.is_finite()), "{what} {prec:?}");
+                }
+            }
+            let mv = MultiVector::from_columns(&[base.clone(), x_inf.clone(), x_big.clone()]);
+            let (nat, sim) = per_mode(prec, |ctx| {
+                let plan = analyze_spmv(ctx, &m);
+                spmm_mbsr(ctx, &m, &plan, &mv)
+            });
+            assert_bits_eq(&nat.data, &sim.data, &format!("spmm {prec:?} {path:?}"));
+        }
+    }
+}
+
 /// A whole AMG run — setup's SpGEMM-built hierarchy plus the solve-phase
 /// cycles — lands on bitwise-identical solutions under either backend, for
 /// both the uniform-FP64 and the mixed-precision config.
@@ -217,6 +268,68 @@ fn full_solve_native_matches_sim_bitwise() {
         );
         assert_eq!(dev_s.elapsed(), dev_n.elapsed(), "cost model diverged");
     }
+}
+
+/// `(FNV-1a over the solution bits, iterations, Device::elapsed() bits)`
+/// of the capped `amgt_mixed` venkat25 (Small) setup + solve below, as the
+/// emulator computes them (`Device::elapsed()` = 2.0737e-4 s).
+const VENKAT25_MIXED_GOLDEN: (u64, usize, u64) = (0x53ce_c457_ed8e_de87, 3, 0x3f2b_2e30_37d3_c583);
+
+/// A real mixed hierarchy: venkat25 (Small) under `amgt_mixed` has an
+/// FP32 CUDA-core level 1, an FP16 CUDA-core level 2 and an FP16
+/// tensor-core level 3. Native and emulator setup + solve agree bitwise
+/// (solution, iterations, ledger), and so does a native solve on the
+/// emulator-built hierarchy, whose plans carry no tile images (the
+/// kernels build them into their scratch). The result is pinned, so the
+/// native kernels can change only without moving a bit.
+#[test]
+fn venkat25_mixed_solve_native_matches_sim_bitwise() {
+    use amgt_kernels::spmv_mbsr::SpmvPath;
+    use amgt_sparse::fingerprint::Fnv;
+    use amgt_sparse::suite::{generate, Scale};
+    let a = generate("venkat25", Scale::Small).expect("suite matrix");
+    let b = rhs_of_ones(&a);
+    let mut cfg = AmgConfig::amgt_mixed();
+    cfg.max_iterations = 3;
+    let run = |setup_exec: ExecMode, solve_exec: ExecMode| {
+        let dev = Device::new(GpuSpec::a100());
+        let mut cfg = cfg.clone();
+        cfg.exec = setup_exec;
+        let h = setup(&dev, &cfg, a.clone());
+        cfg.exec = solve_exec;
+        let mut x = vec![0.0; b.len()];
+        let rep = solve(&dev, &cfg, &h, &b, &mut x);
+        (h, x, rep.iterations, dev.elapsed())
+    };
+    let (h, x_sim, it_sim, t_sim) = run(ExecMode::Simulated, ExecMode::Simulated);
+    let paths: Vec<_> = h.levels[1..4]
+        .iter()
+        .map(|l| (l.precision, l.a.plan.as_ref().expect("plan").path))
+        .collect();
+    assert_eq!(
+        paths,
+        [
+            (Precision::Fp32, SpmvPath::CudaCore),
+            (Precision::Fp16, SpmvPath::CudaCore),
+            (Precision::Fp16, SpmvPath::TensorCore),
+        ]
+    );
+    for (setup_exec, what) in [
+        (ExecMode::Native, "native setup + solve"),
+        (ExecMode::Simulated, "emulator setup, native solve"),
+    ] {
+        let (_, x, it, t) = run(setup_exec, ExecMode::Native);
+        assert_bits_eq(&x, &x_sim, what);
+        assert_eq!(it, it_sim, "{what}");
+        assert_eq!(t.to_bits(), t_sim.to_bits(), "{what}: cost model diverged");
+    }
+    let mut fnv = Fnv::new();
+    for v in &x_sim {
+        fnv.write_u64(v.to_bits());
+    }
+    let got = (fnv.finish(), it_sim, t_sim.to_bits());
+    println!("venkat25 mixed: {got:#x?}");
+    assert_eq!(got, VENKAT25_MIXED_GOLDEN);
 }
 
 /// Under the native backend, re-solving through one reused workspace gives
