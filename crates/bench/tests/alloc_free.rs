@@ -1,24 +1,63 @@
 //! Allocation-freedom gates for the hot paths, measured with the counting
 //! global allocator from `amgt_bench::alloc`.
 //!
-//! Both checks run inside ONE `#[test]` so no sibling test thread can
+//! All checks run inside ONE `#[test]` so no sibling test thread can
 //! allocate while exact counter deltas are being read (the counters are
-//! process-global, and this file is its own test binary).
+//! process-global, and this file is its own test binary). The one other
+//! thread, libtest's main thread, is waited for before the first window
+//! (see [`wait_for_other_threads_to_sleep`]).
 
 use amgt::prelude::*;
 use amgt::{solve_with_workspace, CycleType, SolveWorkspace};
 use amgt_bench::alloc::{snapshot, CountingAlloc};
 use amgt_server::{CacheOutcome, ServiceConfig, SolveRequest, SolverService};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
+use amgt_trace::flight::TraceId;
+use std::time::{Duration, Instant};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn hot_paths_are_allocation_free() {
+    wait_for_other_threads_to_sleep();
     steady_state_solve_has_zero_allocs_per_iteration();
     mixed_native_solve_has_zero_allocs_per_iteration();
     server_cache_hit_reuses_cached_workspace();
+    trace_id_hex_allocation_is_value_independent();
+}
+
+/// Block until every other thread of the process is asleep.
+///
+/// libtest's main thread records this test only after spawning the
+/// thread that runs it (four allocations with the current toolchain). On
+/// a busy host that thread can be scheduled late enough for them to land
+/// inside the first measured window. It then sleeps on the result channel until
+/// the test ends, so waiting for it to sleep moves its allocations before
+/// every window. Reads `/proc` (Linux); elsewhere it returns at once, and
+/// after 10 s it gives up rather than hang.
+fn wait_for_other_threads_to_sleep() {
+    let Ok(me) = std::fs::read_link("/proc/thread-self") else {
+        return;
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while Instant::now() < deadline {
+        let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+            return;
+        };
+        // `stat` is `tid (comm) state ...`; `S` is an interruptible sleep.
+        let busy = tasks.flatten().any(|t| {
+            Some(t.file_name().as_os_str()) != me.file_name()
+                && std::fs::read_to_string(t.path().join("stat")).is_ok_and(|stat| {
+                    stat.rsplit_once(") ")
+                        .is_some_and(|(_, rest)| !rest.starts_with('S'))
+                })
+        });
+        if !busy {
+            return;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// Allocation counts of a 4-iteration and an 8-iteration solve through one
@@ -166,4 +205,22 @@ fn server_cache_hit_reuses_cached_workspace() {
         d_hit1.allocs,
         d_hit2.allocs
     );
+}
+
+/// Rendering a trace id costs the same allocations whatever its value:
+/// an id with a leading zero nibble must not pay for zero padding (the
+/// server renders one per job, inside the cache-hit windows above).
+fn trace_id_hex_allocation_is_value_independent() {
+    let count = |raw: u64| {
+        let id = TraceId::from_raw(raw).expect("nonzero id");
+        let s0 = snapshot();
+        let hex = id.to_hex();
+        let d = snapshot().since(&s0);
+        assert_eq!(hex.len(), 16, "{hex}");
+        d.allocs
+    };
+    let low = count(0x0000_0000_0000_0001);
+    let mid = count(0x0123_4567_89ab_cdef);
+    let high = count(0xf000_0000_0000_0000);
+    assert_eq!((low, mid), (high, high), "to_hex allocations by id value");
 }

@@ -11,20 +11,29 @@
 //!   would schedule them. This path is the source of truth for the paper's
 //!   cost-model figures and for `amgt-tune`.
 //! * [`Native`](native::Native) — the same arithmetic computed directly on
-//!   the host: fork-join (rayon) parallelism across warp jobs and block
-//!   rows, `std::arch` SIMD for the 4x4 tile kernels (runtime AVX2
-//!   detection with a scalar fallback, see [`simd`]), and reduced-precision
-//!   rounding that reuses the bit-exact [`amgt_sim::F16`] / TF32
-//!   conversions.
+//!   the host: fork-join (rayon) parallelism across block rows, `std::arch`
+//!   SIMD for the 4x4 tile kernels (runtime AVX2 detection with a scalar
+//!   fallback, see [`simd`]), and reduced-precision rounding that reuses
+//!   the bit-exact [`amgt_sim::F16`] / TF32 conversions.
 //!
 //! **The contract is bitwise equality.** For every backend method, both
 //! implementations must produce identical `f64` bit patterns at every
 //! [`Precision`] — the native path is a *reformulation* of the emulated
 //! arithmetic (see the per-method notes in [`native`] for the proofs), not
-//! an approximation of it. Kernel-side operation counters (mma issues,
-//! flops, nonempty tile rows) are part of the contract too, so the
-//! simulated-GPU charges are independent of the backend that ran.
+//! an approximation of it.
 //!
+//! SpMV enters a backend once per block-row range
+//! ([`ExecBackend::spmv_rows`]), not once per warp job: the emulator loops
+//! its warp emulation over the range's jobs, while the native backend runs
+//! one register-resident sweep per job (for FP64, `G` group accumulators
+//! held in AVX2 registers and reduced lane-wise by the warp-sum tree, see
+//! [`native`]). The SpMV operation counters (`mma` issues, CUDA-core
+//! flops, nonempty tile rows) are not returned by any backend: they depend
+//! only on the matrix and the warp schedule, so the SpMV preprocessing in
+//! `amgt-kernels` computes them once from the bitmaps, and the
+//! simulated-GPU charge cannot depend on the backend that ran. The
+//! emulator's lane-level counts are checked against them by test.
+
 //! This crate deliberately sits *below* `amgt-kernels`: it knows sparse
 //! formats (`amgt-sparse`) and the precision model (`amgt-sim`) but nothing
 //! about plans, policies, contexts or the device ledger.
@@ -41,8 +50,10 @@ pub mod simd;
 pub mod simulated;
 
 use amgt_sim::Precision;
+use amgt_sparse::bitmap::TILE;
 use amgt_sparse::Mbsr;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 pub use simd::{simd_level, SimdLevel};
 
@@ -82,9 +93,57 @@ impl ExecMode {
     }
 }
 
-/// One execution backend: the warp- and tile-granular compute steps every
-/// mBSR kernel is built from, plus the CSR row product the vendor baseline
-/// uses and the storage-precision quantization pass ("convert").
+/// Which SpMV compute path the adaptive selection chose (Algorithm 5):
+/// tensor cores, two tiles per `mma` with the result on the accumulator
+/// diagonal, or CUDA cores, four lanes per tile and a grouped warp sum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SpmvPath {
+    TensorCore,
+    CudaCore,
+}
+
+/// The warp jobs of one block-row whose tiles are `[lo, hi)`: consecutive
+/// `(start, len)` chunks of at most `job_len` tiles, in order. `job_len`
+/// is the warp capacity under the load-balanced schedule and `usize::MAX`
+/// (one job per nonempty block-row) otherwise; it must be nonzero.
+pub fn warp_jobs(lo: usize, hi: usize, job_len: usize) -> impl Iterator<Item = (usize, usize)> {
+    (lo..hi)
+        .step_by(job_len)
+        .map(move |s| (s, (hi - s).min(job_len)))
+}
+
+/// The block-row loop behind every [`ExecBackend::spmv_rows`]: for
+/// block-row `rows.start + i`, each warp job's 4 partial sums
+/// `job(start, len)` fold into an accumulator that starts at `+0.0` as
+/// `acc = round(acc + part)` (the emulator's `round_accum`), and the row's
+/// results are written to `y[4 i..]`, clipped to `y`.
+#[inline(always)]
+pub(crate) fn fold_block_rows(
+    a: &Mbsr,
+    job_len: usize,
+    rows: Range<usize>,
+    y: &mut [f64],
+    round: impl Fn(f64) -> f64,
+    mut job: impl FnMut(usize, usize) -> [f64; TILE],
+) {
+    for (i, br) in rows.enumerate() {
+        let mut acc = [0.0f64; TILE];
+        for (start, len) in warp_jobs(a.blc_ptr[br], a.blc_ptr[br + 1], job_len) {
+            let part = job(start, len);
+            for r in 0..TILE {
+                acc[r] = round(acc[r] + part[r]);
+            }
+        }
+        for (o, v) in y[i * TILE..].iter_mut().zip(acc) {
+            *o = v;
+        }
+    }
+}
+
+/// One execution backend: the block-row SpMV and the tile-granular SpGEMM
+/// steps the mBSR kernels are built from, plus the CSR row product the
+/// vendor baseline uses and the storage-precision quantization pass
+/// ("convert").
 ///
 /// All methods are pure with respect to the backend (no internal state), so
 /// a `&'static` instance is shared freely across threads.
@@ -93,8 +152,8 @@ pub trait ExecBackend: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Precompute the reduced-precision image of a padded SpMV operand for
-    /// repeated warp calls over it: fills `x32` with exactly the per-element
-    /// input rounding the backend's warp kernels apply (TF32/F16 to `f32`),
+    /// repeated calls over it: fills `x32` with exactly the per-element
+    /// input rounding the backend's SpMV kernels apply (TF32/F16 to `f32`),
     /// or clears it when the backend needs no such image (the emulator, or
     /// FP64 where inputs pass through unrounded).
     fn spmv_quantize_x(&self, prec: Precision, xp: &[f64], x32: &mut Vec<f32>) {
@@ -103,8 +162,8 @@ pub trait ExecBackend: Send + Sync {
     }
 
     /// Build the reduced-precision value image of the SpMV operand `a` for
-    /// warp calls at `prec`: each tile's 16 values rounded once through the
-    /// warp kernels' input conversion, stored column-major within the tile
+    /// SpMV calls at `prec`: each tile's 16 values rounded once through the
+    /// SpMV kernels' input conversion, stored column-major within the tile
     /// (see [`native`]). Cleared when the backend needs no image (the
     /// emulator, or FP64). Built once per matrix by the SpMV preprocessing,
     /// so the per-call kernels never convert a matrix value.
@@ -113,43 +172,34 @@ pub trait ExecBackend: Send + Sync {
         a32.clear();
     }
 
-    /// One tensor-core SpMV warp (Algorithm 5, dense path): process the
-    /// contiguous tile range `[start, start + len)` of `a` against the
-    /// padded operand `xp`, two tiles per `mma`. `a32` and `x32` are the
-    /// images from [`ExecBackend::spmv_tile_image`] and
-    /// [`ExecBackend::spmv_quantize_x`] at `prec` (a backend that built
-    /// none ignores them). Operands must pass [`operand_is_finite`]: the
-    /// native kernels are bitwise-exact only for finite operands, so
-    /// callers route any other operand through the emulator. Returns the
-    /// block-row's 4 partial sums and the number of `mma` instructions
-    /// issued.
+    /// SpMV over the block-rows `rows` of `a` (Algorithm 5): each row's
+    /// warp jobs ([`warp_jobs`] at `job_len`) run on `path` in order, their
+    /// 4 partial sums fold into the row with `round_accum`, and the row's
+    /// results land in `y[4 i..4 i + 4]` for block-row `rows.start + i`
+    /// (`y` covers exactly the range's output rows; the last block-row of
+    /// the matrix may be short). `a32` and `x32` are the images from
+    /// [`ExecBackend::spmv_tile_image`] and [`ExecBackend::spmv_quantize_x`]
+    /// at `prec` (a backend that built none ignores them); `xp` is the
+    /// quantized, padded operand. Operands must pass [`operand_is_finite`]:
+    /// the native kernels are bitwise-exact only for finite operands, so
+    /// callers route any other operand through the emulator.
+    ///
+    /// Operation counters are not part of this call: they depend only on
+    /// the matrix and the schedule, so the SpMV preprocessing computes them
+    /// once from the bitmaps.
     #[allow(clippy::too_many_arguments)]
-    fn spmv_tc_warp(
+    fn spmv_rows(
         &self,
         prec: Precision,
+        path: SpmvPath,
         a: &Mbsr,
         a32: &[f32],
-        start: usize,
-        len: usize,
+        job_len: usize,
+        rows: Range<usize>,
         xp: &[f64],
         x32: &[f32],
-    ) -> ([f64; 4], u64);
-
-    /// One CUDA-core SpMV warp (Algorithm 5, sparse path): four lanes per
-    /// tile guided by the bitmap, then the grouped warp sum. Images and
-    /// operand as in [`ExecBackend::spmv_tc_warp`]. Returns the 4 partial
-    /// sums, the flop count, and the nonempty tile rows touched.
-    #[allow(clippy::too_many_arguments)]
-    fn spmv_cuda_warp(
-        &self,
-        prec: Precision,
-        a: &Mbsr,
-        a32: &[f32],
-        start: usize,
-        len: usize,
-        xp: &[f64],
-        x32: &[f32],
-    ) -> ([f64; 4], u64, u64);
+        y: &mut [f64],
+    );
 
     /// One SpGEMM tensor-core step: multiply `a_tile` by one or two valid
     /// B tiles and accumulate bitmap + values into the C block-row
@@ -193,7 +243,7 @@ pub trait ExecBackend: Send + Sync {
 /// (that value's significand is odd, so the tie itself rounds up).
 const TF32_OVERFLOW: f64 = (2.0 - 1.0 / 2048.0) * 1.7014118346046923e38;
 
-/// Whether the warp kernels' input rounding at `prec` of the quantized
+/// Whether the SpMV kernels' input rounding at `prec` of the quantized
 /// operand value `q` (`prec.quantize(x)`) is finite. The native SpMV
 /// sweeps are dense: an unmapped `+/-0.0` slot times an infinite operand
 /// is NaN where the emulator skips the slot. SpMV/SpMM callers therefore

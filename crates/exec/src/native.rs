@@ -39,8 +39,29 @@
 //! extra `acc + (+/-0.0)` steps the dense sweep inserts reproduce the
 //! branchy chain bit-for-bit. The argument holds in `f32` exactly as in
 //! `f64`: an unmapped slot's image value is `to_f32(+/-0.0) = +/-0.0`, and
-//! its product with a finite operand is `+/-0.0` again. Operation counters
-//! still come from the bitmaps, so charges are untouched.
+//! its product with a finite operand is `+/-0.0` again. No kernel here
+//! counts operations: the SpMV plan takes its counters from the bitmaps,
+//! and the SpGEMM tile products count from the bitmaps too.
+//!
+//! ## SpMV: one call per block-row range
+//!
+//! [`ExecBackend::spmv_rows`] gets a whole fork-join leaf of block-rows.
+//! One loop ([`crate::fold_block_rows`], shared with the emulator) walks
+//! each row's warp jobs in order and folds their partial sums into the row,
+//! so a row costs no dynamic dispatch and no per-job counter pass. Each job
+//! is one sweep with `G` group accumulators — `G = 2` (the two fragment
+//! halves) on the tensor-core path, `G = 8` (the lane groups) on the
+//! CUDA-core path — followed by the emulator's warp-sum tree:
+//!
+//! * **FP64** ([`sweep_f64`]): the AVX2 body transposes each row-major
+//!   tile in registers, so one `__m256d` holds a k-column across the 4
+//!   rows, and keeps the `G` accumulators in registers (`vmulpd` then
+//!   `vaddpd`, never FMA); the tree runs lane-wise on the vectors. The
+//!   row-range loop and the sweep inline into one AVX2 function. A
+//!   column-major f64 copy of the tiles would save the transposes but cost
+//!   128 B per tile, so the kernel reads the mBSR values as stored.
+//! * **FP32/FP16** ([`sweep_f32`]): the same loop over the `f32` tile
+//!   image described next.
 //!
 //! ## Tile images for FP32/FP16 SpMV
 //!
@@ -49,12 +70,11 @@
 //! **tile image** of the operand, built once per matrix: tile `t`'s 16
 //! values rounded through the precision's input conversion ([`Tf32`] or
 //! [`Half`]), stored column-major at `a32[16 t + 4 k + r]` so that column
-//! `k` of a tile is one 4-lane load. A warp then runs, per tile, four
+//! `k` of a tile is one 4-lane load. A job then runs, per tile, four
 //! column loads times the broadcast operand value `x32[4 bc + k]`, with a
 //! separate `f32` multiply and add, into per-group accumulators that stay
-//! in registers (slot parity on the tensor-core path, `offset % 8` groups
-//! then the warp-sum tree on the CUDA-core path — one kernel, see
-//! [`sweep_f32`]).
+//! in registers; the group tree runs in f64 on the widened accumulators
+//! and rounds back once.
 //!
 //! * **Build order.** The image may be built before the level's values are
 //!   quantized to their storage precision: `to_f32(quantize(v)) ==
@@ -73,10 +93,11 @@
 //!   because SpGEMM and the emulator read them.
 
 use crate::simd::{simd_level, SimdLevel};
-use crate::ExecBackend;
+use crate::{fold_block_rows, ExecBackend, SpmvPath};
 use amgt_sim::precision::{round_tf32, Precision, F16};
 use amgt_sparse::bitmap::{self, TILE, TILE_AREA};
 use amgt_sparse::Mbsr;
+use std::ops::Range;
 
 /// The direct-execution backend (see module docs).
 pub struct Native;
@@ -133,52 +154,26 @@ impl ExecBackend for Native {
         }
     }
 
-    fn spmv_tc_warp(
+    fn spmv_rows(
         &self,
         prec: Precision,
+        path: SpmvPath,
         a: &Mbsr,
         a32: &[f32],
-        start: usize,
-        len: usize,
+        job_len: usize,
+        rows: Range<usize>,
         xp: &[f64],
         x32: &[f32],
-    ) -> ([f64; 4], u64) {
-        let mma_n = len.div_ceil(2) as u64;
-        if prec == Precision::Fp64 {
-            return (tc_warp_f64(a, start, len, xp), mma_n);
+        y: &mut [f64],
+    ) {
+        // Slot parity on the tensor-core path, the eight lane groups on
+        // the CUDA-core path: the same sweep, different group counts.
+        match (prec, path) {
+            (Precision::Fp64, SpmvPath::TensorCore) => rows_f64::<2>(a, job_len, rows, xp, y),
+            (Precision::Fp64, SpmvPath::CudaCore) => rows_f64::<8>(a, job_len, rows, xp, y),
+            (_, SpmvPath::TensorCore) => rows_f32::<2>(a, a32, job_len, rows, x32, y),
+            (_, SpmvPath::CudaCore) => rows_f32::<8>(a, a32, job_len, rows, x32, y),
         }
-        // Tiles alternate between the two fragment halves; the final
-        // pair-sum is a round_accum too, i.e. one more f32 add.
-        let diag = sweep_f32::<2>(a32, &a.blc_idx[start..start + len], start, x32);
-        (
-            std::array::from_fn(|r| f64::from(diag[0][r] + diag[1][r])),
-            mma_n,
-        )
-    }
-
-    fn spmv_cuda_warp(
-        &self,
-        prec: Precision,
-        a: &Mbsr,
-        a32: &[f32],
-        start: usize,
-        len: usize,
-        xp: &[f64],
-        x32: &[f32],
-    ) -> ([f64; 4], u64, u64) {
-        let (flops, ntr) = cuda_counters(&a.blc_map[start..start + len]);
-        let out = if prec == Precision::Fp64 {
-            cuda_warp_f64(a, start, len, xp)
-        } else {
-            // Group accumulators widen to f64 exactly, the tree runs in
-            // f64, and only the final value rounds back (see below).
-            let gacc = sweep_f32::<8>(a32, &a.blc_idx[start..start + len], start, x32);
-            std::array::from_fn(|r| {
-                let s = reduce_tree(std::array::from_fn(|g| f64::from(gacc[g][r])));
-                f64::from(s as f32)
-            })
-        };
-        (out, flops, ntr)
     }
 
     fn spgemm_tc_mma(
@@ -349,39 +344,113 @@ fn image_sweep<C: Cvt>(a: &Mbsr, a32: &mut Vec<f32>) {
 }
 
 // ---------------------------------------------------------------------------
-// SpMV tensor-core warp
+// SpMV
 // ---------------------------------------------------------------------------
+//
+// Tile `offset` of a warp job accumulates into group `offset % G`: the two
+// fragment halves on the tensor-core path (`G = 2`), the eight lane groups
+// on the CUDA-core path (`G = 8`). The emulator then sums each row's groups
+// with raw adds in the xor-tree shape of its warp reduction — `g0 + g1` at
+// `G = 2`, `((g0+g4)+(g2+g6)) + ((g1+g5)+(g3+g7))` at `G = 8` — and applies
+// one `round_accum`. The native sweeps replicate that tree verbatim; the
+// f32 modes widen the group accumulators to f64 exactly, run the tree in
+// f64 and round the result back once.
 
-fn tc_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> [f64; 4] {
-    let avx2 = simd_level() == SimdLevel::Avx2;
-    let mut diag = [[0.0f64; TILE]; 2];
-    for (offset, pos) in (start..start + len).enumerate() {
-        let bc = a.blc_idx[pos] as usize;
-        let xseg = &xp[bc * TILE..bc * TILE + TILE];
-        tile_rows_fma_f64(avx2, a.tile(pos), xseg, &mut diag[offset % 2]);
-    }
-    std::array::from_fn(|r| diag[0][r] + diag[1][r])
-}
-
-/// `acc[r] += sum_k tile[r][k] * xseg[k]` with each row's chain in
-/// k-ascending order (the emulator's order), vectorized across the 4 rows.
-#[inline]
-fn tile_rows_fma_f64(avx2: bool, tile: &[f64], xseg: &[f64], acc: &mut [f64; 4]) {
+/// FP64 SpMV over a block-row range: one [`sweep_f64`] per warp job.
+fn rows_f64<const G: usize>(
+    a: &Mbsr,
+    job_len: usize,
+    rows: Range<usize>,
+    xp: &[f64],
+    y: &mut [f64],
+) {
     #[cfg(target_arch = "x86_64")]
-    if avx2 {
+    if simd_level() == SimdLevel::Avx2 {
         // SAFETY: AVX2 support confirmed at runtime by `simd_level()`.
-        unsafe { x86::tile_rows_fma_f64_avx2(tile, xseg, acc) };
+        unsafe { x86::rows_f64_avx2::<G>(a, job_len, rows, xp, y) };
         return;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = avx2;
-    for r in 0..TILE {
-        let mut a = acc[r];
-        for k in 0..TILE {
-            a += tile[r * TILE + k] * xseg[k];
-        }
-        acc[r] = a;
+    fold_block_rows(
+        a,
+        job_len,
+        rows,
+        y,
+        |v| v,
+        |s, len| sweep_f64::<G>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xp),
+    );
+}
+
+/// The values of the `len` tiles starting at tile `s`.
+#[inline(always)]
+fn job_tiles(vals: &[f64], s: usize, len: usize) -> &[f64] {
+    &vals[s * TILE_AREA..(s + len) * TILE_AREA]
+}
+
+/// The FP64 SpMV sweep of one warp job over its row-major tiles (`idx` =
+/// their block columns): per group, 4 row chains k-ascending from `+0.0`
+/// with a separate multiply and add, then the warp-sum tree. Dense: the
+/// unmapped `+/-0.0` slots only insert no-op `acc + (+/-0.0)` steps (see
+/// the module docs).
+fn sweep_f64<const G: usize>(tiles: &[f64], idx: &[u32], xp: &[f64]) -> [f64; TILE] {
+    #[cfg(target_arch = "x86_64")]
+    if simd_level() == SimdLevel::Avx2 {
+        // SAFETY: AVX2 support confirmed at runtime by `simd_level()`.
+        return unsafe { x86::sweep_f64_avx2::<G>(tiles, idx, xp) };
     }
+    sweep_f64_portable::<G>(tiles, idx, xp)
+}
+
+/// Portable body of [`sweep_f64`].
+fn sweep_f64_portable<const G: usize>(tiles: &[f64], idx: &[u32], xp: &[f64]) -> [f64; TILE] {
+    let mut acc = [[0.0f64; TILE]; G];
+    for (offset, &bc) in idx.iter().enumerate() {
+        let tile = &tiles[offset * TILE_AREA..(offset + 1) * TILE_AREA];
+        let bc = bc as usize;
+        let xs = &xp[bc * TILE..bc * TILE + TILE];
+        let g = &mut acc[offset % G];
+        for r in 0..TILE {
+            let mut v = g[r];
+            for k in 0..TILE {
+                v += tile[r * TILE + k] * xs[k];
+            }
+            g[r] = v;
+        }
+    }
+    reduce_groups(acc)
+}
+
+/// The emulated warp reduction over `G` (a power of two) group values per
+/// row: halve with stride `G / 2` until one remains.
+#[inline]
+fn reduce_groups<const G: usize>(mut g: [[f64; TILE]; G]) -> [f64; TILE] {
+    let mut n = G;
+    while n > 1 {
+        n /= 2;
+        for i in 0..n {
+            for r in 0..TILE {
+                g[i][r] += g[i + n][r];
+            }
+        }
+    }
+    g[0]
+}
+
+/// FP32/FP16 SpMV over a block-row range: one [`sweep_f32`] per warp job
+/// over the tile image, the group tree in f64, and `round_accum` (an `f32`
+/// rounding) on the job result and on every fold into the row.
+fn rows_f32<const G: usize>(
+    a: &Mbsr,
+    a32: &[f32],
+    job_len: usize,
+    rows: Range<usize>,
+    x32: &[f32],
+    y: &mut [f64],
+) {
+    let round = |v: f64| f64::from(v as f32);
+    fold_block_rows(a, job_len, rows, y, round, |s, len| {
+        let g = sweep_f32::<G>(a32, &a.blc_idx[s..s + len], s, x32);
+        reduce_groups(g.map(|row| row.map(f64::from))).map(round)
+    });
 }
 
 /// The reduced-precision SpMV sweep shared by both warp paths: tile
@@ -427,51 +496,6 @@ fn sweep_f32_portable<const G: usize>(tiles: &[f32], idx: &[u32], x32: &[f32]) -
         }
     }
     acc
-}
-
-// ---------------------------------------------------------------------------
-// SpMV CUDA-core warp
-// ---------------------------------------------------------------------------
-//
-// The emulator's grouped warp reduction sums the 8 group accumulators of
-// each row with *raw f64 adds* (no per-step rounding) in the fixed xor-tree
-// shape `((g0+g4)+(g2+g6)) + ((g1+g5)+(g3+g7))`, then applies one final
-// round_accum. The native kernels replicate that tree verbatim — for the
-// f32 modes the group accumulators widen to f64 exactly, the tree runs in
-// f64, and only the final value is rounded back.
-
-/// The emulator's CUDA-core counters for a job's bitmaps: flops (2 per
-/// mapped slot) and nonempty tile rows, computed without branches.
-#[inline]
-fn cuda_counters(maps: &[u16]) -> (u64, u64) {
-    let (mut bits, mut rows) = (0u64, 0u64);
-    for &map in maps {
-        bits += u64::from(map.count_ones());
-        // Fold each 4-bit row onto its lowest bit, then count rows.
-        let m = map | (map >> 1);
-        rows += u64::from(((m | (m >> 2)) & 0x1111).count_ones());
-    }
-    (bits * 2, rows)
-}
-
-fn cuda_warp_f64(a: &Mbsr, start: usize, len: usize, xp: &[f64]) -> [f64; 4] {
-    let avx2 = simd_level() == SimdLevel::Avx2;
-    let mut gacc = [[0.0f64; TILE]; 8];
-    for (offset, pos) in (start..start + len).enumerate() {
-        let bc = a.blc_idx[pos] as usize;
-        let xseg = &xp[bc * TILE..bc * TILE + TILE];
-        // Dense accumulation: unmapped slots hold +/-0.0 (mBSR invariant),
-        // and their products only insert `acc + (+/-0.0)` no-op steps into
-        // each row's k-ascending chain (see module docs).
-        tile_rows_fma_f64(avx2, a.tile(pos), xseg, &mut gacc[offset % 8]);
-    }
-    std::array::from_fn(|r| reduce_tree(std::array::from_fn(|g| gacc[g][r])))
-}
-
-/// The emulated warp reduction's exact association over 8 group values.
-#[inline]
-fn reduce_tree(g: [f64; 8]) -> f64 {
-    ((g[0] + g[4]) + (g[2] + g[6])) + ((g[1] + g[5]) + (g[3] + g[7]))
 }
 
 // ---------------------------------------------------------------------------
@@ -605,12 +629,12 @@ fn csr_row_f32<C: Cvt>(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{TILE, TILE_AREA};
+    use super::{fold_block_rows, job_tiles, Mbsr, Range, TILE, TILE_AREA};
     use std::arch::x86_64::{
-        __m128, _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd,
-        _mm256_permute2f128_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_unpackhi_pd,
-        _mm256_unpacklo_pd, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps,
-        _mm_storeu_ps,
+        __m128, __m256d, _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd,
+        _mm256_permute2f128_pd, _mm256_set1_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+        _mm256_unpackhi_pd, _mm256_unpacklo_pd, _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps,
+        _mm_setzero_ps, _mm_storeu_ps,
     };
 
     /// SSE body of [`super::sweep_f32`]: one `__m128` accumulator per
@@ -661,31 +685,92 @@ mod x86 {
         out
     }
 
-    /// `acc[r] += sum_k tile[r][k] * xseg[k]`: transpose the tile so each
-    /// vector holds one k-column across the 4 rows, then run the k-chain
-    /// with separate multiply and add (FMA would fuse the two roundings the
-    /// precision model requires).
+    /// AVX2 row-range body of [`super::rows_f64`]: the row loop and the
+    /// sweep inline into one function, so each job's group accumulators
+    /// stay in registers.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn tile_rows_fma_f64_avx2(tile: &[f64], xseg: &[f64], acc: &mut [f64; 4]) {
-        debug_assert!(tile.len() >= 16 && xseg.len() >= 4);
-        let r0 = _mm256_loadu_pd(tile.as_ptr());
-        let r1 = _mm256_loadu_pd(tile.as_ptr().add(4));
-        let r2 = _mm256_loadu_pd(tile.as_ptr().add(8));
-        let r3 = _mm256_loadu_pd(tile.as_ptr().add(12));
-        let t0 = _mm256_unpacklo_pd(r0, r1);
-        let t1 = _mm256_unpackhi_pd(r0, r1);
-        let t2 = _mm256_unpacklo_pd(r2, r3);
-        let t3 = _mm256_unpackhi_pd(r2, r3);
-        let c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-        let c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-        let c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-        let c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-        let mut v = _mm256_loadu_pd(acc.as_ptr());
-        v = _mm256_add_pd(v, _mm256_mul_pd(c0, _mm256_broadcast_sd(&xseg[0])));
-        v = _mm256_add_pd(v, _mm256_mul_pd(c1, _mm256_broadcast_sd(&xseg[1])));
-        v = _mm256_add_pd(v, _mm256_mul_pd(c2, _mm256_broadcast_sd(&xseg[2])));
-        v = _mm256_add_pd(v, _mm256_mul_pd(c3, _mm256_broadcast_sd(&xseg[3])));
-        _mm256_storeu_pd(acc.as_mut_ptr(), v);
+    pub(super) fn rows_f64_avx2<const G: usize>(
+        a: &Mbsr,
+        job_len: usize,
+        rows: Range<usize>,
+        xp: &[f64],
+        y: &mut [f64],
+    ) {
+        fold_block_rows(
+            a,
+            job_len,
+            rows,
+            y,
+            |v| v,
+            |s, len| sweep_f64_avx2::<G>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xp),
+        );
+    }
+
+    /// AVX2 body of [`super::sweep_f64`]: one `__m256d` accumulator per
+    /// group holding its 4 row chains. Each row-major tile is transposed in
+    /// registers so one vector holds a k-column across the 4 rows, then
+    /// multiplied by the broadcast operand value with a separate `vmulpd`
+    /// and `vaddpd` (FMA would fuse the two roundings the precision model
+    /// requires). Tiles are taken `G` at a time with a constant group per
+    /// unrolled step, and the warp-sum tree runs lane-wise on the vectors.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn sweep_f64_avx2<const G: usize>(
+        tiles: &[f64],
+        idx: &[u32],
+        xp: &[f64],
+    ) -> [f64; TILE] {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn step(acc: __m256d, tile: &[f64], bc: u32, xp: &[f64]) -> __m256d {
+            let tile = &tile[..TILE_AREA];
+            let xs = &xp[bc as usize * TILE..bc as usize * TILE + TILE];
+            // SAFETY: `tile` holds 16 values, so rows 0..4 (4 values at
+            // `4r`) are in bounds.
+            let [r0, r1, r2, r3] =
+                std::array::from_fn(|r| unsafe { _mm256_loadu_pd(tile.as_ptr().add(r * TILE)) });
+            let t0 = _mm256_unpacklo_pd(r0, r1);
+            let t1 = _mm256_unpackhi_pd(r0, r1);
+            let t2 = _mm256_unpacklo_pd(r2, r3);
+            let t3 = _mm256_unpackhi_pd(r2, r3);
+            let cols = [
+                _mm256_permute2f128_pd(t0, t2, 0x20),
+                _mm256_permute2f128_pd(t1, t3, 0x20),
+                _mm256_permute2f128_pd(t0, t2, 0x31),
+                _mm256_permute2f128_pd(t1, t3, 0x31),
+            ];
+            let mut acc = acc;
+            for k in 0..TILE {
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(cols[k], _mm256_set1_pd(xs[k])));
+            }
+            acc
+        }
+        let mut acc = [_mm256_setzero_pd(); G];
+        let full = idx.len() / G;
+        for c in 0..full {
+            for g in 0..G {
+                let t = c * G + g;
+                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], xp);
+            }
+        }
+        let rem = idx.len() - full * G;
+        for g in 0..G {
+            if g < rem {
+                let t = full * G + g;
+                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], xp);
+            }
+        }
+        let mut n = G;
+        while n > 1 {
+            n /= 2;
+            for i in 0..n {
+                acc[i] = _mm256_add_pd(acc[i], acc[i + n]);
+            }
+        }
+        let mut out = [0.0f64; TILE];
+        // SAFETY: `out` holds 4 `f64`s.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc[0]) };
+        out
     }
 
     /// Row-major 4x4 product, one vector per output row, k-chain from zero.
@@ -739,39 +824,82 @@ mod tests {
         xp
     }
 
+    /// Row-range SpMV, native vs emulator, bitwise: both paths, several
+    /// job lengths (unbounded, and splits that start jobs mid-row, where
+    /// the tile image is indexed absolutely), and row ranges that start
+    /// mid-matrix or end on a short last block-row.
     #[test]
-    fn warp_kernels_match_simulated_bitwise() {
+    fn spmv_rows_match_simulated_bitwise() {
         for seed in 0..24u64 {
             let a = random_sparse(40 + (seed as usize % 30), 1 + (seed as usize % 8), seed);
             let m = Mbsr::from_csr(&a);
+            let nrows = m.nrows();
             for prec in PRECS {
                 let xp = padded_x(&m, prec, seed ^ 0xabcd);
                 let (mut a32, mut x32) = (Vec::new(), Vec::new());
                 Native.spmv_tile_image(prec, &m, &mut a32);
                 Native.spmv_quantize_x(prec, &xp, &mut x32);
                 assert_eq!(a32.is_empty(), prec == Precision::Fp64);
-                for br in 0..m.blk_rows() {
-                    let (lo, hi) = (m.blc_ptr[br], m.blc_ptr[br + 1]);
-                    // Jobs that start mid-row index the image absolutely.
-                    for s in [lo, lo + (hi - lo) / 2] {
-                        if s == hi {
-                            continue;
-                        }
-                        let len = hi - s;
-                        let (ts, tm) = Simulated.spmv_tc_warp(prec, &m, &[], s, len, &xp, &[]);
-                        let (tn, nm) = Native.spmv_tc_warp(prec, &m, &a32, s, len, &xp, &x32);
-                        assert_eq!(tm, nm);
-                        let (cs, fs, rs) =
-                            Simulated.spmv_cuda_warp(prec, &m, &[], s, len, &xp, &[]);
-                        let (cn, fx, rn) = Native.spmv_cuda_warp(prec, &m, &a32, s, len, &xp, &x32);
-                        assert_eq!((fs, rs), (fx, rn));
-                        for r in 0..TILE {
-                            assert_eq!(ts[r].to_bits(), tn[r].to_bits(), "tc {prec:?} row {r}");
-                            assert_eq!(cs[r].to_bits(), cn[r].to_bits(), "cuda {prec:?} row {r}");
+                for path in [SpmvPath::TensorCore, SpmvPath::CudaCore] {
+                    for job_len in [usize::MAX, 1, 2, 3, 16] {
+                        let mid = m.blk_rows() / 3;
+                        for rows in [0..m.blk_rows(), 0..mid, mid..m.blk_rows()] {
+                            let out = rows.start * TILE..(rows.end * TILE).min(nrows);
+                            let mut ys = vec![f64::NAN; out.len()];
+                            let mut yn = vec![f64::NAN; out.len()];
+                            let r = rows.clone();
+                            Simulated.spmv_rows(prec, path, &m, &[], job_len, r, &xp, &[], &mut ys);
+                            Native
+                                .spmv_rows(prec, path, &m, &a32, job_len, rows, &xp, &x32, &mut yn);
+                            for (i, (s, n)) in ys.iter().zip(&yn).enumerate() {
+                                assert_eq!(
+                                    s.to_bits(),
+                                    n.to_bits(),
+                                    "{prec:?} {path:?} job_len {job_len} row {}",
+                                    out.start + i
+                                );
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// The SIMD body of the f64 sweep and its portable body agree bit for
+    /// bit (hosts with AVX2 never run the portable body otherwise), on
+    /// tiles with signed-zero slots and job lengths that are not multiples
+    /// of the group count.
+    #[test]
+    fn f64_sweep_simd_body_matches_portable() {
+        let mut rng = StdRng::seed_from_u64(37);
+        for case in 0..64 {
+            let n_cols = 1 + case % 9;
+            let len = 1 + rng.gen_range(0..40usize);
+            let idx: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n_cols as u32)).collect();
+            let tiles: Vec<f64> = (0..len * TILE_AREA)
+                .map(|i| {
+                    if rng.gen_range(0..3) == 0 {
+                        [0.0, -0.0][i % 2]
+                    } else {
+                        rng.gen_range(-1e3..1e3)
+                    }
+                })
+                .collect();
+            let xp: Vec<f64> = (0..n_cols * TILE)
+                .map(|_| rng.gen_range(-50.0..50.0))
+                .collect();
+            let bits = |a: [f64; TILE]| a.map(f64::to_bits);
+            assert_eq!(
+                bits(sweep_f64_portable::<2>(&tiles, &idx, &xp)),
+                bits(sweep_f64::<2>(&tiles, &idx, &xp)),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(sweep_f64_portable::<8>(&tiles, &idx, &xp)),
+                bits(sweep_f64::<8>(&tiles, &idx, &xp)),
+                "case {case}"
+            );
         }
     }
 

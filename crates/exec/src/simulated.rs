@@ -9,35 +9,35 @@
 //! reference and the test proving them bit-identical); the SpGEMM
 //! tensor-core step packs real fragments and issues [`mma_8x8x4`].
 
-use crate::ExecBackend;
+use crate::{fold_block_rows, ExecBackend, SpmvPath};
 use amgt_sim::mma::{mma_8x8x4, FragA, FragB, FragC, TILE};
 use amgt_sim::precision::{quantize_slice, Precision};
 use amgt_sim::warp::{warp_reduce_sum_grouped, LaneRegs, WARP_SIZE};
 use amgt_sparse::bitmap::{self, TILE_AREA};
 use amgt_sparse::Mbsr;
+use std::ops::Range;
 
 /// The emulator-faithful backend (see module docs).
 pub struct Simulated;
 
-impl ExecBackend for Simulated {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    /// Tensor-core warp: process the job's tiles two per `mma`,
-    /// accumulating in the fragment; the diagonal carries the 8 partial row
-    /// sums. This is the fast scalar transcription of the fragment
-    /// computation ([`mma_8x8x4`] restricted to the diagonal lanes).
-    fn spmv_tc_warp(
-        &self,
+/// The lane-level warp kernels. [`ExecBackend::spmv_rows`] loops them over
+/// a block-row range; they also return the lane-level operation counts,
+/// which tests compare against the counters the SpMV preprocessing takes
+/// from the bitmaps.
+impl Simulated {
+    /// Tensor-core SpMV warp (Algorithm 5, dense path) over the tiles
+    /// `[start, start + len)`: two tiles per `mma`, accumulating in the
+    /// fragment; the diagonal carries the 8 partial row sums. This is the
+    /// fast scalar transcription of the fragment computation
+    /// ([`mma_8x8x4`] restricted to the diagonal lanes). Returns the
+    /// block-row's 4 partial sums and the `mma` instructions issued.
+    pub fn tc_warp(
         prec: Precision,
         a: &Mbsr,
-        _a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
-        _x32: &[f32],
-    ) -> ([f64; 4], u64) {
+    ) -> ([f64; TILE], u64) {
         let mut diag = [0.0f64; 8];
         let mut mma_n = 0u64;
         let mut b = start;
@@ -71,19 +71,17 @@ impl ExecBackend for Simulated {
         (out, mma_n)
     }
 
-    /// CUDA-core warp (Algorithm 5): four lanes per tile, lane `i` handles
-    /// tile row `i` guided by the bitmap, then a grouped warp sum emulated
-    /// with literal lane registers and shuffles.
-    fn spmv_cuda_warp(
-        &self,
+    /// CUDA-core SpMV warp (Algorithm 5, sparse path): four lanes per
+    /// tile, lane `i` handles tile row `i` guided by the bitmap, then a
+    /// grouped warp sum emulated with literal lane registers and shuffles.
+    /// Returns the 4 partial sums, the flops and the nonempty tile rows.
+    pub fn cuda_warp(
         prec: Precision,
         a: &Mbsr,
-        _a32: &[f32],
         start: usize,
         len: usize,
         xp: &[f64],
-        _x32: &[f32],
-    ) -> ([f64; 4], u64, u64) {
+    ) -> ([f64; TILE], u64, u64) {
         // Emulate the lane layout: 8 groups of 4 lanes stride the job's
         // tiles (Algorithm 5 line 6: `for i = start + groupid to end stride
         // 8`), each lane accumulating one tile row into its register, then
@@ -123,6 +121,35 @@ impl ExecBackend for Simulated {
             *item = prec.round_accum(summed[r * 8]);
         }
         (out, flops, ntr)
+    }
+}
+
+impl ExecBackend for Simulated {
+    fn name(&self) -> &'static str {
+        "sim"
+    }
+
+    fn spmv_rows(
+        &self,
+        prec: Precision,
+        path: SpmvPath,
+        a: &Mbsr,
+        _a32: &[f32],
+        job_len: usize,
+        rows: Range<usize>,
+        xp: &[f64],
+        _x32: &[f32],
+        y: &mut [f64],
+    ) {
+        let round = |v| prec.round_accum(v);
+        match path {
+            SpmvPath::TensorCore => fold_block_rows(a, job_len, rows, y, round, |s, len| {
+                Self::tc_warp(prec, a, s, len, xp).0
+            }),
+            SpmvPath::CudaCore => fold_block_rows(a, job_len, rows, y, round, |s, len| {
+                Self::cuda_warp(prec, a, s, len, xp).0
+            }),
+        }
     }
 
     /// One warp-level tensor-core SpGEMM step: multiply the replicated

@@ -18,7 +18,7 @@ use amgt_sparse::Mbsr;
 pub const RHS_TILE: usize = 8;
 
 /// Block-rows per leaf of the SpMM fork-join tree (each leaf processes
-/// `RHS_TILE` columns of work per row, so the grain is smaller than the
+/// every column's work for its rows, so the grain is smaller than the
 /// single-vector SpMV's). Part of the fixed split topology — never derive
 /// it from the pool width.
 const SPMM_JOIN_GRAIN: usize = 64;
@@ -126,7 +126,7 @@ pub struct SpmmScratch {
 /// consumes only the 8-lane diagonal of each `mma`). `A`'s values, indices
 /// and bitmaps stream once per slab instead of once per column.
 ///
-/// Each column's arithmetic reuses the per-warp kernels of
+/// Each column's arithmetic reuses the row-range kernel of
 /// [`crate::spmv_mbsr::spmv_mbsr`] (same path selection, same job schedule,
 /// same accumulation order), so every output column is **bitwise identical**
 /// to a standalone SpMV of that column at every precision — only the charged
@@ -202,97 +202,62 @@ pub fn spmm_mbsr_into(
     be.spmv_quantize_x(prec, xq, &mut scratch.x32);
     let x32_all = &scratch.x32[..];
     let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
-    let mut mma_total = 0u64;
-    let mut flops_total = 0u64;
-    let mut nonempty_tile_rows = 0u64;
 
-    // One slab of up to 8 RHS at a time; a single pass over block-rows per
-    // slab writes straight into `y` (fixed-size accumulator, no per-row
-    // heap traffic). Accumulation order matches the per-column SpMV.
-    //
-    // Within a slab the block-rows fork into an index-range tree: each
-    // leaf owns rows `[r0*TILE, r1*TILE)` of every slab column — disjoint
-    // but strided in the column-major output, hence the `SendPtr` writes.
-    // Per-column arithmetic is untouched and the counters merge with
-    // integer sums, so output and charge are bitwise identical at any
-    // pool width.
-    let mut slab_start = 0usize;
-    while slab_start < nrhs {
-        let slab = (nrhs - slab_start).min(RHS_TILE);
-        let y_out = amgt_exec::par::SendPtr::new(y.data.as_mut_ptr());
-        let (mma_slab, flops_slab, tile_rows_slab) = amgt_exec::par::join_ranges(
-            0,
-            a.blk_rows(),
-            SPMM_JOIN_GRAIN,
-            &|r0, r1| {
-                let (mut mma_n, mut flops, mut tile_rows) = (0u64, 0u64, 0u64);
-                for br in r0..r1 {
-                    let mut acc = [[0.0f64; TILE]; RHS_TILE];
-                    for (c, item) in acc[..slab].iter_mut().enumerate() {
-                        let col0 = (slab_start + c) * padded;
-                        let xcol = &xq[col0..col0 + padded];
-                        let xcol32 = if x32_all.is_empty() {
-                            &[][..]
-                        } else {
-                            &x32_all[col0..col0 + padded]
-                        };
-                        for job in plan.jobs_for_row(br) {
-                            match plan.path {
-                                SpmvPath::TensorCore => {
-                                    let (part, _pair_mmas) = be.spmv_tc_warp(
-                                        prec, a, a32, job.start, job.len, xcol, xcol32,
-                                    );
-                                    // One mma per tile per slab: fragB is the
-                                    // X sub-slab, so tiles cannot pair the way
-                                    // SpMV's half-empty fragments do. Count once
-                                    // per slab, not per column.
-                                    if c == 0 {
-                                        mma_n += job.len as u64;
-                                    }
-                                    for (o, p) in item.iter_mut().zip(part.iter()) {
-                                        *o = prec.round_accum(*o + p);
-                                    }
-                                }
-                                SpmvPath::CudaCore => {
-                                    let (part, f, tr) = be.spmv_cuda_warp(
-                                        prec, a, a32, job.start, job.len, xcol, xcol32,
-                                    );
-                                    flops += f; // Scalar flops happen per column.
-                                    if c == 0 {
-                                        tile_rows += tr; // A-value traffic: once per slab.
-                                    }
-                                    for (o, p) in item.iter_mut().zip(part.iter()) {
-                                        *o = prec.round_accum(*o + p);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (c, col_acc) in acc[..slab].iter().enumerate() {
-                        for (lr, &v) in col_acc.iter().enumerate() {
-                            let r = br * TILE + lr;
-                            if r < nrows {
-                                // Safety: row `r` belongs to this leaf's
-                                // block-row range only, and `y` outlives
-                                // the fork-join region.
-                                unsafe { *y_out.add((slab_start + c) * nrows + r) = v };
-                            }
-                        }
-                    }
-                }
-                (mma_n, flops, tile_rows)
-            },
-            &|l, r| (l.0 + r.0, l.1 + r.1, l.2 + r.2),
-        );
-        mma_total += mma_slab;
-        flops_total += flops_slab;
-        nonempty_tile_rows += tile_rows_slab;
-        slab_start += slab;
-    }
+    // The block-rows fork into an index-range tree; each leaf runs the
+    // SpMV row-range kernel once per column over its rows `[r0, r1)`, so
+    // a column reads the tiles the previous column left in cache. A leaf
+    // owns rows `[4 r0, 4 r1)` of every column — disjoint but strided in
+    // the column-major output, hence the `SendPtr` slices. Each column's
+    // arithmetic is exactly its SpMV's, so output is bitwise identical to
+    // the per-column SpMV at any pool width.
+    let y_out = amgt_exec::par::SendPtr::new(y.data.as_mut_ptr());
+    amgt_exec::par::join_ranges(
+        0,
+        a.blk_rows(),
+        SPMM_JOIN_GRAIN,
+        &|r0, r1| {
+            let (lo, hi) = (r0 * TILE, (r1 * TILE).min(nrows));
+            for j in 0..nrhs {
+                let xcol = &xq[j * padded..(j + 1) * padded];
+                let xcol32 = if x32_all.is_empty() {
+                    &[][..]
+                } else {
+                    &x32_all[j * padded..(j + 1) * padded]
+                };
+                // SAFETY: rows `[lo, hi)` of column `j` belong to this
+                // leaf only, lie inside the `nrows * nrhs` output, and `y`
+                // outlives the fork-join region.
+                let ycol =
+                    unsafe { std::slice::from_raw_parts_mut(y_out.add(j * nrows + lo), hi - lo) };
+                be.spmv_rows(
+                    prec,
+                    plan.path,
+                    a,
+                    a32,
+                    plan.job_len,
+                    r0..r1,
+                    xcol,
+                    xcol32,
+                    ycol,
+                );
+            }
+        },
+        &|(), ()| (),
+    );
 
+    // The charge scales the plan's per-SpMV counters: A streams (and the
+    // tensor path issues one `mma` per tile) once per slab, scalar flops
+    // happen per column.
+    let counters = plan.counters();
     let vb = prec.bytes() as f64;
     let nb = a.n_blocks() as f64;
-    let slabs = nrhs.div_ceil(RHS_TILE) as f64;
+    let slabs = nrhs.div_ceil(RHS_TILE) as u64;
+    let (mma_total, flops_total) = match plan.path {
+        SpmvPath::TensorCore => (slabs * a.n_blocks() as u64, 0),
+        SpmvPath::CudaCore => (0, nrhs as u64 * counters.cuda_flops),
+    };
+    let nonempty_tile_rows = slabs * counters.tile_rows;
+    let slabs = slabs as f64;
     let cost = match plan.path {
         SpmvPath::TensorCore => KernelCost {
             tc_flops: mma_total as f64 * MMA_FLOPS,

@@ -32,35 +32,35 @@ const SPMV_JOIN_GRAIN: usize = 256;
 /// ablation bench. Paper default; the live value comes from [`Ctx::policy`].
 pub const VARIATION_THRESHOLD: f64 = crate::policy::PAPER_SPMV_VARIATION_THRESHOLD;
 
-/// Which compute path the adaptive selection chose.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpmvPath {
-    TensorCore,
-    CudaCore,
+pub use amgt_exec::SpmvPath;
+
+/// The operation counters one SpMV charges. They depend only on the matrix
+/// and the warp schedule, so [`analyze_spmv_with`] computes them once from
+/// the bitmaps instead of every call counting them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpmvCounters {
+    /// Tensor-core `mma` instructions: one per tile pair of each warp job.
+    pub mma: u64,
+    /// CUDA-core flops: 2 per mapped tile slot.
+    pub cuda_flops: u64,
+    /// Nonempty tile rows (4-value rows with at least one mapped slot).
+    pub tile_rows: u64,
 }
 
-/// One warp's assignment: a contiguous chunk of tiles within a block-row.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WarpJob {
-    pub block_row: u32,
-    /// Absolute tile range start (index into `blc_idx`).
-    pub start: usize,
-    pub len: usize,
-}
-
-/// The preprocessing result: schedule + adaptive-selection decisions, plus
-/// the backend's reduced-precision tile image of the matrix.
+/// The preprocessing result: schedule + adaptive-selection decisions, the
+/// per-call operation counters, and the backend's reduced-precision tile
+/// image of the matrix.
 #[derive(Clone, Debug)]
 pub struct SpmvPlan {
     pub load_balanced: bool,
     pub path: SpmvPath,
     pub avg_nnz_blc: f64,
     pub variation: f64,
-    /// Every block-row's warp jobs (each job's chunk, in order), rows
-    /// concatenated; block-row `br` owns `jobs[job_ptr[br]..job_ptr[br + 1]]`.
-    jobs: Vec<WarpJob>,
-    job_ptr: Vec<usize>,
+    /// Tiles per warp job: the warp capacity under the load-balanced
+    /// schedule, unbounded (one job per nonempty block-row) otherwise.
+    pub(crate) job_len: usize,
     pub n_warps: usize,
+    counters: SpmvCounters,
     /// `ExecBackend::spmv_tile_image` of the matrix at `image_prec` (empty
     /// when the backend that analyzed the matrix builds none).
     image: Vec<f32>,
@@ -68,11 +68,21 @@ pub struct SpmvPlan {
 }
 
 impl SpmvPlan {
-    pub fn jobs_for_row(&self, br: usize) -> &[WarpJob] {
-        &self.jobs[self.job_ptr[br]..self.job_ptr[br + 1]]
+    /// Block-row `br`'s warp jobs as `(first tile, tile count)`, in order.
+    pub fn jobs_for_row<'a>(
+        &self,
+        a: &'a Mbsr,
+        br: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        amgt_exec::warp_jobs(a.blc_ptr[br], a.blc_ptr[br + 1], self.job_len)
     }
 
-    /// The tile image to hand the warp kernels at `prec`: the plan's own
+    /// The operation counters one SpMV under this plan charges.
+    pub fn counters(&self) -> SpmvCounters {
+        self.counters
+    }
+
+    /// The tile image to hand the SpMV kernels at `prec`: the plan's own
     /// when it was built at `prec`, otherwise one built by `be` into
     /// `scratch` (grow-only, so steady-state calls do not allocate).
     pub(crate) fn tile_image<'s>(
@@ -92,9 +102,9 @@ impl SpmvPlan {
     }
 }
 
-/// Preprocess the matrix: compute the selection parameters and build the
-/// warp schedule (charged as a preprocessing kernel). Thresholds come from
-/// the context's [`crate::KernelPolicy`].
+/// Preprocess the matrix: compute the selection parameters, the warp
+/// schedule and its operation counters (charged as a preprocessing
+/// kernel). Thresholds come from the context's [`crate::KernelPolicy`].
 pub fn analyze_spmv(ctx: &Ctx, a: &Mbsr) -> SpmvPlan {
     analyze_spmv_with(
         ctx,
@@ -120,37 +130,28 @@ pub fn analyze_spmv_with(
     } else {
         SpmvPath::CudaCore
     };
-
-    // Exact job count first, so the flat schedule is two allocations.
-    let cap = ctx.policy.spmv_warp_capacity;
-    let row_jobs = |br: usize| {
-        let n = a.blc_ptr[br + 1] - a.blc_ptr[br];
-        if load_balanced {
-            n.div_ceil(cap)
-        } else {
-            usize::from(n > 0)
-        }
+    let job_len = if load_balanced {
+        ctx.policy.spmv_warp_capacity
+    } else {
+        usize::MAX
     };
-    let n_warps: usize = (0..a.blk_rows()).map(row_jobs).sum();
-    let mut jobs = Vec::with_capacity(n_warps);
-    let mut job_ptr = Vec::with_capacity(a.blk_rows() + 1);
-    job_ptr.push(0);
+
+    // The warp count and `mma` pairs follow the schedule; flops and
+    // nonempty tile rows follow the bitmaps alone.
+    let (mut n_warps, mut mma) = (0usize, 0u64);
     for br in 0..a.blk_rows() {
-        let (lo, hi) = (a.blc_ptr[br], a.blc_ptr[br + 1]);
-        let chunk = if load_balanced { cap } else { hi - lo };
-        let mut s = lo;
-        while s < hi {
-            let len = (hi - s).min(chunk);
-            jobs.push(WarpJob {
-                block_row: br as u32,
-                start: s,
-                len,
-            });
-            s += len;
+        for (_, len) in amgt_exec::warp_jobs(a.blc_ptr[br], a.blc_ptr[br + 1], job_len) {
+            n_warps += 1;
+            mma += len.div_ceil(2) as u64;
         }
-        job_ptr.push(jobs.len());
     }
-    debug_assert_eq!(jobs.len(), n_warps);
+    let (mut bits, mut tile_rows) = (0u64, 0u64);
+    for &map in &a.blc_map {
+        bits += u64::from(map.count_ones());
+        // Fold each 4-bit row onto its lowest bit, then count rows.
+        let m = map | (map >> 1);
+        tile_rows += u64::from(((m | (m >> 2)) & 0x1111).count_ones());
+    }
 
     let mut image = Vec::new();
     ctx.backend().spmv_tile_image(ctx.precision, a, &mut image);
@@ -168,9 +169,13 @@ pub fn analyze_spmv_with(
         path,
         avg_nnz_blc: avg,
         variation,
-        jobs,
-        job_ptr,
+        job_len,
         n_warps,
+        counters: SpmvCounters {
+            mma,
+            cuda_flops: 2 * bits,
+            tile_rows,
+        },
         image,
         image_prec: ctx.precision,
     }
@@ -241,62 +246,40 @@ pub fn spmv_mbsr_into(
     let x32 = &scratch.x32[..];
     let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
 
-    // One pass over block-rows, writing straight into `y`; each row's warp
-    // jobs run in order so the accumulation order (and hence the rounding)
-    // is deterministic. Block-rows are independent, so the pass fans out as
-    // a fork-join tree over disjoint 4-row output chunks; the tree shape
-    // depends only on the row count and grain, and the per-chunk counters
-    // merge with plain sums, so output and charge are bitwise identical at
-    // any pool width.
-    let (mma_total, flops_total, nonempty_tile_rows) = amgt_exec::par::join_block_chunks(
+    // One pass over block-rows, writing straight into `y`. Block-rows are
+    // independent, so the pass fans out as a fork-join tree over disjoint
+    // 4-row output chunks with one backend call per leaf; inside it each
+    // row's warp jobs run in order, so the accumulation order (and hence
+    // the rounding) is fixed and the output is bitwise identical at any
+    // pool width. The charge comes from the plan's counters.
+    amgt_exec::par::join_block_chunks(
         &mut y[..],
         0,
         a.blk_rows(),
         TILE,
         SPMV_JOIN_GRAIN,
         &|br0, n_blocks, chunk| {
-            let (mut mma, mut flops, mut ntr) = (0u64, 0u64, 0u64);
-            for i in 0..n_blocks {
-                let br = br0 + i;
-                let mut acc = [0.0f64; TILE];
-                for job in plan.jobs_for_row(br) {
-                    match plan.path {
-                        SpmvPath::TensorCore => {
-                            let (part, m) =
-                                be.spmv_tc_warp(prec, a, a32, job.start, job.len, xp, x32);
-                            mma += m;
-                            for (o, p) in acc.iter_mut().zip(part.iter()) {
-                                *o = prec.round_accum(*o + p);
-                            }
-                        }
-                        SpmvPath::CudaCore => {
-                            let (part, f, tr) =
-                                be.spmv_cuda_warp(prec, a, a32, job.start, job.len, xp, x32);
-                            flops += f;
-                            ntr += tr;
-                            for (o, p) in acc.iter_mut().zip(part.iter()) {
-                                *o = prec.round_accum(*o + p);
-                            }
-                        }
-                    }
-                }
-                let base = i * TILE;
-                for (lr, &v) in acc.iter().enumerate() {
-                    if base + lr < chunk.len() {
-                        chunk[base + lr] = v;
-                    }
-                }
-            }
-            (mma, flops, ntr)
+            be.spmv_rows(
+                prec,
+                plan.path,
+                a,
+                a32,
+                plan.job_len,
+                br0..br0 + n_blocks,
+                xp,
+                x32,
+                chunk,
+            );
         },
-        &|l, r| (l.0 + r.0, l.1 + r.1, l.2 + r.2),
+        &|(), ()| (),
     );
 
+    let counters = plan.counters;
     let vb = prec.bytes() as f64;
     let nb = a.n_blocks() as f64;
     let cost = match plan.path {
         SpmvPath::TensorCore => KernelCost {
-            tc_flops: mma_total as f64 * MMA_FLOPS,
+            tc_flops: counters.mma as f64 * MMA_FLOPS,
             // Shuffle extraction (8/warp) + final adds.
             cuda_flops: plan.n_warps as f64 * 16.0,
             int_ops: nb * 2.0, // Index decode + x segment addressing.
@@ -306,14 +289,14 @@ pub fn spmv_mbsr_into(
             launches: 1,
         },
         SpmvPath::CudaCore => KernelCost {
-            cuda_flops: flops_total as f64,
+            cuda_flops: counters.cuda_flops as f64,
             int_ops: nb * (2.0 + 16.0), // Bitmap bit tests per tile.
             // Row-granular tile reads: only nonempty 4-value tile rows hit
             // DRAM (one 32-byte transaction each at FP64). The x segments
             // of vertically adjacent tiles overlap and mostly hit L1
             // (factor 0.6).
             bytes: nb * (4.0 + 2.0)
-                + nonempty_tile_rows as f64 * 4.0 * vb
+                + counters.tile_rows as f64 * 4.0 * vb
                 + 0.6 * nb * 4.0 * vb
                 + a.nrows() as f64 * vb,
             launches: 1,
@@ -323,43 +306,24 @@ pub fn spmv_mbsr_into(
     ctx.charge_timed(KernelKind::SpMV, Algo::AmgT, &cost, timer);
 }
 
-/// Tensor-core warp: process the job's tiles two per `mma`, accumulating in
-/// the fragment; the diagonal carries the 8 partial row sums. Returns the
-/// 4 partial sums for the block-row and the `mma` count.
-///
-/// The emulator-backend implementation is the fast scalar transcription of
-/// the fragment computation: it performs, element by element and in the
-/// same order, exactly the arithmetic [`mma_8x8x4`] performs for the
-/// diagonal lanes (verified against the full-fragment emulation in the
-/// tests below); the native backend computes the same chains directly.
-#[cfg(test)]
-fn tc_warp(prec: Precision, a: &Mbsr, job: &WarpJob, xp: &[f64]) -> ([f64; TILE], u64) {
-    amgt_exec::backend(amgt_exec::ExecMode::Simulated).spmv_tc_warp(
-        prec,
-        a,
-        &[],
-        job.start,
-        job.len,
-        xp,
-        &[],
-    )
-}
-
-/// Reference implementation of one tensor-core warp using the *full*
-/// fragment emulation (packs real fragments, issues [`mma_8x8x4`], extracts
-/// the diagonal). Used by tests to prove `tc_warp` is arithmetic-identical.
+/// Reference implementation of one tensor-core warp over the tiles
+/// `[start, start + len)` using the *full* fragment emulation (packs real
+/// fragments, issues [`mma_8x8x4`], extracts the diagonal). Used by tests
+/// to prove the emulator backend's scalar transcription
+/// (`amgt_exec::simulated::Simulated::tc_warp`) is arithmetic-identical.
 pub fn tc_warp_fragments(
     prec: Precision,
     a: &Mbsr,
-    job: &WarpJob,
+    start: usize,
+    len: usize,
     xp: &[f64],
 ) -> ([f64; TILE], u64) {
     let zero_tile = [0.0f64; 16];
     let zero_x = [0.0f64; TILE];
     let mut frag_c = FragC::ZERO;
     let mut mma_n = 0u64;
-    let mut b = job.start;
-    let end = job.start + job.len;
+    let mut b = start;
+    let end = start + len;
     while b < end {
         let t0 = *a.tile(b);
         let bc0 = a.blc_idx[b] as usize;
@@ -387,6 +351,7 @@ pub fn tc_warp_fragments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amgt_exec::simulated::Simulated;
     use amgt_sim::{Device, GpuSpec, Phase};
     use amgt_sparse::gen::{
         block_cliques, elasticity_3d, laplacian_2d, network_laplacian, random_sparse, NeighborSet,
@@ -454,10 +419,10 @@ mod tests {
         let m = Mbsr::from_csr(&a);
         let plan = analyze_spmv_with(&ctx(&dev), &m, -1.0, 10.0); // Force balanced.
         assert!(plan.load_balanced);
-        let jobs = plan.jobs_for_row(0);
+        let jobs: Vec<_> = plan.jobs_for_row(&m, 0).collect();
         assert!(jobs.len() > 1);
-        assert!(jobs.iter().all(|j| j.len <= WARP_CAPACITY));
-        let total: usize = jobs.iter().map(|j| j.len).sum();
+        assert!(jobs.iter().all(|&(_, len)| len <= WARP_CAPACITY));
+        let total: usize = jobs.iter().map(|&(_, len)| len).sum();
         assert_eq!(total, m.blc_ptr[1] - m.blc_ptr[0]);
         // Result still correct under the split schedule.
         let mut rng = StdRng::seed_from_u64(5);
@@ -491,13 +456,8 @@ mod tests {
                 if lo == hi {
                     continue;
                 }
-                let job = WarpJob {
-                    block_row: br as u32,
-                    start: lo,
-                    len: hi - lo,
-                };
-                let (fast, m1) = tc_warp(prec, &m, &job, &xp);
-                let (full, m2) = tc_warp_fragments(prec, &m, &job, &xp);
+                let (fast, m1) = Simulated::tc_warp(prec, &m, lo, hi - lo, &xp);
+                let (full, m2) = tc_warp_fragments(prec, &m, lo, hi - lo, &xp);
                 assert_eq!(m1, m2);
                 for r in 0..TILE {
                     assert_eq!(
@@ -578,9 +538,9 @@ mod tests {
         let c = ctx(&dev).with_policy(pol);
         let plan = analyze_spmv(&c, &m);
         assert!(plan.load_balanced);
-        let jobs = plan.jobs_for_row(0);
+        let jobs: Vec<_> = plan.jobs_for_row(&m, 0).collect();
         assert!(jobs.len() > 1);
-        assert!(jobs.iter().all(|j| j.len <= 16));
+        assert!(jobs.iter().all(|&(_, len)| len <= 16));
         // The schedule change must not change the result.
         let mut rng = StdRng::seed_from_u64(11);
         let x: Vec<f64> = (0..a.ncols()).map(|_| rng.gen_range(-1.0..1.0)).collect();

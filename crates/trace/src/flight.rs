@@ -104,9 +104,15 @@ impl TraceId {
         self.0
     }
 
-    /// 16 lowercase hex digits, the canonical rendering.
+    /// 16 lowercase hex digits, the canonical rendering. One allocation
+    /// for every id: `format!` would start from an empty string, and the
+    /// zero padding of an id with a leading zero nibble would then grow it
+    /// twice.
     pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
+        use std::fmt::Write;
+        let mut s = String::with_capacity(16);
+        write!(s, "{:016x}", self.0).expect("writing to a String cannot fail");
+        s
     }
 
     /// Parse the canonical hex rendering (leading/trailing whitespace ok).

@@ -24,6 +24,18 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> allocation gate: 50 consecutive release runs"
+# The gate's counters are process-global, so an allocation that depends on
+# a value (a trace id) or on thread timing shows up only in some runs; one
+# run per sweep would let it through most of the time.
+alloc_free_bin="$(cargo test --release -p amgt-bench --test alloc_free --no-run 2>&1 |
+    sed -n 's/.*Executable .*(\(.*alloc_free-[0-9a-f]*\)).*/\1/p')"
+[ -x "$alloc_free_bin" ] || { echo "alloc_free test binary not found"; exit 1; }
+for run in $(seq 1 50); do
+    "$alloc_free_bin" -q >/dev/null || { echo "alloc_free failed on run $run"; exit 1; }
+done
+echo "    50/50 runs passed"
+
 echo "==> exec-backend equivalence: native vs emulator, bitwise"
 # The build identity block names the SIMD level the native kernels
 # detected on this host, so the log shows which bodies the bitwise tests ran.

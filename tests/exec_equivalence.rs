@@ -7,12 +7,14 @@
 
 use amgt::prelude::*;
 use amgt::{run_amg, setup, solve, solve_with_workspace, ExecMode, SolveWorkspace};
+use amgt_exec::simulated::Simulated;
 use amgt_kernels::convert::csr_to_mbsr;
 use amgt_kernels::spgemm_mbsr::spgemm_mbsr;
 use amgt_kernels::spmm_mbsr::{spmm_mbsr, MultiVector};
-use amgt_kernels::spmv_mbsr::{analyze_spmv_with, spmv_mbsr, SpmvPath};
+use amgt_kernels::spmv_mbsr::{analyze_spmv_with, spmv_mbsr, SpmvCounters, SpmvPath, SpmvPlan};
 use amgt_kernels::vendor::{quantize_csr, spmv_csr};
 use amgt_kernels::Ctx;
+use amgt_kernels::KernelPolicy;
 use amgt_sim::{Device, GpuSpec, Precision};
 use amgt_sparse::gen::{laplacian_2d, random_sparse, rhs_of_ones, Stencil2d};
 use amgt_sparse::{Csr, Mbsr};
@@ -91,18 +93,32 @@ proptest! {
             .collect();
         let x = MultiVector::from_columns(&cols);
         for prec in PRECISIONS {
-            let (nat, sim) = per_mode(prec, |ctx| {
-                let plan = analyze_spmv_with(ctx, &m, 1.0, 0.0);
-                spmm_mbsr(ctx, &m, &plan, &x)
-            });
-            for j in 0..nrhs {
-                for i in 0..a.nrows() {
-                    prop_assert_eq!(
-                        nat.get(i, j).to_bits(),
-                        sim.get(i, j).to_bits(),
-                        "spmm {:?} ({}, {})", prec, i, j
-                    );
-                }
+            for (density, path) in [(0.0, SpmvPath::TensorCore), (1e9, SpmvPath::CudaCore)] {
+                let (nat, sim) = per_mode(prec, |ctx| {
+                    let plan = analyze_spmv_with(ctx, &m, 1.0, density);
+                    assert_eq!(plan.path, path);
+                    spmm_mbsr(ctx, &m, &plan, &x)
+                });
+                assert_bits_eq(&nat.data, &sim.data, &format!("spmm {prec:?} {path:?}"));
+            }
+        }
+    }
+
+    /// The counters the plan takes from the bitmaps equal the emulator's
+    /// lane-level counts summed over every warp job of the schedule, on
+    /// both the one-warp-per-row and the load-balanced schedule (warp
+    /// capacity 16, so long rows split mid-row).
+    #[test]
+    fn plan_counters_match_emulator_lane_counts(a in arb_matrix(90)) {
+        let m = Mbsr::from_csr(&a);
+        let dev = Device::new(GpuSpec::a100());
+        let mut pol = KernelPolicy::paper_default();
+        pol.spmv_warp_capacity = 16;
+        let ctx = Ctx::standalone(&dev, Precision::Fp64).with_policy(pol);
+        for variation in [f64::INFINITY, f64::NEG_INFINITY] {
+            for density in [0.0, 1e9] {
+                let plan = analyze_spmv_with(&ctx, &m, variation, density);
+                prop_assert_eq!(plan.counters(), lane_counts(&plan, &m));
             }
         }
     }
@@ -146,6 +162,71 @@ proptest! {
             prop_assert_eq!(&nat.blc_idx, &sim.blc_idx);
             prop_assert_eq!(&nat.blc_map, &sim.blc_map);
             assert_bits_eq(&nat.blc_val, &sim.blc_val, &format!("convert {prec:?}"));
+        }
+    }
+}
+
+/// The emulator's own operation counts for one SpMV under `plan`: each
+/// warp job's `mma` issues from the tensor-core warp, flops and nonempty
+/// tile rows from the CUDA-core warp (the counts do not depend on the
+/// operand's values).
+fn lane_counts(plan: &SpmvPlan, m: &Mbsr) -> SpmvCounters {
+    let xp = vec![0.0; m.blk_cols() * 4];
+    let xp = &xp[..];
+    let mut c = SpmvCounters::default();
+    for br in 0..m.blk_rows() {
+        for (start, len) in plan.jobs_for_row(m, br) {
+            c.mma += Simulated::tc_warp(Precision::Fp64, m, start, len, xp).1;
+            let (_, flops, rows) = Simulated::cuda_warp(Precision::Fp64, m, start, len, xp);
+            c.cuda_flops += flops;
+            c.tile_rows += rows;
+        }
+    }
+    c
+}
+
+/// Load-balanced schedules (variation threshold 0, warp capacity 16) on
+/// matrices with long block-rows next to short ones: SpMV and SpMM with
+/// 1, 3 and 9 right-hand sides on both compute paths agree bitwise and
+/// charge the same under either backend, and the plan's counters match
+/// the emulator's lane counts.
+#[test]
+fn load_balanced_spmv_and_spmm_agree() {
+    use amgt_sparse::gen::{block_cliques, network_laplacian};
+    let mut pol = KernelPolicy::paper_default();
+    pol.spmv_warp_capacity = 16;
+    pol.spmv_variation_threshold = 0.0;
+    for (name, a) in [
+        ("block_cliques", block_cliques(300, 160, 3)),
+        ("network_laplacian", network_laplacian(400, 3, 12, 5)),
+    ] {
+        let m = Mbsr::from_csr(&a);
+        let x = arb_vector(a.ncols(), 17);
+        for prec in PRECISIONS {
+            for (density, path) in [(0.0, SpmvPath::TensorCore), (1e9, SpmvPath::CudaCore)] {
+                let plan_for = |ctx: &Ctx| {
+                    let ctx = ctx.with_policy(pol);
+                    let plan = analyze_spmv_with(&ctx, &m, pol.spmv_variation_threshold, density);
+                    assert!(plan.load_balanced, "{name}: variation {}", plan.variation);
+                    assert_eq!(plan.path, path);
+                    assert!(m.blc_ptr.windows(2).any(|w| w[1] - w[0] > 16), "{name}");
+                    plan
+                };
+                let what = format!("{name} {prec:?} {path:?}");
+                let (nat, sim) = per_mode(prec, |ctx| spmv_mbsr(ctx, &m, &plan_for(ctx), &x));
+                assert_bits_eq(&nat, &sim, &format!("spmv {what}"));
+                for nrhs in [1usize, 3, 9] {
+                    let cols: Vec<Vec<f64>> = (0..nrhs)
+                        .map(|j| arb_vector(a.ncols(), 100 + j as u64))
+                        .collect();
+                    let mv = MultiVector::from_columns(&cols);
+                    let (nat, sim) = per_mode(prec, |ctx| spmm_mbsr(ctx, &m, &plan_for(ctx), &mv));
+                    assert_bits_eq(&nat.data, &sim.data, &format!("spmm {what} nrhs {nrhs}"));
+                }
+                let dev = Device::new(GpuSpec::a100());
+                let plan = plan_for(&Ctx::standalone(&dev, prec));
+                assert_eq!(plan.counters(), lane_counts(&plan, &m), "{what}");
+            }
         }
     }
 }
