@@ -12,6 +12,7 @@ use amgt::{solve_with_workspace, CycleType, SolveWorkspace};
 use amgt_bench::alloc::{snapshot, CountingAlloc};
 use amgt_server::{CacheOutcome, ServiceConfig, SolveRequest, SolverService};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
+use amgt_sparse::suite::{generate, Scale};
 use amgt_trace::flight::TraceId;
 use std::time::{Duration, Instant};
 
@@ -25,6 +26,7 @@ fn hot_paths_are_allocation_free() {
     mixed_native_solve_has_zero_allocs_per_iteration();
     server_cache_hit_reuses_cached_workspace();
     trace_id_hex_allocation_is_value_independent();
+    native_setup_allocations_stay_bounded();
 }
 
 /// Block until every other thread of the process is asleep.
@@ -223,4 +225,31 @@ fn trace_id_hex_allocation_is_value_independent() {
     let mid = count(0x0123_4567_89ab_cdef);
     let high = count(0xf000_0000_0000_0000);
     assert_eq!((low, mid), (high, high), "to_hex allocations by id value");
+}
+
+/// Allocations of one FP64 AmgT native setup of `cant` (Small scale),
+/// after a warm setup has grown the per-thread kernel scratch. Setup
+/// builds its operators row by row into preallocated CSR/mBSR arrays, so
+/// what remains is a bounded number of arrays per level, not one per row
+/// or tile. The ceiling sits at a tenth of the count before the row-wise
+/// interpolation and the range-granular SpGEMM numeric (21,002).
+fn native_setup_allocations_stay_bounded() {
+    const CEILING: u64 = 2_100;
+    let a = generate("cant", Scale::Small).expect("suite matrix");
+    let mut cfg = AmgConfig::paper(BackendKind::AmgT, PrecisionPolicy::Uniform64);
+    cfg.exec = ExecMode::Native;
+    let dev = Device::new(GpuSpec::a100());
+    drop(setup(&dev, &cfg, a.clone()));
+    let a2 = a.clone();
+    dev.reserve_events(100_000);
+    let s0 = snapshot();
+    let h = setup(&dev, &cfg, a2);
+    let d = snapshot().since(&s0);
+    drop(h);
+    eprintln!("native FP64 setup of cant: {} allocations", d.allocs);
+    assert!(
+        d.allocs <= CEILING,
+        "FP64 native setup of cant allocated {} times (ceiling {CEILING})",
+        d.allocs
+    );
 }

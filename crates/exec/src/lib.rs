@@ -22,17 +22,17 @@
 //! arithmetic (see the per-method notes in [`native`] for the proofs), not
 //! an approximation of it.
 //!
-//! SpMV enters a backend once per block-row range
-//! ([`ExecBackend::spmv_rows`]), not once per warp job: the emulator loops
-//! its warp emulation over the range's jobs, while the native backend runs
-//! one register-resident sweep per job (for FP64, `G` group accumulators
-//! held in AVX2 registers and reduced lane-wise by the warp-sum tree, see
-//! [`native`]). The SpMV operation counters (`mma` issues, CUDA-core
-//! flops, nonempty tile rows) are not returned by any backend: they depend
-//! only on the matrix and the warp schedule, so the SpMV preprocessing in
-//! `amgt-kernels` computes them once from the bitmaps, and the
-//! simulated-GPU charge cannot depend on the backend that ran. The
-//! emulator's lane-level counts are checked against them by test.
+//! Every kernel method takes a whole row range, one call per fork-join
+//! leaf: [`ExecBackend::spmv_rows`] (the emulator loops its warp emulation
+//! over the range's jobs, the native backend runs one register-resident
+//! sweep per job), [`ExecBackend::spgemm_rows`] and
+//! [`ExecBackend::csr_spmv_rows`]. No backend returns an operation count:
+//! the SpMV counters depend only on the matrix and the warp schedule, the
+//! SpGEMM counters only on the bitmaps and the popcount threshold, so the
+//! SpMV preprocessing and the SpGEMM symbolic pass in `amgt-kernels`
+//! compute them from the bitmaps, and the simulated-GPU charge cannot
+//! depend on the backend that ran. Tests check them against the
+//! emulator's counts.
 
 //! This crate deliberately sits *below* `amgt-kernels`: it knows sparse
 //! formats (`amgt-sparse`) and the precision model (`amgt-sim`) but nothing
@@ -50,9 +50,10 @@ pub mod simd;
 pub mod simulated;
 
 use amgt_sim::Precision;
-use amgt_sparse::bitmap::TILE;
-use amgt_sparse::Mbsr;
+use amgt_sparse::bitmap::{bitmap_multiply, popcount, TILE, TILE_AREA};
+use amgt_sparse::{Csr, Mbsr};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::ops::Range;
 
 pub use simd::{simd_level, SimdLevel};
@@ -140,10 +141,84 @@ pub(crate) fn fold_block_rows(
     }
 }
 
-/// One execution backend: the block-row SpMV and the tile-granular SpGEMM
-/// steps the mBSR kernels are built from, plus the CSR row product the
-/// vendor baseline uses and the storage-precision quantization pass
-/// ("convert").
+/// The inputs of one [`ExecBackend::spgemm_rows`] call.
+#[derive(Clone, Debug)]
+pub struct SpgemmRows<'a> {
+    pub a: &'a Mbsr,
+    pub b: &'a Mbsr,
+    /// `popcount(mapA)` at which an A block takes the tensor-core path.
+    pub tc_threshold: u32,
+    /// The block-rows of `C` to compute.
+    pub rows: Range<usize>,
+    /// `C`'s block-row pointers (all rows).
+    pub c_ptr: &'a [usize],
+    /// `C`'s symbolic block columns, from block-row `rows.start` on.
+    pub c_idx: &'a [u32],
+}
+
+/// One valid product of an A block: the B tile's position and the slot of
+/// its block column in the C block-row.
+pub type SpgemmTarget = (usize, usize);
+
+thread_local! {
+    /// Grow-only scratch of [`spgemm_block_rows`]: the C slot of each
+    /// block column in the current block-row (never cleared: a row writes
+    /// its own columns first and symbolic put every reachable column in
+    /// the row, so a stale entry is never read), and the current A block's
+    /// valid products.
+    static SPGEMM_SCRATCH: RefCell<(Vec<u32>, Vec<SpgemmTarget>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The block-row walk behind every [`ExecBackend::spgemm_rows`]: per A
+/// block, in order, collect its valid products, OR their bitmaps into the
+/// C block-row's maps (a block's targets name distinct slots, so this
+/// equals the emulator's per-target OR), and call
+/// `block(tc, a_pos, targets, row_map, row_val)` on the C block-row.
+#[inline(always)]
+pub(crate) fn spgemm_block_rows(
+    job: &SpgemmRows,
+    c_map: &mut [u16],
+    c_val: &mut [f64],
+    mut block: impl FnMut(bool, usize, &[SpgemmTarget], &[u16], &mut [f64]),
+) {
+    let (a, b, c_ptr) = (job.a, job.b, job.c_ptr);
+    SPGEMM_SCRATCH.with_borrow_mut(|(slot_of, targets)| {
+        if slot_of.len() < b.blk_cols() {
+            slot_of.resize(b.blk_cols(), 0);
+        }
+        let base = c_ptr[job.rows.start];
+        for br in job.rows.clone() {
+            let (lo, hi) = (c_ptr[br] - base, c_ptr[br + 1] - base);
+            for (slot, &j) in job.c_idx[lo..hi].iter().enumerate() {
+                slot_of[j as usize] = slot as u32;
+            }
+            let row_map = &mut c_map[lo..hi];
+            let row_val = &mut c_val[lo * TILE_AREA..hi * TILE_AREA];
+            for a_pos in a.blc_ptr[br]..a.blc_ptr[br + 1] {
+                let map_a = a.blc_map[a_pos];
+                let k = a.blc_idx[a_pos] as usize;
+                targets.clear();
+                for b_pos in b.blc_ptr[k]..b.blc_ptr[k + 1] {
+                    let map_c = bitmap_multiply(map_a, b.blc_map[b_pos]);
+                    if map_c != 0 {
+                        let slot = slot_of[b.blc_idx[b_pos] as usize] as usize;
+                        row_map[slot] |= map_c;
+                        targets.push((b_pos, slot));
+                    }
+                }
+                let tc = popcount(map_a) >= job.tc_threshold;
+                block(tc, a_pos, targets, row_map, row_val);
+            }
+        }
+    });
+}
+
+/// One execution backend: the block-row SpMV and SpGEMM numeric the mBSR
+/// kernels are built from, plus the row-range CSR SpMV the vendor baseline
+/// uses and the storage-precision quantization pass ("convert"). Every
+/// kernel method takes a whole row range, so a fork-join leaf costs one
+/// dynamic dispatch.
 ///
 /// All methods are pure with respect to the backend (no internal state), so
 /// a `&'static` instance is shared freely across threads.
@@ -201,37 +276,20 @@ pub trait ExecBackend: Send + Sync {
         y: &mut [f64],
     );
 
-    /// One SpGEMM tensor-core step: multiply `a_tile` by one or two valid
-    /// B tiles and accumulate bitmap + values into the C block-row
-    /// (`c_map`/`c_val` are that row's slices; positions outside the
-    /// accumulated bitmap are forced back to exact zero). `targets` holds
-    /// at most 2 `(b_pos, slot, map_c)` triples: the B tile, the C slot
-    /// the kernel resolved for its block column, and the product bitmap.
-    fn spgemm_tc_mma(
-        &self,
-        prec: Precision,
-        a_tile: &[f64; 16],
-        b: &Mbsr,
-        c_map: &mut [u16],
-        c_val: &mut [f64],
-        targets: &[(usize, usize, u16)],
-    );
+    /// SpGEMM numeric over `job.rows` of `C = A * B` (Algorithm 4), A
+    /// blocks and their valid B tiles (nonzero `BITMAPMULTIPLY`) in storage
+    /// order: an A block whose popcount reaches `job.tc_threshold` takes
+    /// the tensor-core path (each product from zero, added into its C slot,
+    /// the slot's accumulated bitmap applied), the rest the CUDA-core path
+    /// (bitmap positions only). `c_map` and `c_val` are zeroed on entry and
+    /// start at block-row `job.rows.start`. No counters: the symbolic pass
+    /// takes them from the bitmaps.
+    fn spgemm_rows(&self, prec: Precision, job: &SpgemmRows, c_map: &mut [u16], c_val: &mut [f64]);
 
-    /// One SpGEMM CUDA-core tile product accumulating into `out` (16
-    /// values), visiting bitmap positions only. Returns the flops done.
-    fn spgemm_cuda_tile(
-        &self,
-        prec: Precision,
-        a_tile: &[f64; 16],
-        map_a: u16,
-        b_tile: &[f64; 16],
-        map_b: u16,
-        out: &mut [f64],
-    ) -> u64;
-
-    /// One vendor CSR SpMV row: the sequential quantize-multiply-accumulate
-    /// chain over a row's nonzeros. Returns the rounded row result.
-    fn csr_spmv_row(&self, prec: Precision, cols: &[u32], vals: &[f64], x: &[f64]) -> f64;
+    /// Vendor CSR SpMV over the rows `rows` of `a`: row `rows.start + i`
+    /// runs the sequential quantize-multiply-accumulate chain over its
+    /// nonzeros and writes the rounded result to `y[i]`.
+    fn csr_spmv_rows(&self, prec: Precision, a: &Csr, rows: Range<usize>, x: &[f64], y: &mut [f64]);
 
     /// Quantize values to their storage precision in place (the value side
     /// of the format-conversion kernels; identity at FP64).

@@ -9,21 +9,22 @@
 //! reference and the test proving them bit-identical); the SpGEMM
 //! tensor-core step packs real fragments and issues [`mma_8x8x4`].
 
-use crate::{fold_block_rows, ExecBackend, SpmvPath};
+use crate::{fold_block_rows, spgemm_block_rows, ExecBackend, SpgemmRows, SpgemmTarget, SpmvPath};
 use amgt_sim::mma::{mma_8x8x4, FragA, FragB, FragC, TILE};
 use amgt_sim::precision::{quantize_slice, Precision};
 use amgt_sim::warp::{warp_reduce_sum_grouped, LaneRegs, WARP_SIZE};
 use amgt_sparse::bitmap::{self, TILE_AREA};
-use amgt_sparse::Mbsr;
+use amgt_sparse::{Csr, Mbsr};
 use std::ops::Range;
 
 /// The emulator-faithful backend (see module docs).
 pub struct Simulated;
 
-/// The lane-level warp kernels. [`ExecBackend::spmv_rows`] loops them over
-/// a block-row range; they also return the lane-level operation counts,
-/// which tests compare against the counters the SpMV preprocessing takes
-/// from the bitmaps.
+/// The lane-level warp kernels. [`ExecBackend::spmv_rows`] and
+/// [`ExecBackend::spgemm_rows`] loop them over a block-row range; they also
+/// return the lane-level operation counts, which tests compare against the
+/// counters the SpMV preprocessing and the SpGEMM symbolic pass take from
+/// the bitmaps.
 impl Simulated {
     /// Tensor-core SpMV warp (Algorithm 5, dense path) over the tiles
     /// `[start, start + len)`: two tiles per `mma`, accumulating in the
@@ -122,6 +123,69 @@ impl Simulated {
         }
         (out, flops, ntr)
     }
+
+    /// One warp-level tensor-core SpGEMM step: multiply the replicated
+    /// `fragA` with one or two valid blockBs (`pair`), extract the useful
+    /// tiles by shuffles, and accumulate them into their C slots, whose
+    /// bitmaps in `c_map` already include the products'.
+    pub fn spgemm_mma(
+        prec: Precision,
+        a_tile: &[f64; 16],
+        b: &Mbsr,
+        c_map: &[u16],
+        c_val: &mut [f64],
+        pair: &[SpgemmTarget],
+    ) {
+        debug_assert!(!pair.is_empty() && pair.len() <= 2);
+        let frag_a = FragA::pack_tiles(a_tile, a_tile);
+        let zero = [0.0f64; TILE_AREA];
+        let t0 = b.tile(pair[0].0);
+        let t1 = pair.get(1).map_or(&zero, |&(p, _)| b.tile(p));
+        let frag_b = FragB::pack_tiles(t0, t1);
+        let mut frag_c = FragC::ZERO;
+        mma_8x8x4(&mut frag_c, &frag_a, &frag_b, prec);
+        for (slot_idx, &(_, slot)) in pair.iter().enumerate() {
+            let (tile, _shuffles) = frag_c.extract_tile(0, slot_idx);
+            let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
+            for (o, t) in out.iter_mut().zip(tile.iter()) {
+                // Only bitmap positions may carry values; the rest of the
+                // MMA output is exact zeros anyway, but masking keeps the
+                // invariant robust under cancellation.
+                *o = prec.round_accum(*o + t);
+            }
+            // Clear any slop outside the bitmap (padding lanes are zero by
+            // construction; this enforces the mBSR value/bitmap invariant).
+            for bit in 0..TILE_AREA {
+                if c_map[slot] & (1 << bit) == 0 {
+                    out[bit] = 0.0;
+                }
+            }
+        }
+    }
+
+    /// Thread-level tile product on CUDA cores: loops bitmap positions
+    /// only. Returns the flops done.
+    pub fn spgemm_cuda_tile(
+        prec: Precision,
+        a_tile: &[f64; 16],
+        map_a: u16,
+        b_tile: &[f64; 16],
+        map_b: u16,
+        out: &mut [f64],
+    ) -> u64 {
+        let mut flops = 0u64;
+        for i in 0..4 {
+            for k in (0..4).filter(|&k| map_a & (1 << (i * 4 + k)) != 0) {
+                let brow = bitmap::row_mask(map_b, k);
+                for j in (0..4).filter(|&j| brow & (1 << j) != 0) {
+                    let prod = prec.round_product(a_tile[i * 4 + k], b_tile[k * 4 + j]);
+                    out[i * 4 + j] = prec.round_accum(out[i * 4 + j] + prod);
+                    flops += 2;
+                }
+            }
+        }
+        flops
+    }
 }
 
 impl ExecBackend for Simulated {
@@ -152,93 +216,46 @@ impl ExecBackend for Simulated {
         }
     }
 
-    /// One warp-level tensor-core SpGEMM step: multiply the replicated
-    /// `fragA` with one or two valid blockBs, extract the useful tiles by
-    /// shuffles, and accumulate bitmap + values into the `C` block-row.
-    fn spgemm_tc_mma(
-        &self,
-        prec: Precision,
-        a_tile: &[f64; 16],
-        b: &Mbsr,
-        c_map: &mut [u16],
-        c_val: &mut [f64],
-        targets: &[(usize, usize, u16)],
-    ) {
-        debug_assert!(!targets.is_empty() && targets.len() <= 2);
-        let frag_a = FragA::pack_tiles(a_tile, a_tile);
-        let zero = [0.0f64; TILE_AREA];
-        let t0 = b.tile(targets[0].0);
-        let t1 = targets.get(1).map_or(&zero, |&(p, _, _)| b.tile(p));
-        let frag_b = FragB::pack_tiles(t0, t1);
-        let mut frag_c = FragC::ZERO;
-        mma_8x8x4(&mut frag_c, &frag_a, &frag_b, prec);
-        for (slot_idx, &(_, slot, map_c)) in targets.iter().enumerate() {
-            c_map[slot] |= map_c;
-            let (tile, _shuffles) = frag_c.extract_tile(0, slot_idx);
-            let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
-            for (o, t) in out.iter_mut().zip(tile.iter()) {
-                // Only bitmap positions may carry values; the rest of the
-                // MMA output is exact zeros anyway, but masking keeps the
-                // invariant robust under cancellation.
-                *o = prec.round_accum(*o + t);
-            }
-            // Clear any slop outside the bitmap (padding lanes are zero by
-            // construction; this enforces the mBSR value/bitmap invariant).
-            for bit in 0..TILE_AREA {
-                if c_map[slot] & (1 << bit) == 0 {
-                    out[bit] = 0.0;
+    /// Tensor-core A blocks issue one [`Self::spgemm_mma`] per pair of
+    /// valid B tiles, CUDA-core blocks one [`Self::spgemm_cuda_tile`] per
+    /// valid B tile.
+    fn spgemm_rows(&self, prec: Precision, job: &SpgemmRows, c_map: &mut [u16], c_val: &mut [f64]) {
+        let (a, b) = (job.a, job.b);
+        let block = |tc, a_pos, targets: &[SpgemmTarget], c_map: &[u16], c_val: &mut [f64]| {
+            let (a_tile, map_a) = (a.tile(a_pos), a.blc_map[a_pos]);
+            if tc {
+                for pair in targets.chunks(2) {
+                    Self::spgemm_mma(prec, a_tile, b, c_map, c_val, pair);
                 }
+                return;
             }
-        }
-    }
-
-    /// Thread-level tile product on CUDA cores: loops bitmap positions
-    /// only.
-    fn spgemm_cuda_tile(
-        &self,
-        prec: Precision,
-        a_tile: &[f64; 16],
-        map_a: u16,
-        b_tile: &[f64; 16],
-        map_b: u16,
-        out: &mut [f64],
-    ) -> u64 {
-        let mut flops = 0u64;
-        for i in 0..4 {
-            let arow = bitmap::row_mask(map_a, i);
-            if arow == 0 {
-                continue;
+            for &(b_pos, slot) in targets {
+                let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
+                Self::spgemm_cuda_tile(prec, a_tile, map_a, b.tile(b_pos), b.blc_map[b_pos], out);
             }
-            for k in 0..4 {
-                if arow & (1 << k) == 0 {
-                    continue;
-                }
-                let brow = bitmap::row_mask(map_b, k);
-                if brow == 0 {
-                    continue;
-                }
-                let av = a_tile[i * 4 + k];
-                for j in 0..4 {
-                    if brow & (1 << j) != 0 {
-                        let prod = prec.round_product(av, b_tile[k * 4 + j]);
-                        out[i * 4 + j] = prec.round_accum(out[i * 4 + j] + prod);
-                        flops += 2;
-                    }
-                }
-            }
-        }
-        flops
+        };
+        spgemm_block_rows(job, c_map, c_val, block);
     }
 
     /// The vendor CSR row product: quantize operands, round each product,
     /// round each accumulation — sequentially, in index order.
-    fn csr_spmv_row(&self, prec: Precision, cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&c, &v) in cols.iter().zip(vals) {
-            let prod = prec.round_product(prec.quantize(v), prec.quantize(x[c as usize]));
-            acc = prec.round_accum(acc + prod);
+    fn csr_spmv_rows(
+        &self,
+        prec: Precision,
+        a: &Csr,
+        rows: Range<usize>,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        for (out, r) in y.iter_mut().zip(rows) {
+            let (cols, vals) = a.row(r);
+            let mut acc = 0.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                let prod = prec.round_product(prec.quantize(v), prec.quantize(x[c as usize]));
+                acc = prec.round_accum(acc + prod);
+            }
+            *out = acc;
         }
-        acc
     }
 
     fn quantize(&self, prec: Precision, values: &mut [f64]) {

@@ -24,11 +24,11 @@
 
 use crate::ctx::Ctx;
 use crate::policy::KernelPolicy;
+use amgt_exec::SpgemmRows;
 use amgt_sim::mma::MMA_FLOPS;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::bitmap::{self, TILE_AREA};
 use amgt_sparse::Mbsr;
-use std::cell::RefCell;
 
 /// Paper-default number of bins; thresholds 128 * 2^k, k = 0..6, plus the
 /// final `>= 8192` bin. Kept as the capacity of [`SpgemmMbsrStats::bins`];
@@ -46,6 +46,29 @@ pub fn bin_index(cub_per_row: usize) -> usize {
     KernelPolicy::paper_default().spgemm_bin_index(cub_per_row)
 }
 
+/// The operation counts of one SpGEMM numeric phase, the raw material of
+/// its simulated charge. The symbolic pass computes them from the bitmaps
+/// and the popcount threshold; tests compare them with the counts of the
+/// emulator's fragment-level steps.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SpgemmCounters {
+    /// A blocks routed to the tensor-core path.
+    pub tc_blocks: u64,
+    /// A blocks routed to the CUDA-core path.
+    pub cuda_blocks: u64,
+    /// `mma` instructions: one per pair of valid B tiles of a tensor-core
+    /// A block, the odd tail padded.
+    pub mma: u64,
+    /// CUDA-core flops: 2 per `(i, k, j)` with both the A bit `(i, k)` and
+    /// the B bit `(k, j)` set.
+    pub cuda_flops: u64,
+    /// Value slots read: whole 16-slot tiles on the tensor-core path,
+    /// nonempty 4-slot tile rows on the CUDA-core path.
+    pub val_slots_read: u64,
+    /// C-slot searches: one per valid product.
+    pub searches: u64,
+}
+
 /// Statistics reported by one SpGEMM execution.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpgemmMbsrStats {
@@ -55,12 +78,9 @@ pub struct SpgemmMbsrStats {
     pub intermediate_blocks: u64,
     /// Intermediate block products that produced a nonzero bitmap.
     pub valid_blocks: u64,
-    /// `blockA`s routed to the tensor-core path.
-    pub tc_block_a: u64,
-    /// `blockA`s routed to the CUDA-core path.
-    pub cuda_block_a: u64,
-    /// `mma` instructions issued.
-    pub mma_issued: u64,
+    /// The numeric phase's operation counters (path split, `mma` issues,
+    /// flops, value slots read, slot searches), from the bitmaps.
+    pub counters: SpgemmCounters,
     /// Blocks stored in the result.
     pub result_blocks: u64,
     /// Scalar nonzeros (bitmap population) of the result.
@@ -142,10 +162,10 @@ impl HashTable {
     }
 }
 
-/// Reusable scratch for [`spgemm_mbsr_with_workspace`]: the hash-table slab
-/// and the flat symbolic column storage. Capacities grow monotonically, so
-/// one workspace serves every RAP product of a hierarchy setup and is still
-/// warm across `resetup` calls.
+/// Reusable scratch for [`spgemm_mbsr_with_workspace`]: the hash-table slab,
+/// the flat symbolic column storage and the per-`B`-row bitmap sums of the
+/// counters. Capacities grow monotonically, so one workspace serves every
+/// product of a hierarchy setup and is still warm across `resetup` calls.
 #[derive(Debug, Default)]
 pub struct SpgemmWorkspace {
     cub_per_row: Vec<usize>,
@@ -153,6 +173,17 @@ pub struct SpgemmWorkspace {
     /// Compressed symbolic block columns of all rows, concatenated; row
     /// `br`'s slice is addressed by the result's `blc_ptr`.
     row_cols: Vec<u32>,
+    /// Per `B` block-row, the sums the CUDA-core counters start from.
+    b_row_stats: Vec<BRowStats>,
+}
+
+/// Bitmap sums over the tiles of one `B` block-row.
+#[derive(Clone, Copy, Debug, Default)]
+struct BRowStats {
+    /// Set bits in tile row `r`, summed over the tiles.
+    row_bits: [u64; 4],
+    /// Nonempty tile rows, summed over the tiles.
+    nonempty_rows: u64,
 }
 
 /// `C = A * B` on mBSR with the AmgT algorithm. Returns the product and the
@@ -199,39 +230,79 @@ pub fn spgemm_mbsr_with_workspace(
     // One hash-table slab serves every block-row in turn (one warp's
     // shared-memory table, re-initialised per row); compressed columns land
     // in the workspace's flat storage, addressed by `blc_ptr` afterwards.
+    // The same pass over every (blockA, blockB) pair computes the numeric
+    // phase's operation counters from the bitmaps and the popcount
+    // dispatch (rows without products still count their A blocks).
     let mut probes = 0u64;
     let mut table_slots = 0u64;
-    let mut valid_total = 0u64;
+    let mut counters = SpgemmCounters::default();
     let mut blc_ptr = vec![0usize; blk_rows + 1];
     ws.row_cols.clear();
-    for br in 0..blk_rows {
-        if cub_per_row[br] == 0 {
-            blc_ptr[br + 1] = blc_ptr[br];
-            continue;
+    // Per B block-row: its tiles' row popcounts summed by row, and their
+    // nonempty rows. A CUDA-core A block's counters are these sums less
+    // what its unreached B tiles would have added (see below).
+    ws.b_row_stats.clear();
+    ws.b_row_stats.extend((0..b.blk_rows()).map(|k| {
+        let mut stats = BRowStats::default();
+        for &m in &b.blc_map[b.blc_ptr[k]..b.blc_ptr[k + 1]] {
+            for r in 0..4 {
+                stats.row_bits[r] += pop4(bitmap::row_mask(m, r));
+            }
+            stats.nonempty_rows += u64::from(bitmap::nonempty_rows(m));
         }
+        stats
+    }));
+    for br in 0..blk_rows {
+        let has_products = cub_per_row[br] != 0;
         // Tables are sized by the row's bin bound — the per-bin
         // shared-memory tables of the paper — so the bin geometry is a
         // real capacity/collision tradeoff, not just a statistic.
         let table = &mut ws.table;
-        table.reset(policy.spgemm_table_bound(cub_per_row[br]));
+        if has_products {
+            table.reset(policy.spgemm_table_bound(cub_per_row[br]));
+        }
         let (acols, amaps) = a.block_row(br);
-        let mut valid = 0u64;
         for (&k, &map_a) in acols.iter().zip(amaps) {
             let k = k as usize;
-            let lo = b.blc_ptr[k];
-            let hi = b.blc_ptr[k + 1];
-            for (bj, &map_b) in b.blc_idx[lo..hi].iter().zip(&b.blc_map[lo..hi]) {
-                let map_c = bitmap::bitmap_multiply(map_a, map_b);
-                if map_c != 0 {
-                    table.insert(*bj);
+            let tc = bitmap::popcount(map_a) >= policy.tc_popcount_threshold;
+            let mut valid = 0u64;
+            // Nonempty rows of the B tiles this block does not reach.
+            let mut missed_rows = 0u64;
+            let (lo, hi) = (b.blc_ptr[k], b.blc_ptr[k + 1]);
+            for (&bj, &map_b) in b.blc_idx[lo..hi].iter().zip(&b.blc_map[lo..hi]) {
+                if bitmap::bitmap_multiply(map_a, map_b) != 0 {
+                    table.insert(bj);
                     valid += 1;
+                } else if !tc {
+                    missed_rows += u64::from(bitmap::nonempty_rows(map_b));
                 }
             }
+            counters.searches += valid; // One C-slot search per valid product.
+            if tc {
+                counters.tc_blocks += 1;
+                counters.val_slots_read += TILE_AREA as u64 * (1 + valid);
+                counters.mma += valid.div_ceil(2);
+            } else {
+                // One product per (i, c, j) with A(i, c) and B(c, j): an
+                // unreached B tile has no such triple, so A's column counts
+                // times the B block-row's summed row counts give the flops.
+                let b_row = &ws.b_row_stats[k];
+                let terms: u64 = (0..4)
+                    .map(|c| pop4(bitmap::col_mask(map_a, c)) * b_row.row_bits[c])
+                    .sum();
+                counters.cuda_blocks += 1;
+                counters.cuda_flops += 2 * terms;
+                counters.val_slots_read += 4
+                    * (u64::from(bitmap::nonempty_rows(map_a)) + b_row.nonempty_rows - missed_rows);
+            }
         }
-        probes += 2 * table.probes; // Steps 1 and 2.
-        table_slots += 2 * table.capacity() as u64;
-        valid_total += valid;
-        let len = table.drain_sorted_into(&mut ws.row_cols);
+        let len = if has_products {
+            probes += 2 * table.probes; // Steps 1 and 2.
+            table_slots += 2 * table.capacity() as u64;
+            table.drain_sorted_into(&mut ws.row_cols)
+        } else {
+            0
+        };
         blc_ptr[br + 1] = blc_ptr[br] + len;
     }
     let n_blocks = blc_ptr[blk_rows];
@@ -257,73 +328,45 @@ pub fn spgemm_mbsr_with_workspace(
 
     // ---- Numeric computation (warp per block-row). ----
     let num_timer = ctx.timer();
-    let mut blc_idx = vec![0u32; n_blocks];
+    let blc_idx = ws.row_cols.clone();
     let mut blc_map = vec![0u16; n_blocks];
     let mut blc_val = vec![0.0f64; n_blocks * TILE_AREA];
-
-    let mut tc_blocks = 0u64;
-    let mut cuda_blocks = 0u64;
-    let mut mma_count = 0u64;
-    let mut cuda_flops = 0u64;
-    let mut searches = 0u64;
-    // Value slots actually read: the tensor path streams whole 16-slot
-    // tiles, the CUDA path reads nonempty 4-slot tile rows only.
-    let mut val_slots_read = 0u64;
-
     let be = ctx.backend();
-    {
-        // Block-rows write disjoint `blc_ptr`-delimited slices of the
-        // three result arrays (one warp per block-row), so the row range
-        // forks into a binary tree split at `blc_ptr` boundaries: each
-        // half owns its rows' output exactly. The tree shape depends only
-        // on the row count and grain, each row's inner loop is untouched,
-        // and the statistics merge with commutative integer sums — so the
-        // product and every charged quantity are bitwise identical at any
-        // pool width. (The symbolic phase above stays sequential: its
-        // `row_cols` appends are inherently in row order.)
-        let (tc, slots, cu, mma_n, flops, srch) = numeric_rows(
-            NumericArgs {
-                a,
-                b,
-                row_cols: &ws.row_cols,
-                blc_ptr: &blc_ptr,
-                policy,
-                prec,
-                be,
-            },
-            0,
-            blk_rows,
-            &mut blc_idx,
-            &mut blc_map,
-            &mut blc_val,
-        );
-        tc_blocks += tc;
-        val_slots_read += slots;
-        cuda_blocks += cu;
-        mma_count += mma_n;
-        cuda_flops += flops;
-        searches += srch;
-    }
+    numeric_rows(
+        NumericArgs {
+            a,
+            b,
+            blc_ptr: &blc_ptr,
+            blc_idx: &blc_idx,
+            policy,
+            prec,
+            be,
+        },
+        0,
+        blk_rows,
+        &mut blc_map,
+        &mut blc_val,
+    );
 
     // Storage quantization of the result at the level's precision.
     be.quantize(prec, &mut blc_val);
 
-    let mma_n = mma_count;
+    let mma_n = counters.mma;
     let vb = prec.bytes() as f64;
     let result_nnz: u64 = blc_map.iter().map(|&m| m.count_ones() as u64).sum();
-    let valid = valid_total;
+    let valid = counters.searches;
     // C accumulation is row-granular too.
     let c_rows: u64 = blc_map
         .iter()
-        .map(|&m| (0..4).filter(|&r| bitmap::row_mask(m, r) != 0).count() as u64)
+        .map(|&m| u64::from(bitmap::nonempty_rows(m)))
         .sum();
     let num_cost = KernelCost {
         tc_flops: mma_n as f64 * MMA_FLOPS,
         // Shuffle extraction (32 per MMA) + accumulate adds (32 per MMA),
         // plus the CUDA-path scalar products.
-        cuda_flops: mma_n as f64 * 64.0 + cuda_flops as f64,
+        cuda_flops: mma_n as f64 * 64.0 + counters.cuda_flops as f64,
         int_ops: 8.0 * total_cub as f64 // Bitmap multiplies revisited.
-            + searches as f64 * 8.0 // Binary searches.
+            + counters.searches as f64 * 8.0 // Binary searches.
             + a.n_blocks() as f64, // popcount dispatch.
         // Value traffic measured per path (whole tiles on the tensor path,
         // nonempty tile rows on the CUDA path); operand re-reads hit L2 for
@@ -332,7 +375,7 @@ pub fn spgemm_mbsr_with_workspace(
         // and bitmap arrays stream once per operand; C accumulates in and
         // out at row granularity.
         bytes: (a.n_blocks() as f64 + 0.35 * valid as f64) * 6.0
-            + 0.45 * val_slots_read as f64 * vb
+            + 0.45 * counters.val_slots_read as f64 * vb
             + n_blocks as f64 * 6.0
             + c_rows as f64 * 4.0 * vb * 2.0,
         launches: 1,
@@ -354,13 +397,20 @@ pub fn spgemm_mbsr_with_workspace(
         bins,
         intermediate_blocks: total_cub,
         valid_blocks: valid,
-        tc_block_a: tc_blocks,
-        cuda_block_a: cuda_blocks,
-        mma_issued: mma_n,
+        counters,
         result_blocks: n_blocks as u64,
         result_nnz,
     };
     (c, stats)
+}
+
+/// Set bits of a 4-bit row or column mask, by table: the hot symbolic
+/// loop needs four per valid CUDA-core product, and the baseline x86-64
+/// target has no popcount instruction.
+#[inline]
+fn pop4(mask: u16) -> u64 {
+    const POP4: [u8; 16] = [0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4];
+    u64::from(POP4[usize::from(mask & 0xF)])
 }
 
 /// Block-rows per leaf of the numeric-phase fork-join tree. Rows vary
@@ -376,180 +426,51 @@ const NUMERIC_GRAIN: usize = 8;
 struct NumericArgs<'a> {
     a: &'a Mbsr,
     b: &'a Mbsr,
-    row_cols: &'a [u32],
     blc_ptr: &'a [usize],
+    blc_idx: &'a [u32],
     policy: KernelPolicy,
     prec: amgt_sim::Precision,
     be: &'static dyn amgt_exec::ExecBackend,
 }
 
 /// Numeric phase over block-rows `[r0, r1)`, writing the rows'
-/// `blc_ptr`-delimited slices of `idx`/`map`/`val` (passed already offset
-/// so `idx[0]` is row `r0`'s first block). Splits the row range in half —
-/// and the output slices at the corresponding `blc_ptr` boundary — until
-/// at most [`NUMERIC_GRAIN`] rows remain. Returns
-/// `(tc_blocks, val_slots_read, cuda_blocks, mma_count, cuda_flops,
-/// searches)` merged with sums.
-fn numeric_rows(
-    args: NumericArgs<'_>,
-    r0: usize,
-    r1: usize,
-    idx: &mut [u32],
-    map: &mut [u16],
-    val: &mut [f64],
-) -> (u64, u64, u64, u64, u64, u64) {
+/// `blc_ptr`-delimited slices of `map`/`val` (passed already offset so
+/// `map[0]` is row `r0`'s first block). Block-rows write disjoint slices
+/// (one warp per block-row), so the range splits in half — and the output
+/// slices at the matching `blc_ptr` boundary — until at most
+/// [`NUMERIC_GRAIN`] rows remain; each leaf is one backend call. The tree
+/// shape depends only on the row count and grain, so the product is
+/// bitwise identical at any pool width.
+fn numeric_rows(args: NumericArgs<'_>, r0: usize, r1: usize, map: &mut [u16], val: &mut [f64]) {
     if r1 - r0 > NUMERIC_GRAIN {
         let mid = r0 + (r1 - r0) / 2;
         let cut = args.blc_ptr[mid] - args.blc_ptr[r0];
-        let (idx_lo, idx_hi) = idx.split_at_mut(cut);
         let (map_lo, map_hi) = map.split_at_mut(cut);
         let (val_lo, val_hi) = val.split_at_mut(cut * TILE_AREA);
-        let (sa, sb) = rayon::join(
-            || numeric_rows(args, r0, mid, idx_lo, map_lo, val_lo),
-            || numeric_rows(args, mid, r1, idx_hi, map_hi, val_hi),
+        rayon::join(
+            || numeric_rows(args, r0, mid, map_lo, val_lo),
+            || numeric_rows(args, mid, r1, map_hi, val_hi),
         );
-        return (
-            sa.0 + sb.0,
-            sa.1 + sb.1,
-            sa.2 + sb.2,
-            sa.3 + sb.3,
-            sa.4 + sb.4,
-            sa.5 + sb.5,
-        );
+        return;
     }
-
-    SLOT_OF.with_borrow_mut(|slot_of| numeric_leaf(args, r0, r1, idx, map, val, slot_of))
-}
-
-thread_local! {
-    /// Per-thread C-slot map of the numeric phase: `slot_of[j]` is the
-    /// slot of block column `j` in the block-row being accumulated. It
-    /// grows to the widest `B` seen and is never cleared: each block-row
-    /// writes its own columns' entries first, and symbolic put every
-    /// column a product can reach into that row, so a stale entry is
-    /// never read.
-    static SLOT_OF: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The sequential body of [`numeric_rows`] on one leaf's rows.
-fn numeric_leaf(
-    args: NumericArgs<'_>,
-    r0: usize,
-    r1: usize,
-    idx: &mut [u32],
-    map: &mut [u16],
-    val: &mut [f64],
-    slot_of: &mut Vec<u32>,
-) -> (u64, u64, u64, u64, u64, u64) {
     let NumericArgs {
         a,
         b,
-        row_cols,
         blc_ptr,
+        blc_idx,
         policy,
         prec,
         be,
     } = args;
-    if slot_of.len() < b.blk_cols() {
-        slot_of.resize(b.blk_cols(), 0);
-    }
-    let (mut tc_blocks, mut val_slots_read) = (0u64, 0u64);
-    let (mut cuda_blocks, mut mma_count) = (0u64, 0u64);
-    let (mut cuda_flops, mut searches) = (0u64, 0u64);
-    // Walk the leaf's rows as disjoint per-block-row slices, in row order.
-    let mut idx_rest = idx;
-    let mut map_rest = map;
-    let mut val_rest = val;
-    for br in r0..r1 {
-        let len = blc_ptr[br + 1] - blc_ptr[br];
-        let (c_idx, i1) = idx_rest.split_at_mut(len);
-        let (c_map, m1) = map_rest.split_at_mut(len);
-        let (c_val, v1) = val_rest.split_at_mut(len * TILE_AREA);
-        idx_rest = i1;
-        map_rest = m1;
-        val_rest = v1;
-
-        c_idx.copy_from_slice(&row_cols[blc_ptr[br]..blc_ptr[br + 1]]);
-        for (slot, &j) in c_idx.iter().enumerate() {
-            slot_of[j as usize] = slot as u32;
-        }
-        // The modeled GPU kernel binary-searches `c_idx` once per valid
-        // product; `searches` counts those searches for the cost model
-        // even though the host resolves slots through `slot_of`.
-        let (acols, amaps) = a.block_row(br);
-        let (mut tc, mut cu, mut mma_n, mut flops, mut srch) = (0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut slots = 0u64;
-        for (apos_rel, (&cid_a, &map_a)) in acols.iter().zip(amaps).enumerate() {
-            let a_tile = a.tile(a.blc_ptr[br] + apos_rel);
-            let k = cid_a as usize;
-            let (b_lo, b_hi) = (b.blc_ptr[k], b.blc_ptr[k + 1]);
-            if bitmap::popcount(map_a) >= policy.tc_popcount_threshold {
-                // --- Tensor-core path: pairs of valid blockBs. ---
-                tc += 1;
-                slots += TILE_AREA as u64; // fragA tile load.
-                let mut pending: Option<(usize, usize, u16)> = None; // (b_pos, slot, mapC)
-                for b_pos in b_lo..b_hi {
-                    let map_c = bitmap::bitmap_multiply(map_a, b.blc_map[b_pos]);
-                    if map_c == 0 {
-                        continue;
-                    }
-                    slots += TILE_AREA as u64; // fragB tile load.
-                    let target = (b_pos, slot_of[b.blc_idx[b_pos] as usize] as usize, map_c);
-                    match pending.take() {
-                        None => pending = Some(target),
-                        Some(first) => {
-                            be.spgemm_tc_mma(prec, a_tile, b, c_map, c_val, &[first, target]);
-                            mma_n += 1;
-                            srch += 2;
-                        }
-                    }
-                }
-                if let Some(first) = pending {
-                    // Odd tail: the backend pads fragB with a zero tile.
-                    be.spgemm_tc_mma(prec, a_tile, b, c_map, c_val, &[first]);
-                    mma_n += 1;
-                    srch += 1;
-                }
-            } else {
-                // --- CUDA-core path: thread-level scalar products. ---
-                cu += 1;
-                slots += 4 * nonempty_rows(map_a);
-                for b_pos in b_lo..b_hi {
-                    let map_b = b.blc_map[b_pos];
-                    let map_c = bitmap::bitmap_multiply(map_a, map_b);
-                    if map_c == 0 {
-                        continue;
-                    }
-                    slots += 4 * nonempty_rows(map_b);
-                    let slot = slot_of[b.blc_idx[b_pos] as usize] as usize;
-                    srch += 1;
-                    c_map[slot] |= map_c;
-                    let out = &mut c_val[slot * TILE_AREA..(slot + 1) * TILE_AREA];
-                    flops += be.spgemm_cuda_tile(prec, a_tile, map_a, b.tile(b_pos), map_b, out);
-                }
-            }
-        }
-        tc_blocks += tc;
-        val_slots_read += slots;
-        cuda_blocks += cu;
-        mma_count += mma_n;
-        cuda_flops += flops;
-        searches += srch;
-    }
-    (
-        tc_blocks,
-        val_slots_read,
-        cuda_blocks,
-        mma_count,
-        cuda_flops,
-        searches,
-    )
-}
-
-/// Nonempty 4-wide rows of a tile pattern (32-byte read transactions).
-#[inline]
-fn nonempty_rows(map: u16) -> u64 {
-    (0..4).filter(|&r| bitmap::row_mask(map, r) != 0).count() as u64
+    let job = SpgemmRows {
+        a,
+        b,
+        tc_threshold: policy.tc_popcount_threshold,
+        rows: r0..r1,
+        c_ptr: blc_ptr,
+        c_idx: &blc_idx[blc_ptr[r0]..],
+    };
+    be.spgemm_rows(prec, &job, map, val);
 }
 
 /// Assemble an [`Mbsr`] from raw parts via the CSR constructor invariants.
@@ -630,10 +551,10 @@ mod tests {
         let ma = Mbsr::from_csr(&a);
         let (_, stats) = spgemm_mbsr(&ctx(&dev), &ma, &ma);
         assert!(
-            stats.tc_block_a > 0,
+            stats.counters.tc_blocks > 0,
             "dense tiles must route to tensor cores"
         );
-        assert!(stats.mma_issued > 0);
+        assert!(stats.counters.mma > 0);
     }
 
     #[test]
@@ -642,7 +563,7 @@ mod tests {
         let dev = Device::new(GpuSpec::a100());
         let ma = Mbsr::from_csr(&a);
         let (_, stats) = spgemm_mbsr(&ctx(&dev), &ma, &ma);
-        assert!(stats.cuda_block_a > 0);
+        assert!(stats.counters.cuda_blocks > 0);
     }
 
     #[test]
@@ -699,7 +620,7 @@ mod tests {
         let b = Csr::from_triplets(4, 12, &btrips);
         let dev = Device::new(GpuSpec::a100());
         let (mc, stats) = spgemm_mbsr(&ctx(&dev), &Mbsr::from_csr(&a), &Mbsr::from_csr(&b));
-        assert_eq!(stats.mma_issued, 2); // Pair + odd tail.
+        assert_eq!(stats.counters.mma, 2); // Pair + odd tail.
         let expect = a.matmul(&b);
         assert!(mc.to_csr().max_abs_diff(&expect) < 1e-12);
     }
@@ -731,7 +652,10 @@ mod tests {
         assert!(stats.valid_blocks <= stats.intermediate_blocks);
         assert!(stats.result_blocks as usize <= stats.valid_blocks as usize);
         assert_eq!(stats.result_nnz as usize, mc.nnz());
-        assert_eq!(stats.tc_block_a + stats.cuda_block_a, ma.n_blocks() as u64);
+        assert_eq!(
+            stats.counters.tc_blocks + stats.counters.cuda_blocks,
+            ma.n_blocks() as u64
+        );
     }
 
     #[test]
@@ -741,18 +665,18 @@ mod tests {
         let ma = Mbsr::from_csr(&a);
         // Default: the 5-point stencil's sparse tiles stay on CUDA cores.
         let (_, base) = spgemm_mbsr(&ctx(&dev), &ma, &ma);
-        assert!(base.cuda_block_a > 0);
+        assert!(base.counters.cuda_blocks > 0);
         // Threshold 1: every nonempty tile routes to the tensor path.
         let mut p = KernelPolicy::paper_default();
         p.tc_popcount_threshold = 1;
         let (mc, all_tc) = spgemm_mbsr(&ctx(&dev).with_policy(p), &ma, &ma);
-        assert_eq!(all_tc.cuda_block_a, 0);
-        assert_eq!(all_tc.tc_block_a, ma.n_blocks() as u64);
+        assert_eq!(all_tc.counters.cuda_blocks, 0);
+        assert_eq!(all_tc.counters.tc_blocks, ma.n_blocks() as u64);
         // Threshold 17: nothing can reach it, every tile is CUDA-core.
         p.tc_popcount_threshold = 17;
         let (mc2, no_tc) = spgemm_mbsr(&ctx(&dev).with_policy(p), &ma, &ma);
-        assert_eq!(no_tc.tc_block_a, 0);
-        assert_eq!(no_tc.mma_issued, 0);
+        assert_eq!(no_tc.counters.tc_blocks, 0);
+        assert_eq!(no_tc.counters.mma, 0);
         // Routing must not change values.
         let expect = a.matmul(&a);
         assert!(mc.to_csr().max_abs_diff(&expect) < 1e-10);

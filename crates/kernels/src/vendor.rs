@@ -42,20 +42,15 @@ pub fn spmv_csr_into(ctx: &Ctx, a: &Csr, x: &[f64], y: &mut Vec<f64>) {
     y.resize(a.nrows(), 0.0);
     let be = ctx.backend();
     // Rows are independent: fan out as a fork-join tree over disjoint output
-    // chunks (sequential under a single-thread pool), dispatching each row's
-    // product chain through the execution backend.
+    // chunks (sequential under a single-thread pool), one backend call per
+    // leaf of rows.
     amgt_exec::par::join_block_chunks(
         &mut y[..],
         0,
         a.nrows(),
         1,
         CSR_JOIN_GRAIN,
-        &|r0, n_rows, chunk| {
-            for (i, out) in chunk.iter_mut().enumerate().take(n_rows) {
-                let (cols, vals) = a.row(r0 + i);
-                *out = be.csr_spmv_row(prec, cols, vals, x);
-            }
-        },
+        &|r0, n_rows, chunk| be.csr_spmv_rows(prec, a, r0..r0 + n_rows, x, &mut chunk[..n_rows]),
         &|(), ()| (),
     );
 

@@ -45,6 +45,16 @@ pub const fn row_mask(map: u16, r: usize) -> u16 {
     (map >> (TILE * r)) & 0xF
 }
 
+/// Number of nonempty 4-wide rows of the tile pattern. Branchless and
+/// without a popcount: `y` has bit `4r` set for each nonempty row `r`, and
+/// multiplying by `0x1111` sums those four bits into the top nibble.
+#[inline]
+pub const fn nonempty_rows(map: u16) -> u32 {
+    let m = map | (map >> 1);
+    let y = ((m | (m >> 2)) & 0x1111) as u32;
+    ((y * 0x1111) >> 12) & 0xF
+}
+
 /// Extract column `c` of the tile pattern as a 4-bit mask (bit `r` set when
 /// `(r, c)` present).
 #[inline]
@@ -146,6 +156,14 @@ mod tests {
         assert_eq!(col_mask(m, 2), 0b1001); // rows 0 and 3
         assert_eq!(col_mask(m, 0), 0b0010); // row 1
         assert_eq!(col_mask(m, 1), 0);
+    }
+
+    #[test]
+    fn nonempty_rows_counts_every_pattern() {
+        for map in 0..=u16::MAX {
+            let want = (0..TILE).filter(|&r| row_mask(map, r) != 0).count() as u32;
+            assert_eq!(nonempty_rows(map), want, "{map:#06x}");
+        }
     }
 
     #[test]
