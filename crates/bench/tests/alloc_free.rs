@@ -8,7 +8,7 @@
 //! (see [`wait_for_other_threads_to_sleep`]).
 
 use amgt::prelude::*;
-use amgt::{solve_with_workspace, CycleType, SolveWorkspace};
+use amgt::{solve_batched_with_workspace, solve_with_workspace, CycleType, SolveWorkspace};
 use amgt_bench::alloc::{snapshot, CountingAlloc};
 use amgt_server::{CacheOutcome, ServiceConfig, SolveRequest, SolverService};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
@@ -24,6 +24,7 @@ fn hot_paths_are_allocation_free() {
     wait_for_other_threads_to_sleep();
     steady_state_solve_has_zero_allocs_per_iteration();
     mixed_native_solve_has_zero_allocs_per_iteration();
+    batched_native_solve_has_zero_allocs_per_iteration();
     server_cache_hit_reuses_cached_workspace();
     trace_id_hex_allocation_is_value_independent();
     native_setup_allocations_stay_bounded();
@@ -151,6 +152,49 @@ fn mixed_native_solve_has_zero_allocs_per_iteration() {
             setup_exec.label()
         );
     }
+}
+
+/// The same gate for a warm 4-column native FP64 batched solve (the
+/// service's burst shape): every V-cycle runs the column-chunk SpMV on
+/// every level, and none of it may allocate per leaf or per iteration.
+fn batched_native_solve_has_zero_allocs_per_iteration() {
+    let a = laplacian_2d(24, 24, Stencil2d::Five);
+    let cols: Vec<Vec<f64>> = (0..4)
+        .map(|j| {
+            (0..a.nrows())
+                .map(|i| ((i + 7 * j) as f64 * 0.37).sin())
+                .collect()
+        })
+        .collect();
+    let b = MultiVector::from_columns(&cols);
+    let dev = Device::new(GpuSpec::a100());
+    let mut cfg = AmgConfig::amgt_fp64();
+    cfg.exec = ExecMode::Native;
+    cfg.tolerance = 0.0; // fixed iteration counts
+    let h = setup(&dev, &cfg, a);
+    let mut ws = SolveWorkspace::for_hierarchy(&h);
+
+    cfg.max_iterations = 8;
+    let mut x = MultiVector::zeros(b.nrows, b.ncols);
+    solve_batched_with_workspace(&dev, &cfg, &h, &b, &mut x, &mut ws);
+    let mut cfg4 = cfg.clone();
+    cfg4.max_iterations = 4;
+    let mut x4 = MultiVector::zeros(b.nrows, b.ncols);
+    let mut x8 = MultiVector::zeros(b.nrows, b.ncols);
+    dev.reserve_events(4_000_000);
+
+    let s0 = snapshot();
+    let r4 = solve_batched_with_workspace(&dev, &cfg4, &h, &b, &mut x4, &mut ws);
+    let s1 = snapshot();
+    let r8 = solve_batched_with_workspace(&dev, &cfg, &h, &b, &mut x8, &mut ws);
+    let s2 = snapshot();
+    assert_eq!((r4.iterations, r8.iterations), (4, 8));
+    let (d4, d8) = (s1.since(&s0).allocs, s2.since(&s1).allocs);
+    assert_eq!(
+        d8, d4,
+        "batched native solve allocates per iteration: 4 iters cost {d4} allocs, \
+         8 iters cost {d8}"
+    );
 }
 
 /// A second job on the same fingerprint must HIT the hierarchy cache and

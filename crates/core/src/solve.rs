@@ -59,6 +59,8 @@ pub struct SolveWorkspace {
     outer: LevelWorkspace,
     bc_mv: MultiVector,
     xc_mv: MultiVector,
+    /// Residual norms of the batch's active columns.
+    norms: Vec<f64>,
 }
 
 impl SolveWorkspace {
@@ -759,7 +761,9 @@ pub fn solve_batched_with_workspace(
         .map(|j| ConvergenceMonitor::for_column(HealthThresholds::default(), final_rel[j], j))
         .collect();
     let mut health_events: Vec<HealthEvent> = Vec::new();
-    let mut column_histories = vec![Vec::new(); ncols];
+    let mut column_histories: Vec<Vec<f64>> = (0..ncols)
+        .map(|_| Vec::with_capacity(cfg.max_iterations))
+        .collect();
     let mut iterations = 0usize;
     for it in 0..cfg.max_iterations {
         if active.is_empty() {
@@ -784,10 +788,13 @@ pub fn solve_batched_with_workspace(
             .a
             .spmm_into(&ctx0, &xc, &mut ws.outer.op, &mut ws.outer.ax_mv);
         vec_ops::sub_mv_into(&ctx0, &bc, &ws.outer.ax_mv, &mut ws.outer.r_mv);
-        let norms = vec_ops::norms2_mv(&ctx0, &ws.outer.r_mv);
+        vec_ops::norms2_mv_into(&ctx0, &ws.outer.r_mv, &mut ws.norms);
+        let norms = &ws.norms;
 
-        let mut still_active = Vec::with_capacity(active.len());
-        for (c, &j) in active.iter().enumerate() {
+        // Columns that stay active are compacted to the front of `active`.
+        let mut kept = 0;
+        for c in 0..active.len() {
+            let j = active[c];
             x.data[j * n..(j + 1) * n].copy_from_slice(xc.col(c));
             final_rel[j] = norms[c] / b_norms[j];
             column_iterations[j] = iterations;
@@ -824,12 +831,13 @@ pub fn solve_batched_with_workspace(
             if cfg.tolerance > 0.0 && final_rel[j] < cfg.tolerance {
                 converged[j] = true;
             } else {
-                still_active.push(j);
+                active[kept] = j;
+                kept += 1;
             }
         }
+        active.truncate(kept);
         ws.bc_mv = bc;
         ws.xc_mv = xc;
-        active = still_active;
     }
 
     let column_outcomes: Vec<SolveOutcome> = monitors

@@ -323,15 +323,20 @@ pub fn jacobi_fused_mv(
 /// the same fixed-topology tree as [`norm2`], so the batched and
 /// single-vector paths agree bitwise.
 pub fn norms2_mv(ctx: &Ctx, x: &MultiVector) -> Vec<f64> {
-    let timer = ctx.timer();
-    let norms = (0..x.ncols)
-        .map(|j| {
-            let col = x.col(j);
-            tree_sum(col.len(), &|i| col[i] * col[i]).sqrt()
-        })
-        .collect();
-    charge_stream(ctx, x.data.len(), 1.0, 2.0, timer);
+    let mut norms = Vec::with_capacity(x.ncols);
+    norms2_mv_into(ctx, x, &mut norms);
     norms
+}
+
+/// [`norms2_mv`] into a caller-owned vector (same bits, same charge).
+pub fn norms2_mv_into(ctx: &Ctx, x: &MultiVector, norms: &mut Vec<f64>) {
+    let timer = ctx.timer();
+    norms.clear();
+    norms.extend((0..x.ncols).map(|j| {
+        let col = x.col(j);
+        tree_sum(col.len(), &|i| col[i] * col[i]).sqrt()
+    }));
+    charge_stream(ctx, x.data.len(), 1.0, 2.0, timer);
 }
 
 #[cfg(test)]

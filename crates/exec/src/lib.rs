@@ -23,9 +23,11 @@
 //! an approximation of it.
 //!
 //! Every kernel method takes a whole row range, one call per fork-join
-//! leaf: [`ExecBackend::spmv_rows`] (the emulator loops its warp emulation
-//! over the range's jobs, the native backend runs one register-resident
-//! sweep per job), [`ExecBackend::spgemm_rows`] and
+//! leaf: [`ExecBackend::spmm_rows`] (a chunk of up to [`SPMM_COLS`]
+//! operand columns; SpMV is the one-column call: the emulator loops its
+//! warp emulation over the range's jobs and the chunk's columns, the
+//! native backend runs one register-resident sweep per job that reads
+//! each tile once for the whole chunk), [`ExecBackend::spgemm_rows`] and
 //! [`ExecBackend::csr_spmv_rows`]. No backend returns an operation count:
 //! the SpMV counters depend only on the matrix and the warp schedule, the
 //! SpGEMM counters only on the bitmaps and the popcount threshold, so the
@@ -113,32 +115,49 @@ pub fn warp_jobs(lo: usize, hi: usize, job_len: usize) -> impl Iterator<Item = (
         .map(move |s| (s, (hi - s).min(job_len)))
 }
 
-/// The block-row loop behind every [`ExecBackend::spmv_rows`]: for
-/// block-row `rows.start + i`, each warp job's 4 partial sums
-/// `job(start, len)` fold into an accumulator that starts at `+0.0` as
-/// `acc = round(acc + part)` (the emulator's `round_accum`), and the row's
-/// results are written to `y[4 i..]`, clipped to `y`.
+/// Most operand columns one [`ExecBackend::spmm_rows`] call takes. The
+/// native FP64 tensor-core sweep keeps `2 x SPMM_COLS` group accumulators
+/// in registers.
+pub const SPMM_COLS: usize = 4;
+
+/// The block-row loop behind every [`ExecBackend::spmm_rows`], for a chunk
+/// of `N` columns: for block-row `rows.start + i`, each warp job's 4
+/// partial sums per column `job(start, len)[c]` fold into that column's
+/// accumulator, which starts at `+0.0`, as `acc = round(acc + part)` (the
+/// emulator's `round_accum`), and the row's results are written to
+/// `y[c][4 i..]`, clipped to `y[c]`.
 #[inline(always)]
-pub(crate) fn fold_block_rows(
+pub(crate) fn fold_block_rows<const N: usize>(
     a: &Mbsr,
     job_len: usize,
     rows: Range<usize>,
-    y: &mut [f64],
+    y: &mut [&mut [f64]],
     round: impl Fn(f64) -> f64,
-    mut job: impl FnMut(usize, usize) -> [f64; TILE],
+    mut job: impl FnMut(usize, usize) -> [[f64; TILE]; N],
 ) {
+    let y: &mut [&mut [f64]; N] = y.try_into().expect("one output slice per column");
     for (i, br) in rows.enumerate() {
-        let mut acc = [0.0f64; TILE];
+        let mut acc = [[0.0f64; TILE]; N];
         for (start, len) in warp_jobs(a.blc_ptr[br], a.blc_ptr[br + 1], job_len) {
             let part = job(start, len);
-            for r in 0..TILE {
-                acc[r] = round(acc[r] + part[r]);
+            for c in 0..N {
+                for r in 0..TILE {
+                    acc[c][r] = round(acc[c][r] + part[c][r]);
+                }
             }
         }
-        for (o, v) in y[i * TILE..].iter_mut().zip(acc) {
-            *o = v;
+        for c in 0..N {
+            for (o, v) in y[c][i * TILE..].iter_mut().zip(acc[c]) {
+                *o = v;
+            }
         }
     }
+}
+
+/// Column `c` of `N` columns stored back to back in `v`, each `len` long.
+#[inline(always)]
+pub(crate) fn columns<T, const N: usize>(v: &[T], len: usize) -> [&[T]; N] {
+    std::array::from_fn(|c| &v[c * len..(c + 1) * len])
 }
 
 /// The inputs of one [`ExecBackend::spgemm_rows`] call.
@@ -247,23 +266,29 @@ pub trait ExecBackend: Send + Sync {
         a32.clear();
     }
 
-    /// SpMV over the block-rows `rows` of `a` (Algorithm 5): each row's
-    /// warp jobs ([`warp_jobs`] at `job_len`) run on `path` in order, their
-    /// 4 partial sums fold into the row with `round_accum`, and the row's
-    /// results land in `y[4 i..4 i + 4]` for block-row `rows.start + i`
-    /// (`y` covers exactly the range's output rows; the last block-row of
-    /// the matrix may be short). `a32` and `x32` are the images from
-    /// [`ExecBackend::spmv_tile_image`] and [`ExecBackend::spmv_quantize_x`]
-    /// at `prec` (a backend that built none ignores them); `xp` is the
-    /// quantized, padded operand. Operands must pass [`operand_is_finite`]:
-    /// the native kernels are bitwise-exact only for finite operands, so
-    /// callers route any other operand through the emulator.
+    /// SpMV of a chunk of operand columns over the block-rows `rows` of
+    /// `a` (Algorithm 5); SpMV of one vector is the one-column call. Each
+    /// row's warp jobs ([`warp_jobs`] at `job_len`) run on `path` in
+    /// order, their 4 partial sums fold into the row with `round_accum`,
+    /// and column `c`'s results for block-row `rows.start + i` land in
+    /// `y[c][4 i..4 i + 4]` (`y[c]` covers exactly the range's output rows;
+    /// the last block-row of the matrix may be short). `y.len()` is the
+    /// chunk's column count, from 1 to [`SPMM_COLS`]. `xp` holds the
+    /// chunk's quantized, padded operand columns back to back (column `c`
+    /// at `xp[c * p..(c + 1) * p]`, `p = 4 * a.blk_cols()`), and `x32`
+    /// their [`ExecBackend::spmv_quantize_x`] image in the same layout;
+    /// `a32` is the [`ExecBackend::spmv_tile_image`] at `prec` (a backend
+    /// that built no image ignores it). Every column's bits equal those of
+    /// a one-column call on that column. Operands must pass
+    /// [`operand_is_finite`]: the native kernels are bitwise-exact only
+    /// for finite operands, so callers route any other operand through
+    /// the emulator.
     ///
     /// Operation counters are not part of this call: they depend only on
     /// the matrix and the schedule, so the SpMV preprocessing computes them
     /// once from the bitmaps.
     #[allow(clippy::too_many_arguments)]
-    fn spmv_rows(
+    fn spmm_rows(
         &self,
         prec: Precision,
         path: SpmvPath,
@@ -273,7 +298,7 @@ pub trait ExecBackend: Send + Sync {
         rows: Range<usize>,
         xp: &[f64],
         x32: &[f32],
-        y: &mut [f64],
+        y: &mut [&mut [f64]],
     );
 
     /// SpGEMM numeric over `job.rows` of `C = A * B` (Algorithm 4), A

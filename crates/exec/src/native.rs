@@ -43,25 +43,40 @@
 //! counts operations: the SpMV plan and the SpGEMM symbolic pass take
 //! their counters from the bitmaps.
 //!
-//! ## SpMV: one call per block-row range
+//! ## SpMV: one call per block-row range and column chunk
 //!
-//! [`ExecBackend::spmv_rows`] gets a whole fork-join leaf of block-rows.
-//! One loop ([`crate::fold_block_rows`], shared with the emulator) walks
-//! each row's warp jobs in order and folds their partial sums into the row,
-//! so a row costs no dynamic dispatch and no per-job counter pass. Each job
-//! is one sweep with `G` group accumulators — `G = 2` (the two fragment
-//! halves) on the tensor-core path, `G = 8` (the lane groups) on the
-//! CUDA-core path — followed by the emulator's warp-sum tree:
+//! [`ExecBackend::spmm_rows`] gets a whole fork-join leaf of block-rows
+//! and a chunk of `N` (1 to [`SPMM_COLS`]) operand columns; SpMV is the
+//! `N = 1` call. One loop ([`crate::fold_block_rows`], shared with the
+//! emulator) walks each row's warp jobs in order and folds their partial
+//! sums into the row, per column, so a row costs no dynamic dispatch and
+//! no per-job counter pass. Each job is one sweep with `G` group
+//! accumulators per column — `G = 2` (the two fragment halves) on the
+//! tensor-core path, `G = 8` (the lane groups) on the CUDA-core path —
+//! followed by the emulator's warp-sum tree, per column. The sweep loads
+//! each tile once and steps it into every column's chain of its group:
 //!
 //! * **FP64** ([`sweep_f64`]): the AVX2 body transposes each row-major
-//!   tile in registers, so one `__m256d` holds a k-column across the 4
-//!   rows, and keeps the `G` accumulators in registers (`vmulpd` then
-//!   `vaddpd`, never FMA); the tree runs lane-wise on the vectors. The
-//!   row-range loop and the sweep inline into one AVX2 function. A
-//!   column-major f64 copy of the tiles would save the transposes but cost
-//!   128 B per tile, so the kernel reads the mBSR values as stored.
+//!   tile in registers once, so one `__m256d` holds a k-column across the
+//!   4 rows, then runs the same `vmulpd`/`vaddpd` steps (never FMA) into
+//!   each column's group accumulator; the tree runs lane-wise on the
+//!   vectors. The row-range loop and the sweep inline into one AVX2
+//!   function. A column-major f64 copy of the tiles would save the
+//!   transposes but cost 128 B per tile, so the kernel reads the mBSR
+//!   values as stored.
 //! * **FP32/FP16** ([`sweep_f32`]): the same loop over the `f32` tile
-//!   image described next.
+//!   image described below, its four column loads shared by the chunk.
+//! * **Walk order.** Groups are independent chains, so any walk that
+//!   gives each group its own tiles in order yields the same bits. While
+//!   the `G * N` accumulators fit in registers (at most 8: the
+//!   tensor-core path at every chunk width, the CUDA-core path at one
+//!   column) the sweep walks the tiles in order with the group cycling;
+//!   otherwise (the CUDA-core path from two columns on) it walks the job
+//!   group by group (tiles `g, g + 8, ...`), keeping `N` accumulators
+//!   live. The one-column call keeps the in-order walk: walking the
+//!   CUDA-core path group by group at one column made FP64 SpMV over the
+//!   Small mc2depi hierarchy about 15% slower (best of 4 runs on one
+//!   pinned CPU of a shared 2-vCPU x86-64 host).
 //!
 //! ## SpGEMM numeric: one call per block-row range
 //!
@@ -112,7 +127,10 @@
 //!   because SpGEMM and the emulator read them.
 
 use crate::simd::{simd_level, SimdLevel};
-use crate::{fold_block_rows, spgemm_block_rows, ExecBackend, SpgemmRows, SpgemmTarget, SpmvPath};
+use crate::{
+    columns, fold_block_rows, spgemm_block_rows, ExecBackend, SpgemmRows, SpgemmTarget, SpmvPath,
+    SPMM_COLS,
+};
 use amgt_sim::precision::{round_tf32, Precision, F16};
 use amgt_sparse::bitmap::{self, TILE, TILE_AREA};
 use amgt_sparse::{Csr, Mbsr};
@@ -165,7 +183,7 @@ impl ExecBackend for Native {
         }
     }
 
-    fn spmv_rows(
+    fn spmm_rows(
         &self,
         prec: Precision,
         path: SpmvPath,
@@ -175,15 +193,14 @@ impl ExecBackend for Native {
         rows: Range<usize>,
         xp: &[f64],
         x32: &[f32],
-        y: &mut [f64],
+        y: &mut [&mut [f64]],
     ) {
-        // Slot parity on the tensor-core path, the eight lane groups on
-        // the CUDA-core path: the same sweep, different group counts.
-        match (prec, path) {
-            (Precision::Fp64, SpmvPath::TensorCore) => rows_f64::<2>(a, job_len, rows, xp, y),
-            (Precision::Fp64, SpmvPath::CudaCore) => rows_f64::<8>(a, job_len, rows, xp, y),
-            (_, SpmvPath::TensorCore) => rows_f32::<2>(a, a32, job_len, rows, x32, y),
-            (_, SpmvPath::CudaCore) => rows_f32::<8>(a, a32, job_len, rows, x32, y),
+        match y.len() {
+            1 => spmm_rows_n::<1>(prec, path, a, a32, job_len, rows, xp, x32, y),
+            2 => spmm_rows_n::<2>(prec, path, a, a32, job_len, rows, xp, x32, y),
+            3 => spmm_rows_n::<3>(prec, path, a, a32, job_len, rows, xp, x32, y),
+            4 => spmm_rows_n::<4>(prec, path, a, a32, job_len, rows, xp, x32, y),
+            n => panic!("{n} columns in one call; a chunk holds 1 to {SPMM_COLS}"),
         }
     }
 
@@ -320,19 +337,95 @@ fn image_sweep(a: &Mbsr, a32: &mut Vec<f32>, cvt: impl Fn(f64) -> f32 + Sync) {
 // one `round_accum`. The native sweeps replicate that tree verbatim; the
 // f32 modes widen the group accumulators to f64 exactly, run the tree in
 // f64 and round the result back once.
+//
+// A chunk of `N` columns keeps one accumulator per group and column; the
+// module docs ("Walk order") give the order a sweep walks a job's tiles.
 
-/// FP64 SpMV over a block-row range: one [`sweep_f64`] per warp job.
-fn rows_f64<const G: usize>(
+/// Most accumulators a sweep keeps live while walking a job's tiles in
+/// order; past this it walks the job group by group.
+const MAX_LIVE_ACC: usize = 8;
+
+/// The walk of one warp job of `len` tiles for `G` groups of `N`
+/// accumulators starting at `zero` (see "Walk order" in the module
+/// docs): `step(acc, t)` steps tile `t` into its group's accumulators,
+/// and each group sees its own tiles in order. The in-order walk takes
+/// tiles `G` at a time with a constant group per unrolled step, so the
+/// accumulators stay in registers.
+#[inline(always)]
+fn walk_job<A: Copy, const G: usize, const N: usize>(
+    len: usize,
+    zero: A,
+    mut step: impl FnMut(&mut [A; N], usize),
+) -> [[A; N]; G] {
+    let mut acc = [[zero; N]; G];
+    if G * N <= MAX_LIVE_ACC {
+        let full = len / G;
+        for c in 0..full {
+            for g in 0..G {
+                step(&mut acc[g], c * G + g);
+            }
+        }
+        let rem = len - full * G;
+        for g in 0..G {
+            if g < rem {
+                step(&mut acc[g], full * G + g);
+            }
+        }
+    } else {
+        // Groups past the job's length hold no tile.
+        for g in 0..G.min(len) {
+            let mut group = [zero; N];
+            for t in (g..len).step_by(G) {
+                step(&mut group, t);
+            }
+            acc[g] = group;
+        }
+    }
+    acc
+}
+
+/// [`ExecBackend::spmm_rows`] at a chunk of `N` columns: the f64 rows on
+/// FP64, the tile-image rows on FP32/FP16.
+#[allow(clippy::too_many_arguments)]
+fn spmm_rows_n<const N: usize>(
+    prec: Precision,
+    path: SpmvPath,
     a: &Mbsr,
+    a32: &[f32],
     job_len: usize,
     rows: Range<usize>,
     xp: &[f64],
-    y: &mut [f64],
+    x32: &[f32],
+    y: &mut [&mut [f64]],
+) {
+    let p = a.blk_cols() * TILE;
+    // Slot parity on the tensor-core path, the eight lane groups on the
+    // CUDA-core path: the same sweep, different group counts.
+    match (prec, path) {
+        (Precision::Fp64, SpmvPath::TensorCore) => {
+            rows_f64::<2, N>(a, job_len, rows, columns(xp, p), y);
+        }
+        (Precision::Fp64, SpmvPath::CudaCore) => {
+            rows_f64::<8, N>(a, job_len, rows, columns(xp, p), y);
+        }
+        (_, SpmvPath::TensorCore) => rows_f32::<2, N>(a, a32, job_len, rows, columns(x32, p), y),
+        (_, SpmvPath::CudaCore) => rows_f32::<8, N>(a, a32, job_len, rows, columns(x32, p), y),
+    }
+}
+
+/// FP64 SpMV of `N` columns over a block-row range: one [`sweep_f64`] per
+/// warp job.
+fn rows_f64<const G: usize, const N: usize>(
+    a: &Mbsr,
+    job_len: usize,
+    rows: Range<usize>,
+    xs: [&[f64]; N],
+    y: &mut [&mut [f64]],
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
         // SAFETY: AVX2 support confirmed at runtime by `simd_level()`.
-        unsafe { x86::rows_f64_avx2::<G>(a, job_len, rows, xp, y) };
+        unsafe { x86::rows_f64_avx2::<G, N>(a, job_len, rows, xs, y) };
         return;
     }
     fold_block_rows(
@@ -341,7 +434,7 @@ fn rows_f64<const G: usize>(
         rows,
         y,
         |v| v,
-        |s, len| sweep_f64::<G>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xp),
+        |s, len| sweep_f64::<G, N>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xs),
     );
 }
 
@@ -352,20 +445,24 @@ fn job_tiles(vals: &[f64], s: usize, len: usize) -> &[f64] {
 }
 
 /// The FP64 SpMV sweep of one warp job over its row-major tiles (`idx` =
-/// their block columns): per group, 4 row chains k-ascending from `+0.0`
-/// with a separate multiply and add, then the warp-sum tree. Dense: the
-/// unmapped `+/-0.0` slots only insert no-op `acc + (+/-0.0)` steps (see
-/// the module docs).
-fn sweep_f64<const G: usize>(tiles: &[f64], idx: &[u32], xp: &[f64]) -> [f64; TILE] {
+/// their block columns) for each of the `N` operand columns `xs`: per
+/// group, 4 row chains k-ascending from `+0.0` with a separate multiply
+/// and add, then the warp-sum tree. Dense: the unmapped `+/-0.0` slots
+/// only insert no-op `acc + (+/-0.0)` steps (see the module docs).
+fn sweep_f64<const G: usize, const N: usize>(
+    tiles: &[f64],
+    idx: &[u32],
+    xs: [&[f64]; N],
+) -> [[f64; TILE]; N] {
     #[cfg(target_arch = "x86_64")]
     if simd_level() == SimdLevel::Avx2 {
         // SAFETY: AVX2 support confirmed at runtime by `simd_level()`.
-        return unsafe { x86::sweep_f64_avx2::<G>(tiles, idx, xp) };
+        return unsafe { x86::sweep_f64_avx2::<G, N>(tiles, idx, xs) };
     }
-    sweep_f64_portable::<G>(tiles, idx, xp)
+    xs.map(|xp| sweep_f64_portable::<G>(tiles, idx, xp))
 }
 
-/// Portable body of [`sweep_f64`].
+/// Portable body of [`sweep_f64`], one column.
 fn sweep_f64_portable<const G: usize>(tiles: &[f64], idx: &[u32], xp: &[f64]) -> [f64; TILE] {
     let mut acc = [[0.0f64; TILE]; G];
     for (offset, &bc) in idx.iter().enumerate() {
@@ -400,52 +497,55 @@ fn reduce_groups<const G: usize>(mut g: [[f64; TILE]; G]) -> [f64; TILE] {
     g[0]
 }
 
-/// FP32/FP16 SpMV over a block-row range: one [`sweep_f32`] per warp job
-/// over the tile image, the group tree in f64, and `round_accum` (an `f32`
-/// rounding) on the job result and on every fold into the row.
-fn rows_f32<const G: usize>(
+/// FP32/FP16 SpMV of `N` columns over a block-row range: one
+/// [`sweep_f32`] per warp job over the tile image, the group tree in f64
+/// per column, and `round_accum` (an `f32` rounding) on each column's job
+/// result and on every fold into the row.
+fn rows_f32<const G: usize, const N: usize>(
     a: &Mbsr,
     a32: &[f32],
     job_len: usize,
     rows: Range<usize>,
-    x32: &[f32],
-    y: &mut [f64],
+    x32: [&[f32]; N],
+    y: &mut [&mut [f64]],
 ) {
     let round = |v: f64| f64::from(v as f32);
     fold_block_rows(a, job_len, rows, y, round, |s, len| {
-        let g = sweep_f32::<G>(a32, &a.blc_idx[s..s + len], s, x32);
-        reduce_groups(g.map(|row| row.map(f64::from))).map(round)
+        sweep_f32::<G, N>(a32, &a.blc_idx[s..s + len], s, x32)
+            .map(|g| reduce_groups(g.map(|row| row.map(f64::from))).map(round))
     });
 }
 
-/// The reduced-precision SpMV sweep shared by both warp paths: tile
-/// `offset` of the job (`idx` = its block columns, starting at absolute
-/// tile `first`) accumulates into group `offset % G` — slot parity for
-/// the tensor-core path (`G = 2`), the eight lane groups of the CUDA-core
-/// path (`G = 8`). Each group's 4 row chains run k-ascending from `+0.0`
-/// over the tile image `a32` and the operand image `x32`, the emulator's
-/// order. SSE2 is part of the x86-64 baseline, so that body needs no
+/// The reduced-precision SpMV sweep shared by both warp paths, for each of
+/// the `N` operand images `x32`: tile `offset` of the job (`idx` = its
+/// block columns, starting at absolute tile `first`) accumulates into
+/// group `offset % G` — slot parity for the tensor-core path (`G = 2`),
+/// the eight lane groups of the CUDA-core path (`G = 8`). Each group's 4
+/// row chains run k-ascending from `+0.0` over the tile image `a32` and
+/// the operand image, the emulator's order. Returns each column's group
+/// values. SSE2 is part of the x86-64 baseline, so that body needs no
 /// runtime detection; other targets run the portable body.
 #[inline]
-fn sweep_f32<const G: usize>(
+fn sweep_f32<const G: usize, const N: usize>(
     a32: &[f32],
     idx: &[u32],
     first: usize,
-    x32: &[f32],
-) -> [[f32; TILE]; G] {
+    x32: [&[f32]; N],
+) -> [[[f32; TILE]; G]; N] {
     let tiles = &a32[first * TILE_AREA..(first + idx.len()) * TILE_AREA];
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: SSE2 is part of the x86-64 baseline.
-        unsafe { x86::sweep_f32_sse::<G>(tiles, idx, x32) }
+        unsafe { x86::sweep_f32_sse::<G, N>(tiles, idx, x32) }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        sweep_f32_portable::<G>(tiles, idx, x32)
+        x32.map(|x| sweep_f32_portable::<G>(tiles, idx, x))
     }
 }
 
-/// Portable body of [`sweep_f32`] over the job's own image slice.
+/// Portable body of [`sweep_f32`] over the job's own image slice, one
+/// column.
 #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
 fn sweep_f32_portable<const G: usize>(tiles: &[f32], idx: &[u32], x32: &[f32]) -> [[f32; TILE]; G] {
     let mut acc = [[0.0f32; TILE]; G];
@@ -583,7 +683,7 @@ fn csr_rows<T: Elem>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        bitmap, fold_block_rows, job_tiles, spgemm_block_rows, Mbsr, Range, SpgemmRows,
+        bitmap, fold_block_rows, job_tiles, spgemm_block_rows, walk_job, Mbsr, Range, SpgemmRows,
         SpgemmTarget, TILE, TILE_AREA,
     };
     use std::arch::x86_64::{
@@ -594,50 +694,50 @@ mod x86 {
         _mm_setzero_ps, _mm_storeu_ps,
     };
 
-    /// SSE body of [`super::sweep_f32`]: one `__m128` accumulator per
-    /// group, each tile four column loads times the broadcast operand value
-    /// with a separate multiply and add. Tiles are taken `G` at a time with
-    /// a constant group per unrolled step, so the accumulators stay in
-    /// registers.
+    /// The 4 columns of a column-major image tile, one `__m128` each.
     #[target_feature(enable = "sse2")]
-    pub(super) fn sweep_f32_sse<const G: usize>(
+    #[inline]
+    fn image_columns(tile: &[f32]) -> [__m128; TILE] {
+        let tile = &tile[..TILE_AREA];
+        // SAFETY: `tile` holds 16 values, so column `k` (4 values at `4k`)
+        // is in bounds.
+        std::array::from_fn(|k| unsafe { _mm_loadu_ps(tile.as_ptr().add(k * TILE)) })
+    }
+
+    /// One tile's step of one group chain: `acc + col_k * x[k]` for `k`
+    /// ascending, with a separate multiply and add.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn step_f32(acc: __m128, cols: &[__m128; TILE], x32: &[f32], bc: u32) -> __m128 {
+        let xs = &x32[bc as usize * TILE..bc as usize * TILE + TILE];
+        let mut acc = acc;
+        for k in 0..TILE {
+            acc = _mm_add_ps(acc, _mm_mul_ps(cols[k], _mm_set1_ps(xs[k])));
+        }
+        acc
+    }
+
+    /// SSE body of [`super::sweep_f32`]: one `__m128` accumulator per
+    /// group and column over the [`walk_job`] walk, each tile's four
+    /// column loads shared by the chunk's columns.
+    #[target_feature(enable = "sse2")]
+    pub(super) fn sweep_f32_sse<const G: usize, const N: usize>(
         tiles: &[f32],
         idx: &[u32],
-        x32: &[f32],
-    ) -> [[f32; TILE]; G] {
-        #[target_feature(enable = "sse2")]
-        #[inline]
-        fn step(acc: __m128, tile: &[f32], bc: u32, x32: &[f32]) -> __m128 {
-            let tile = &tile[..TILE_AREA];
-            let xs = &x32[bc as usize * TILE..bc as usize * TILE + TILE];
-            let mut acc = acc;
-            for k in 0..TILE {
-                // SAFETY: `tile` holds 16 values, so column `k` (4 values
-                // at `4k`) is in bounds.
-                let col = unsafe { _mm_loadu_ps(tile.as_ptr().add(k * TILE)) };
-                acc = _mm_add_ps(acc, _mm_mul_ps(col, _mm_set1_ps(xs[k])));
+        x32: [&[f32]; N],
+    ) -> [[[f32; TILE]; G]; N] {
+        let acc = walk_job::<_, G, N>(idx.len(), _mm_setzero_ps(), |acc, t| {
+            let cols = image_columns(&tiles[t * TILE_AREA..]);
+            for c in 0..N {
+                acc[c] = step_f32(acc[c], &cols, x32[c], idx[t]);
             }
-            acc
-        }
-        let mut acc = [_mm_setzero_ps(); G];
-        let full = idx.len() / G;
-        for c in 0..full {
-            for g in 0..G {
-                let t = c * G + g;
-                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], x32);
-            }
-        }
-        let rem = idx.len() - full * G;
+        });
+        let mut out = [[[0.0f32; TILE]; G]; N];
         for g in 0..G {
-            if g < rem {
-                let t = full * G + g;
-                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], x32);
+            for c in 0..N {
+                // SAFETY: `out[c][g]` holds 4 `f32`s.
+                unsafe { _mm_storeu_ps(out[c][g].as_mut_ptr(), acc[g][c]) };
             }
-        }
-        let mut out = [[0.0f32; TILE]; G];
-        for g in 0..G {
-            // SAFETY: `out[g]` holds 4 `f32`s.
-            unsafe { _mm_storeu_ps(out[g].as_mut_ptr(), acc[g]) };
         }
         out
     }
@@ -646,12 +746,12 @@ mod x86 {
     /// sweep inline into one function, so each job's group accumulators
     /// stay in registers.
     #[target_feature(enable = "avx2")]
-    pub(super) fn rows_f64_avx2<const G: usize>(
+    pub(super) fn rows_f64_avx2<const G: usize, const N: usize>(
         a: &Mbsr,
         job_len: usize,
         rows: Range<usize>,
-        xp: &[f64],
-        y: &mut [f64],
+        xs: [&[f64]; N],
+        y: &mut [&mut [f64]],
     ) {
         fold_block_rows(
             a,
@@ -659,74 +759,80 @@ mod x86 {
             rows,
             y,
             |v| v,
-            |s, len| sweep_f64_avx2::<G>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xp),
+            |s, len| {
+                sweep_f64_avx2::<G, N>(job_tiles(&a.blc_val, s, len), &a.blc_idx[s..s + len], xs)
+            },
         );
     }
 
-    /// AVX2 body of [`super::sweep_f64`]: one `__m256d` accumulator per
-    /// group holding its 4 row chains. Each row-major tile is transposed in
-    /// registers so one vector holds a k-column across the 4 rows, then
-    /// multiplied by the broadcast operand value with a separate `vmulpd`
-    /// and `vaddpd` (FMA would fuse the two roundings the precision model
-    /// requires). Tiles are taken `G` at a time with a constant group per
-    /// unrolled step, and the warp-sum tree runs lane-wise on the vectors.
+    /// A row-major tile transposed in registers: `cols[k]` holds column
+    /// `k` across the 4 rows.
     #[target_feature(enable = "avx2")]
     #[inline]
-    pub(super) fn sweep_f64_avx2<const G: usize>(
+    fn tile_columns(tile: &[f64]) -> [__m256d; TILE] {
+        let tile = &tile[..TILE_AREA];
+        // SAFETY: `tile` holds 16 values, so rows 0..4 (4 values at `4r`)
+        // are in bounds.
+        let [r0, r1, r2, r3] =
+            std::array::from_fn(|r| unsafe { _mm256_loadu_pd(tile.as_ptr().add(r * TILE)) });
+        let t0 = _mm256_unpacklo_pd(r0, r1);
+        let t1 = _mm256_unpackhi_pd(r0, r1);
+        let t2 = _mm256_unpacklo_pd(r2, r3);
+        let t3 = _mm256_unpackhi_pd(r2, r3);
+        [
+            _mm256_permute2f128_pd(t0, t2, 0x20),
+            _mm256_permute2f128_pd(t1, t3, 0x20),
+            _mm256_permute2f128_pd(t0, t2, 0x31),
+            _mm256_permute2f128_pd(t1, t3, 0x31),
+        ]
+    }
+
+    /// One tile's step of one group's 4 row chains: `acc + col_k * x[k]`
+    /// for `k` ascending, with a separate `vmulpd` and `vaddpd` (FMA would
+    /// fuse the two roundings the precision model requires).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn step_f64(acc: __m256d, cols: &[__m256d; TILE], xp: &[f64], bc: u32) -> __m256d {
+        let xs = &xp[bc as usize * TILE..bc as usize * TILE + TILE];
+        let mut acc = acc;
+        for k in 0..TILE {
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(cols[k], _mm256_set1_pd(xs[k])));
+        }
+        acc
+    }
+
+    /// AVX2 body of [`super::sweep_f64`]: one `__m256d` accumulator per
+    /// group and column holding its 4 row chains, over the [`walk_job`]
+    /// walk. Each tile is transposed once and stepped into every column's
+    /// chain of its group. The warp-sum tree runs lane-wise on the
+    /// vectors, per column.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) fn sweep_f64_avx2<const G: usize, const N: usize>(
         tiles: &[f64],
         idx: &[u32],
-        xp: &[f64],
-    ) -> [f64; TILE] {
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        fn step(acc: __m256d, tile: &[f64], bc: u32, xp: &[f64]) -> __m256d {
-            let tile = &tile[..TILE_AREA];
-            let xs = &xp[bc as usize * TILE..bc as usize * TILE + TILE];
-            // SAFETY: `tile` holds 16 values, so rows 0..4 (4 values at
-            // `4r`) are in bounds.
-            let [r0, r1, r2, r3] =
-                std::array::from_fn(|r| unsafe { _mm256_loadu_pd(tile.as_ptr().add(r * TILE)) });
-            let t0 = _mm256_unpacklo_pd(r0, r1);
-            let t1 = _mm256_unpackhi_pd(r0, r1);
-            let t2 = _mm256_unpacklo_pd(r2, r3);
-            let t3 = _mm256_unpackhi_pd(r2, r3);
-            let cols = [
-                _mm256_permute2f128_pd(t0, t2, 0x20),
-                _mm256_permute2f128_pd(t1, t3, 0x20),
-                _mm256_permute2f128_pd(t0, t2, 0x31),
-                _mm256_permute2f128_pd(t1, t3, 0x31),
-            ];
-            let mut acc = acc;
-            for k in 0..TILE {
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(cols[k], _mm256_set1_pd(xs[k])));
+        xs: [&[f64]; N],
+    ) -> [[f64; TILE]; N] {
+        let mut acc = walk_job::<_, G, N>(idx.len(), _mm256_setzero_pd(), |acc, t| {
+            let cols = tile_columns(&tiles[t * TILE_AREA..]);
+            for c in 0..N {
+                acc[c] = step_f64(acc[c], &cols, xs[c], idx[t]);
             }
-            acc
-        }
-        let mut acc = [_mm256_setzero_pd(); G];
-        let full = idx.len() / G;
-        for c in 0..full {
-            for g in 0..G {
-                let t = c * G + g;
-                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], xp);
-            }
-        }
-        let rem = idx.len() - full * G;
-        for g in 0..G {
-            if g < rem {
-                let t = full * G + g;
-                acc[g] = step(acc[g], &tiles[t * TILE_AREA..], idx[t], xp);
-            }
-        }
+        });
         let mut n = G;
         while n > 1 {
             n /= 2;
             for i in 0..n {
-                acc[i] = _mm256_add_pd(acc[i], acc[i + n]);
+                for c in 0..N {
+                    acc[i][c] = _mm256_add_pd(acc[i][c], acc[i + n][c]);
+                }
             }
         }
-        let mut out = [0.0f64; TILE];
-        // SAFETY: `out` holds 4 `f64`s.
-        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), acc[0]) };
+        let mut out = [[0.0f64; TILE]; N];
+        for c in 0..N {
+            // SAFETY: `out[c]` holds 4 `f64`s.
+            unsafe { _mm256_storeu_pd(out[c].as_mut_ptr(), acc[0][c]) };
+        }
         out
     }
 
@@ -803,10 +909,11 @@ mod tests {
         xp
     }
 
-    /// Row-range SpMV, native vs emulator, bitwise: both paths, several
-    /// job lengths (unbounded, and splits that start jobs mid-row, where
-    /// the tile image is indexed absolutely), and row ranges that start
-    /// mid-matrix or end on a short last block-row.
+    /// Row-range SpMV of column chunks, native vs emulator, bitwise: both
+    /// paths, every chunk width, several job lengths (unbounded, and
+    /// splits that start jobs mid-row, where the tile image is indexed
+    /// absolutely), and row ranges that start mid-matrix or end on a short
+    /// last block-row.
     #[test]
     fn spmv_rows_match_simulated_bitwise() {
         for seed in 0..24u64 {
@@ -814,29 +921,40 @@ mod tests {
             let m = Mbsr::from_csr(&a);
             let nrows = m.nrows();
             for prec in PRECS {
-                let xp = padded_x(&m, prec, seed ^ 0xabcd);
+                let xp: Vec<f64> = (0..SPMM_COLS as u64)
+                    .flat_map(|c| padded_x(&m, prec, seed ^ 0xabcd ^ (c << 32)))
+                    .collect();
                 let (mut a32, mut x32) = (Vec::new(), Vec::new());
                 Native.spmv_tile_image(prec, &m, &mut a32);
                 Native.spmv_quantize_x(prec, &xp, &mut x32);
                 assert_eq!(a32.is_empty(), prec == Precision::Fp64);
+                let p = m.blk_cols() * TILE;
                 for path in [SpmvPath::TensorCore, SpmvPath::CudaCore] {
                     for job_len in [usize::MAX, 1, 2, 3, 16] {
                         let mid = m.blk_rows() / 3;
                         for rows in [0..m.blk_rows(), 0..mid, mid..m.blk_rows()] {
                             let out = rows.start * TILE..(rows.end * TILE).min(nrows);
-                            let mut ys = vec![f64::NAN; out.len()];
-                            let mut yn = vec![f64::NAN; out.len()];
-                            let r = rows.clone();
-                            Simulated.spmv_rows(prec, path, &m, &[], job_len, r, &xp, &[], &mut ys);
-                            Native
-                                .spmv_rows(prec, path, &m, &a32, job_len, rows, &xp, &x32, &mut yn);
-                            for (i, (s, n)) in ys.iter().zip(&yn).enumerate() {
-                                assert_eq!(
-                                    s.to_bits(),
-                                    n.to_bits(),
-                                    "{prec:?} {path:?} job_len {job_len} row {}",
-                                    out.start + i
-                                );
+                            for n in 1..=SPMM_COLS {
+                                let run = |be: &dyn ExecBackend| {
+                                    let mut y = vec![f64::NAN; n * out.len()];
+                                    let mut ys: Vec<&mut [f64]> = y.chunks_mut(out.len()).collect();
+                                    let (xp, x32) = (&xp[..n * p], x32.get(..n * p).unwrap_or(&[]));
+                                    let r = rows.clone();
+                                    be.spmm_rows(
+                                        prec, path, &m, &a32, job_len, r, xp, x32, &mut ys,
+                                    );
+                                    y
+                                };
+                                let (ys, yn) = (run(&Simulated), run(&Native));
+                                for (i, (s, n)) in ys.iter().zip(&yn).enumerate() {
+                                    assert_eq!(
+                                        s.to_bits(),
+                                        n.to_bits(),
+                                        "{prec:?} {path:?} job_len {job_len} column {} row {}",
+                                        i / out.len(),
+                                        out.start + i % out.len()
+                                    );
+                                }
                             }
                         }
                     }
@@ -848,7 +966,8 @@ mod tests {
     /// The SIMD body of the f64 sweep and its portable body agree bit for
     /// bit (hosts with AVX2 never run the portable body otherwise), on
     /// tiles with signed-zero slots and job lengths that are not multiples
-    /// of the group count.
+    /// of the group count, for every chunk width (the CUDA-core sweep
+    /// walks group by group from two columns on).
     #[test]
     fn f64_sweep_simd_body_matches_portable() {
         let mut rng = StdRng::seed_from_u64(37);
@@ -865,27 +984,56 @@ mod tests {
                     }
                 })
                 .collect();
-            let xp: Vec<f64> = (0..n_cols * TILE)
+            let xp: Vec<f64> = (0..SPMM_COLS * n_cols * TILE)
                 .map(|_| rng.gen_range(-50.0..50.0))
                 .collect();
-            let bits = |a: [f64; TILE]| a.map(f64::to_bits);
+            let xs: [&[f64]; SPMM_COLS] = columns(&xp, n_cols * TILE);
+            let bits = |a: &[[f64; TILE]]| -> Vec<u64> {
+                a.iter().flatten().map(|v| v.to_bits()).collect()
+            };
+            let p2 = xs.map(|x| sweep_f64_portable::<2>(&tiles, &idx, x));
+            let p8 = xs.map(|x| sweep_f64_portable::<8>(&tiles, &idx, x));
             assert_eq!(
-                bits(sweep_f64_portable::<2>(&tiles, &idx, &xp)),
-                bits(sweep_f64::<2>(&tiles, &idx, &xp)),
+                bits(&p2[..1]),
+                bits(&sweep_f64::<2, 1>(&tiles, &idx, [xs[0]])),
                 "case {case}"
             );
             assert_eq!(
-                bits(sweep_f64_portable::<8>(&tiles, &idx, &xp)),
-                bits(sweep_f64::<8>(&tiles, &idx, &xp)),
+                bits(&p8[..1]),
+                bits(&sweep_f64::<8, 1>(&tiles, &idx, [xs[0]])),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(&p2[..3]),
+                bits(&sweep_f64::<2, 3>(&tiles, &idx, [xs[0], xs[1], xs[2]])),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(&p8[..3]),
+                bits(&sweep_f64::<8, 3>(&tiles, &idx, [xs[0], xs[1], xs[2]])),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(&p2),
+                bits(&sweep_f64::<2, 4>(&tiles, &idx, xs)),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(&p8),
+                bits(&sweep_f64::<8, 4>(&tiles, &idx, xs)),
                 "case {case}"
             );
         }
     }
 
     /// The SIMD body of the f32 sweep and its portable body agree bit for
-    /// bit (hosts with SSE2 never run the portable body otherwise).
+    /// bit (hosts with SSE2 never run the portable body otherwise), for
+    /// every chunk width.
     #[test]
     fn f32_sweep_simd_body_matches_portable() {
+        fn bits<const G: usize>(a: &[[[f32; TILE]; G]]) -> Vec<u32> {
+            a.iter().flatten().flatten().map(|v| v.to_bits()).collect()
+        }
         let mut rng = StdRng::seed_from_u64(31);
         for case in 0..64 {
             let n_cols = 1 + case % 9;
@@ -901,21 +1049,41 @@ mod tests {
                     }
                 })
                 .collect();
-            let xp: Vec<f64> = (0..n_cols * TILE)
+            let xp: Vec<f64> = (0..SPMM_COLS * n_cols * TILE)
                 .map(|_| rng.gen_range(-50.0..50.0))
                 .collect();
             for cvt in [tf32 as fn(f64) -> f32, half] {
                 let tiles: Vec<f32> = vals.iter().map(|&v| cvt(v)).collect();
                 let x32: Vec<f32> = xp.iter().map(|&v| cvt(v)).collect();
-                let p2 = sweep_f32_portable::<2>(&tiles, &idx, &x32);
-                let p8 = sweep_f32_portable::<8>(&tiles, &idx, &x32);
-                let s2 = sweep_f32::<2>(&tiles, &idx, 0, &x32);
-                let s8 = sweep_f32::<8>(&tiles, &idx, 0, &x32);
-                let bits = |a: &[[f32; TILE]]| -> Vec<u32> {
-                    a.iter().flatten().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(&p2), bits(&s2), "case {case}");
-                assert_eq!(bits(&p8), bits(&s8), "case {case}");
+                let xs: [&[f32]; SPMM_COLS] = columns(&x32, n_cols * TILE);
+                let p2 = xs.map(|x| sweep_f32_portable::<2>(&tiles, &idx, x));
+                let p8 = xs.map(|x| sweep_f32_portable::<8>(&tiles, &idx, x));
+                assert_eq!(
+                    bits(&p2[..1]),
+                    bits(&sweep_f32::<2, 1>(&tiles, &idx, 0, [xs[0]])),
+                    "case {case}"
+                );
+                assert_eq!(
+                    bits(&p8[..1]),
+                    bits(&sweep_f32::<8, 1>(&tiles, &idx, 0, [xs[0]])),
+                    "case {case}"
+                );
+                assert_eq!(
+                    bits(&p2),
+                    bits(&sweep_f32::<2, 4>(&tiles, &idx, 0, xs)),
+                    "case {case}"
+                );
+                assert_eq!(
+                    bits(&p8),
+                    bits(&sweep_f32::<8, 4>(&tiles, &idx, 0, xs)),
+                    "case {case}"
+                );
+                let three = [xs[0], xs[1], xs[2]];
+                assert_eq!(
+                    bits(&p8[..3]),
+                    bits(&sweep_f32::<8, 3>(&tiles, &idx, 0, three)),
+                    "case {case}"
+                );
             }
         }
     }

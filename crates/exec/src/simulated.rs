@@ -20,7 +20,7 @@ use std::ops::Range;
 /// The emulator-faithful backend (see module docs).
 pub struct Simulated;
 
-/// The lane-level warp kernels. [`ExecBackend::spmv_rows`] and
+/// The lane-level warp kernels. [`ExecBackend::spmm_rows`] and
 /// [`ExecBackend::spgemm_rows`] loop them over a block-row range; they also
 /// return the lane-level operation counts, which tests compare against the
 /// counters the SpMV preprocessing and the SpGEMM symbolic pass take from
@@ -193,7 +193,9 @@ impl ExecBackend for Simulated {
         "sim"
     }
 
-    fn spmv_rows(
+    /// One column at a time: each column runs the full warp emulation of
+    /// a one-column call.
+    fn spmm_rows(
         &self,
         prec: Precision,
         path: SpmvPath,
@@ -203,16 +205,21 @@ impl ExecBackend for Simulated {
         rows: Range<usize>,
         xp: &[f64],
         _x32: &[f32],
-        y: &mut [f64],
+        y: &mut [&mut [f64]],
     ) {
         let round = |v| prec.round_accum(v);
-        match path {
-            SpmvPath::TensorCore => fold_block_rows(a, job_len, rows, y, round, |s, len| {
-                Self::tc_warp(prec, a, s, len, xp).0
-            }),
-            SpmvPath::CudaCore => fold_block_rows(a, job_len, rows, y, round, |s, len| {
-                Self::cuda_warp(prec, a, s, len, xp).0
-            }),
+        let p = a.blk_cols() * TILE;
+        for (c, yc) in y.iter_mut().enumerate() {
+            let (xc, yc) = (&xp[c * p..(c + 1) * p], std::slice::from_mut(yc));
+            let rows = rows.clone();
+            match path {
+                SpmvPath::TensorCore => fold_block_rows(a, job_len, rows, yc, round, |s, len| {
+                    [Self::tc_warp(prec, a, s, len, xc).0]
+                }),
+                SpmvPath::CudaCore => fold_block_rows(a, job_len, rows, yc, round, |s, len| {
+                    [Self::cuda_warp(prec, a, s, len, xc).0]
+                }),
+            }
         }
     }
 

@@ -9,6 +9,7 @@
 
 use crate::ctx::{Ctx, ExecMode};
 use crate::spmv_mbsr::{SpmvPath, SpmvPlan};
+use amgt_exec::SPMM_COLS;
 use amgt_sim::mma::MMA_FLOPS;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::bitmap::{TILE, TILE_AREA};
@@ -204,12 +205,12 @@ pub fn spmm_mbsr_into(
     let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
 
     // The block-rows fork into an index-range tree; each leaf runs the
-    // SpMV row-range kernel once per column over its rows `[r0, r1)`, so
-    // a column reads the tiles the previous column left in cache. A leaf
-    // owns rows `[4 r0, 4 r1)` of every column — disjoint but strided in
-    // the column-major output, hence the `SendPtr` slices. Each column's
-    // arithmetic is exactly its SpMV's, so output is bitwise identical to
-    // the per-column SpMV at any pool width.
+    // backend once per chunk of up to `SPMM_COLS` columns over its rows
+    // `[r0, r1)`, so a tile is read once per chunk rather than once per
+    // column. A leaf owns rows `[4 r0, 4 r1)` of every column — disjoint
+    // but strided in the column-major output, hence the `SendPtr` slices.
+    // Each column's arithmetic is exactly its SpMV's, so output is bitwise
+    // identical to the per-column SpMV at any pool width.
     let y_out = amgt_exec::par::SendPtr::new(y.data.as_mut_ptr());
     amgt_exec::par::join_ranges(
         0,
@@ -217,28 +218,34 @@ pub fn spmm_mbsr_into(
         SPMM_JOIN_GRAIN,
         &|r0, r1| {
             let (lo, hi) = (r0 * TILE, (r1 * TILE).min(nrows));
-            for j in 0..nrhs {
-                let xcol = &xq[j * padded..(j + 1) * padded];
-                let xcol32 = if x32_all.is_empty() {
-                    &[][..]
-                } else {
-                    &x32_all[j * padded..(j + 1) * padded]
-                };
-                // SAFETY: rows `[lo, hi)` of column `j` belong to this
-                // leaf only, lie inside the `nrows * nrhs` output, and `y`
-                // outlives the fork-join region.
-                let ycol =
-                    unsafe { std::slice::from_raw_parts_mut(y_out.add(j * nrows + lo), hi - lo) };
-                be.spmv_rows(
+            for j0 in (0..nrhs).step_by(SPMM_COLS) {
+                let cols = j0..(j0 + SPMM_COLS).min(nrhs);
+                let mut ycols: [&mut [f64]; SPMM_COLS] = std::array::from_fn(|c| {
+                    if j0 + c < cols.end {
+                        // SAFETY: rows `[lo, hi)` of column `j0 + c` belong
+                        // to this leaf only, lie inside the `nrows * nrhs`
+                        // output, and `y` outlives the fork-join region.
+                        unsafe {
+                            std::slice::from_raw_parts_mut(
+                                y_out.add((j0 + c) * nrows + lo),
+                                hi - lo,
+                            )
+                        }
+                    } else {
+                        &mut []
+                    }
+                });
+                let x_range = cols.start * padded..cols.end * padded;
+                be.spmm_rows(
                     prec,
                     plan.path,
                     a,
                     a32,
                     plan.job_len,
                     r0..r1,
-                    xcol,
-                    xcol32,
-                    ycol,
+                    &xq[x_range.clone()],
+                    x32_all.get(x_range).unwrap_or(&[]),
+                    &mut ycols[..cols.len()],
                 );
             }
         },

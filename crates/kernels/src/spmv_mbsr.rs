@@ -259,7 +259,7 @@ pub fn spmv_mbsr_into(
         TILE,
         SPMV_JOIN_GRAIN,
         &|br0, n_blocks, chunk| {
-            be.spmv_rows(
+            be.spmm_rows(
                 prec,
                 plan.path,
                 a,
@@ -268,7 +268,7 @@ pub fn spmv_mbsr_into(
                 br0..br0 + n_blocks,
                 xp,
                 x32,
-                chunk,
+                &mut [chunk],
             );
         },
         &|(), ()| (),

@@ -1,13 +1,13 @@
 //! Structural fingerprints for hierarchy caching.
 //!
-//! The structural [`Fingerprint`] itself (dims, nnz, mBSR structure hash)
+//! The structural [`Fingerprint`] itself (dims, nnz, CSR pattern hash)
 //! lives in [`amgt_sparse::fingerprint`] so other consumers — notably the
 //! `amgt-tune` policy cache — can share the exact same key. This module
 //! re-exports it and adds the server-side [`config_hash`]: hierarchies may
 //! be shared between requests only when both the structure and the solver
 //! configuration agree.
 
-pub use amgt_sparse::fingerprint::{of_csr, of_mbsr, value_hash, Fingerprint};
+pub use amgt_sparse::fingerprint::{of_csr, value_hash, Fingerprint};
 
 use amgt_sparse::fingerprint::Fnv;
 

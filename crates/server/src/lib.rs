@@ -6,8 +6,8 @@
 //! amortizations make repeated solves cheap:
 //!
 //! * **Hierarchy caching** — setups are keyed by the structural
-//!   [`fingerprint::Fingerprint`] of the matrix (dims, nnz, hashed mBSR
-//!   `blc_ptr`/`blc_idx`/`blc_map`), so a repeat solve skips PMIS,
+//!   [`fingerprint::Fingerprint`] of the matrix (dims, nnz, hashed CSR
+//!   `row_ptr`/`col_idx`), so a repeat solve skips PMIS,
 //!   extended+i interpolation and the RAP products entirely, and a
 //!   same-pattern/new-values solve downgrades to a values-only `resetup`.
 //! * **RHS batching** — up to eight queued right-hand sides against the

@@ -68,6 +68,9 @@ pub struct ServiceMetrics {
     /// Cumulative halo-exchange traffic across all distributed solves,
     /// in bytes.
     pub dist_halo_bytes_total: u64,
+    /// Batches whose solve panicked. Their unresolved jobs failed with
+    /// `JobError::Internal`, and the worker kept serving.
+    pub worker_panics: u64,
 }
 
 /// The service's live metric state. Updates are lock-free; snapshots and
@@ -95,6 +98,7 @@ pub struct ServiceTelemetry {
     hierarchy_level_rows: Vec<Arc<Gauge>>,
     dist_ranks: Arc<Gauge>,
     dist_halo_bytes: Arc<Counter>,
+    worker_panics: Arc<Counter>,
 }
 
 impl Default for ServiceTelemetry {
@@ -110,7 +114,7 @@ impl ServiceTelemetry {
             registry.counter("amgt_jobs_completed_total", "Jobs completed successfully.");
         let jobs_failed = registry.counter(
             "amgt_jobs_failed_total",
-            "Jobs rejected before solving (cancelled, deadline, invalid).",
+            "Jobs that failed: rejected before solving (cancelled, deadline, invalid) or failed by a panic.",
         );
         let jobs_inflight = registry.gauge(
             "amgt_jobs_inflight",
@@ -187,6 +191,10 @@ impl ServiceTelemetry {
             "amgt_dist_halo_bytes_total",
             "Cumulative halo-exchange traffic across distributed solves, in bytes.",
         );
+        let worker_panics = registry.counter(
+            "amgt_worker_panics_total",
+            "Batches whose solve panicked (their unresolved jobs failed as internal errors).",
+        );
         ServiceTelemetry {
             registry,
             jobs_completed,
@@ -210,6 +218,7 @@ impl ServiceTelemetry {
             hierarchy_level_rows,
             dist_ranks,
             dist_halo_bytes,
+            worker_panics,
         }
     }
 
@@ -274,9 +283,14 @@ impl ServiceTelemetry {
         self.simulated_latency.observe(simulated_seconds);
     }
 
-    /// One job failed before solving.
+    /// One job failed: rejected before solving, or failed by a panic.
     pub fn record_failure(&self) {
         self.jobs_failed.inc();
+    }
+
+    /// One batch's solve panicked.
+    pub fn record_worker_panic(&self) {
+        self.worker_panics.inc();
     }
 
     /// Serializable snapshot; queue depth and cache state are sampled by
@@ -310,6 +324,7 @@ impl ServiceTelemetry {
             hierarchy_grid_complexity: self.hierarchy_grid_complexity.get(),
             dist_ranks: self.dist_ranks.get() as u64,
             dist_halo_bytes_total: self.dist_halo_bytes.get(),
+            worker_panics: self.worker_panics.get(),
         }
     }
 

@@ -31,9 +31,10 @@ use amgt_trace::{
 use amgt_tune::PolicyStore;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -190,6 +191,9 @@ pub enum JobError {
     Cancelled,
     /// The matrix was rejected (non-square, or RHS length mismatch).
     Invalid(String),
+    /// Solving the job's batch panicked (the message is the panic's). The
+    /// worker that ran it keeps serving.
+    Internal(String),
 }
 
 /// Why a submission was rejected.
@@ -218,6 +222,7 @@ impl std::fmt::Display for JobError {
             JobError::DeadlineExceeded => write!(f, "deadline exceeded before processing"),
             JobError::Cancelled => write!(f, "job cancelled"),
             JobError::Invalid(why) => write!(f, "invalid request: {why}"),
+            JobError::Internal(why) => write!(f, "internal error: {why}"),
         }
     }
 }
@@ -287,6 +292,21 @@ impl Job {
         let mut slot = self.state.result.lock().unwrap();
         *slot = Some(result);
         self.state.done.notify_all();
+    }
+}
+
+impl JobState {
+    /// Fail the job with `error` unless it already has a result; returns
+    /// whether it did. The slot is a plain `Option` written in one step,
+    /// so a guard poisoned by a panic elsewhere still holds a valid value.
+    fn complete_if_pending(&self, error: &JobError) -> bool {
+        let mut slot = self.result.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.is_some() {
+            return false;
+        }
+        *slot = Some(Err(error.clone()));
+        self.done.notify_all();
+        true
     }
 }
 
@@ -543,8 +563,54 @@ fn worker_loop(cfg: &ServiceConfig, rx: &Receiver<Job>, shared: &Shared) {
 }
 
 /// Solve one batch of compatible jobs on `device`, completing every handle.
+///
+/// A panic while solving does not reach the caller (a worker thread, or
+/// the thread draining the queue): every job of the batch still
+/// unresolved fails with [`JobError::Internal`], the batch's flight
+/// attribution and trace recorder are detached from `device`, and the
+/// panic is counted in [`ServiceMetrics::worker_panics`].
 fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
-    // Pre-flight: cancellation, deadlines and request validation.
+    let live = preflight(shared, batch);
+    if live.is_empty() {
+        return;
+    }
+    shared.telemetry.jobs_started(live.len());
+    let pending: Vec<(TraceId, Arc<JobState>)> = live
+        .iter()
+        .map(|j| (j.trace_id, Arc::clone(&j.state)))
+        .collect();
+    let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| solve_batch(device, shared, live)))
+    else {
+        return;
+    };
+    let why = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panic with a non-string payload".to_string());
+    device.set_flight(None);
+    device.remove_recorder();
+    shared.telemetry.record_worker_panic();
+    for (trace_id, state) in pending {
+        let error = JobError::Internal(why.clone());
+        if state.complete_if_pending(&error) {
+            shared.telemetry.jobs_finished(1);
+            shared.telemetry.record_failure();
+            amgt_trace::log::warn(
+                "amgt::server",
+                "batch panicked",
+                &[
+                    ("trace_id", trace_id.to_hex()),
+                    ("reason", error.to_string()),
+                ],
+            );
+        }
+    }
+}
+
+/// Pre-flight: cancellation, deadlines and request validation. Completes
+/// every rejected job and returns the rest.
+fn preflight(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
     let mut live: Vec<Job> = Vec::with_capacity(batch.len());
     for job in batch {
         let err = if job.state.cancelled.load(Ordering::SeqCst) {
@@ -607,11 +673,11 @@ fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
             None => live.push(job),
         }
     }
-    if live.is_empty() {
-        return;
-    }
-    shared.telemetry.jobs_started(live.len());
+    live
+}
 
+/// Solve the jobs that passed [`preflight`] as one batch.
+fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
     let mut amg_cfg = live[0].request.config.clone();
     if let Some(exec) = shared.exec_override {
         amg_cfg.exec = exec;
@@ -745,9 +811,6 @@ fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
     for ev in &report.health_events {
         shared.telemetry.record_health_event(ev.kind);
     }
-    // Decrement in-flight before resolving handles: once a caller's
-    // `wait()` returns, the gauge has already dropped.
-    shared.telemetry.jobs_finished(batch_size);
     for (c, job) in live.into_iter().enumerate() {
         let wall = job.submitted.elapsed().as_secs_f64();
         shared.telemetry.record_job(wall, simulated);
@@ -800,6 +863,9 @@ fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
             batch_size,
             retained: flight_retained,
         });
+        // Decrement in-flight before resolving the handle: once a
+        // caller's `wait()` returns, the gauge has already dropped.
+        shared.telemetry.jobs_finished(1);
         job.complete(Ok(JobOutcome {
             trace_id: job.trace_id,
             flight_retained,

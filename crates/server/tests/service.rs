@@ -6,7 +6,7 @@ use amgt_server::{
     CacheOutcome, JobError, ServiceConfig, SolveRequest, SolverService, SubmitError,
 };
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_matrix() -> Csr {
     laplacian_2d(14, 14, Stencil2d::Five)
@@ -462,5 +462,59 @@ fn healthy_service_solve_reports_converged_verdict() {
     assert_eq!(m.solver_stagnations, 0);
     assert!(m.hierarchy_levels >= 2);
     assert!(m.hierarchy_operator_complexity >= 1.0);
+    service.shutdown();
+}
+
+/// A batch whose solve panics (a 3x3 zero matrix: the direct LU coarse
+/// solver finds the coarsest grid singular) fails its job with
+/// `JobError::Internal` instead of killing the worker: the handle resolves
+/// within a second, the panic is counted, and a healthy job submitted next
+/// on the same 1-worker service succeeds.
+#[test]
+fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
+    let service = SolverService::new(ServiceConfig {
+        workers: 1,
+        batch_window: Duration::from_millis(1),
+        ..Default::default()
+    });
+    let mut cfg = test_config();
+    cfg.coarse_solver = CoarseSolver::DirectLu;
+    let zero = Csr::from_triplets(3, 3, &[]);
+    let start = Instant::now();
+    let bad = service
+        .submit(SolveRequest::new(zero, vec![1.0; 3], cfg.clone()))
+        .unwrap();
+    let result = loop {
+        if let Some(r) = bad.try_wait() {
+            break r;
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "the panicking job is still unresolved after 1 s"
+        );
+        std::thread::yield_now();
+    };
+    match result {
+        Err(JobError::Internal(why)) => assert!(why.contains("singular"), "{why}"),
+        Err(e) => panic!("expected an internal error, got {e}"),
+        Ok(_) => panic!("a singular coarse grid cannot solve"),
+    }
+
+    let a = test_matrix();
+    let b = rhs_of_ones(&a);
+    let good = service
+        .submit(SolveRequest::new(a, b, cfg))
+        .unwrap()
+        .wait()
+        .expect("the worker survived the panic");
+    assert!(good.converged);
+    let m = service.metrics();
+    assert_eq!(m.worker_panics, 1);
+    assert_eq!(m.jobs_failed, 1);
+    assert_eq!(m.jobs_completed, 1);
+    assert_eq!(m.jobs_inflight, 0);
+    assert!(service
+        .metrics_prometheus()
+        .contains("amgt_worker_panics_total 1\n"));
     service.shutdown();
 }

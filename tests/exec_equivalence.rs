@@ -106,6 +106,58 @@ proptest! {
         }
     }
 
+    /// The column-generic SpMV kernel through `spmm_mbsr`, native against
+    /// the emulator: every output column bitwise equals the emulator's
+    /// SpMV of that column, at every precision, on both paths, under the
+    /// plain and the load-balanced schedule (warp capacity 16, so long
+    /// rows split mid-row), for 1 to 9 right-hand sides (full column
+    /// chunks, remainders, and the 8-wide `RHS_TILE` slab boundary). In a
+    /// third of the cases one column holds `+/-inf` entries, which routes
+    /// the whole call through the emulator; it still matches.
+    #[test]
+    fn spmm_columns_native_match_emulator_spmv(
+        (a, nrhs, seed) in (arb_matrix(70), 1usize..=9, 0u64..u64::MAX)
+    ) {
+        let m = Mbsr::from_csr(&a);
+        let mut cols: Vec<Vec<f64>> = (0..nrhs)
+            .map(|j| arb_vector(a.ncols(), seed.wrapping_add(j as u64)))
+            .collect();
+        let inf_col = (seed % 3 == 0).then(|| (seed / 3) as usize % nrhs);
+        if let Some(j) = inf_col {
+            for (i, v) in cols[j].iter_mut().enumerate().step_by(5) {
+                *v = if i % 2 == 0 { f64::INFINITY } else { f64::NEG_INFINITY };
+            }
+        }
+        let x = MultiVector::from_columns(&cols);
+        let mut pol = KernelPolicy::paper_default();
+        pol.spmv_warp_capacity = 16;
+        for prec in PRECISIONS {
+            for (variation, density) in [
+                (f64::INFINITY, 0.0),
+                (f64::INFINITY, 1e9),
+                (f64::NEG_INFINITY, 0.0),
+                (f64::NEG_INFINITY, 1e9),
+            ] {
+                let plan_for = |ctx: &Ctx| {
+                    analyze_spmv_with(&ctx.with_policy(pol), &m, variation, density)
+                };
+                let (nat, sim) = per_mode(prec, |ctx| spmm_mbsr(ctx, &m, &plan_for(ctx), &x));
+                let dev = Device::new(GpuSpec::a100());
+                let ctx = Ctx::standalone(&dev, prec).with_exec(ExecMode::Simulated);
+                let plan = plan_for(&ctx);
+                let what = format!(
+                    "{prec:?} {:?} load-balanced {} nrhs {nrhs} inf column {inf_col:?}",
+                    plan.path, plan.load_balanced
+                );
+                for (j, col) in cols.iter().enumerate() {
+                    let want = spmv_mbsr(&ctx, &m, &plan, col);
+                    assert_bits_eq(nat.col(j), &want, &format!("native column {j} {what}"));
+                    assert_bits_eq(sim.col(j), &want, &format!("emulator column {j} {what}"));
+                }
+            }
+        }
+    }
+
     /// The counters the plan takes from the bitmaps equal the emulator's
     /// lane-level counts summed over every warp job of the schedule, on
     /// both the one-warp-per-row and the load-balanced schedule (warp
