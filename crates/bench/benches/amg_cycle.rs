@@ -1,5 +1,5 @@
 //! Real-CPU-time cost of the full AMG phases: setup and a fixed number of
-//! V-cycles, for both backends.
+//! V-cycles, for both backends, on the native execution backend.
 
 use amgt::prelude::*;
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
@@ -11,10 +11,11 @@ fn bench_amg(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("amg");
     g.sample_size(10);
-    for (label, cfg) in [
+    for (label, mut cfg) in [
         ("setup_vendor", AmgConfig::hypre_fp64()),
         ("setup_amgt", AmgConfig::amgt_fp64()),
     ] {
+        cfg.exec = ExecMode::Native;
         g.bench_function(label, |bench| {
             bench.iter(|| {
                 let dev = Device::new(GpuSpec::a100());
@@ -28,6 +29,7 @@ fn bench_amg(c: &mut Criterion) {
         ("solve5_amgt_mixed", AmgConfig::amgt_mixed()),
     ] {
         cfg.max_iterations = 5;
+        cfg.exec = ExecMode::Native;
         let dev = Device::new(GpuSpec::a100());
         let h = setup(&dev, &cfg, a.clone());
         g.bench_function(label, |bench| {

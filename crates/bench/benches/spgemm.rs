@@ -1,9 +1,10 @@
 //! Real-CPU-time comparison of the SpGEMM implementations (vendor two-phase
-//! hash CSR vs the AmgT mBSR pipeline) on A*A for two structure classes.
+//! hash CSR vs the AmgT mBSR pipeline) on A*A for two structure classes,
+//! on the native execution backend.
 
 use amgt_kernels::spgemm_mbsr::spgemm_mbsr;
 use amgt_kernels::vendor::spgemm_csr;
-use amgt_kernels::Ctx;
+use amgt_kernels::{Ctx, ExecMode};
 use amgt_sim::{Device, GpuSpec, Precision};
 use amgt_sparse::suite::{generate, Scale};
 use amgt_sparse::Mbsr;
@@ -14,7 +15,7 @@ fn bench_spgemm(c: &mut Criterion) {
         let a = generate(name, Scale::Small).unwrap();
         let m = Mbsr::from_csr(&a);
         let dev = Device::new(GpuSpec::a100());
-        let ctx = Ctx::standalone(&dev, Precision::Fp64);
+        let ctx = Ctx::standalone(&dev, Precision::Fp64).with_exec(ExecMode::Native);
 
         let mut g = c.benchmark_group(format!("spgemm/{name}"));
         g.sample_size(10);

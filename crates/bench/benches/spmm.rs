@@ -1,9 +1,10 @@
-//! Real-CPU-time comparison: fused multi-RHS SpMM vs a per-column SpMV
-//! loop, at the tensor-friendly 8 right-hand sides.
+//! Real-CPU-time comparison on the native execution backend: the mBSR SpMV
+//! driver over 8 right-hand sides at once, the same driver called once
+//! per column, and a per-column vendor CSR loop.
 
 use amgt_kernels::spmm_mbsr::{spmm_by_columns, spmm_mbsr, MultiVector};
-use amgt_kernels::spmv_mbsr::analyze_spmv;
-use amgt_kernels::Ctx;
+use amgt_kernels::spmv_mbsr::{analyze_spmv, spmv_mbsr_into, SpmvScratch};
+use amgt_kernels::{Ctx, ExecMode};
 use amgt_sim::{Device, GpuSpec, Precision};
 use amgt_sparse::suite::{generate, Scale};
 use amgt_sparse::Mbsr;
@@ -14,7 +15,7 @@ fn bench_spmm(c: &mut Criterion) {
         let a = generate(name, Scale::Small).unwrap();
         let m = Mbsr::from_csr(&a);
         let dev = Device::new(GpuSpec::a100());
-        let ctx = Ctx::standalone(&dev, Precision::Fp64);
+        let ctx = Ctx::standalone(&dev, Precision::Fp64).with_exec(ExecMode::Native);
         let plan = analyze_spmv(&ctx, &m);
         let cols: Vec<Vec<f64>> = (0..8)
             .map(|j| {
@@ -29,6 +30,16 @@ fn bench_spmm(c: &mut Criterion) {
         g.sample_size(20);
         g.bench_function("fused_mbsr", |b| {
             b.iter(|| black_box(spmm_mbsr(&ctx, black_box(&m), &plan, black_box(&x))));
+        });
+        g.bench_function("one_column_calls_mbsr", |b| {
+            let mut scratch = SpmvScratch::default();
+            let mut y = Vec::new();
+            b.iter(|| {
+                for j in 0..x.ncols {
+                    spmv_mbsr_into(&ctx, &m, &plan, x.col(j), &mut scratch, &mut y);
+                    black_box(&y);
+                }
+            });
         });
         g.bench_function("column_loop_csr", |b| {
             b.iter(|| black_box(spmm_by_columns(&ctx, black_box(&a), black_box(&x))));

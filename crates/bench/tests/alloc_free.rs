@@ -66,7 +66,8 @@ fn wait_for_other_threads_to_sleep() {
 /// Allocation counts of a 4-iteration and an 8-iteration solve through one
 /// reused workspace, after one warm 8-iteration solve has grown every
 /// buffer. Each call pays the same fixed cost (the report's history
-/// vector), so any per-iteration allocation makes the two differ.
+/// vector, and nothing else), so any per-iteration allocation makes the
+/// two differ.
 fn solve_alloc_deltas(
     dev: &Device,
     cfg: &AmgConfig,
@@ -94,7 +95,11 @@ fn solve_alloc_deltas(
     let s1 = snapshot();
     solve_with_workspace(dev, &cfg8, h, b, &mut x8, ws);
     let s2 = snapshot();
-    (s1.since(&s0).allocs, s2.since(&s1).allocs)
+    let (d4, d8) = (s1.since(&s0).allocs, s2.since(&s1).allocs);
+    // The report's history vector is the one allocation of a warm call:
+    // the outer loop's per-column state lives in the workspace.
+    assert!(d4 <= 1, "a warm solve allocates {d4} times per call");
+    (d4, d8)
 }
 
 /// Acceptance gate: after one warm solve has grown every buffer, the solve

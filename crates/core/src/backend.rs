@@ -11,26 +11,21 @@
 use crate::config::BackendKind;
 use amgt_kernels::convert::{csr_to_mbsr, mbsr_to_csr};
 use amgt_kernels::spgemm_mbsr::{spgemm_mbsr_with_workspace, SpgemmWorkspace};
-use amgt_kernels::spmm_mbsr::{
-    spmm_by_columns, spmm_mbsr, spmm_mbsr_into, MultiVector, SpmmScratch,
-};
-use amgt_kernels::spmv_mbsr::{analyze_spmv, spmv_mbsr, spmv_mbsr_into, SpmvPlan, SpmvScratch};
-use amgt_kernels::vendor::{spgemm_csr, spmv_csr, spmv_csr_into};
+use amgt_kernels::spmm_mbsr::{spmm_mbsr_into, MultiVector};
+use amgt_kernels::spmv_mbsr::{analyze_spmv, SpmvPlan, SpmvScratch};
+use amgt_kernels::vendor::{spgemm_csr, spmv_csr_into};
 use amgt_kernels::Ctx;
 use amgt_sim::precision::quantize_slice;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::{Csr, Mbsr};
 
-/// Reusable scratch for [`Operator::spmv_into`] / [`Operator::spmm_into`]:
-/// holds whichever kernel scratch the backend needs plus a column staging
-/// buffer for the vendor SpMM loop. Capacity grows monotonically; one
-/// instance serves operators of any shape (stale pad regions are re-zeroed
-/// by the kernels themselves).
+/// Reusable kernel scratch for [`Operator::apply_into`]. Capacity grows
+/// monotonically; one instance serves operators of any shape and operands
+/// of any width (stale pad regions are re-zeroed by the kernels
+/// themselves).
 #[derive(Clone, Debug, Default)]
 pub struct OpScratch {
     spmv: SpmvScratch,
-    spmm: SpmmScratch,
-    col: Vec<f64>,
 }
 
 /// A matrix prepared for a backend.
@@ -117,67 +112,29 @@ impl Operator {
         self.csr.nnz()
     }
 
-    /// `y = A x` through the backend kernel.
-    pub fn spmv(&self, ctx: &Ctx, x: &[f64]) -> Vec<f64> {
-        match self.backend {
-            BackendKind::Vendor => spmv_csr(ctx, &self.csr, x),
-            BackendKind::AmgT => spmv_mbsr(
-                ctx,
-                self.mbsr.as_ref().expect("AmgT operator carries mBSR"),
-                self.plan.as_ref().expect("AmgT operator carries a plan"),
-                x,
-            ),
-        }
-    }
-
-    /// [`Operator::spmv`] into a caller-owned output, reusing `scratch`.
-    /// Bitwise-identical result and identical kernel charge; allocation-free
-    /// once the buffers have grown to the operand size.
-    pub fn spmv_into(&self, ctx: &Ctx, x: &[f64], scratch: &mut OpScratch, y: &mut Vec<f64>) {
-        match self.backend {
-            BackendKind::Vendor => spmv_csr_into(ctx, &self.csr, x, y),
-            BackendKind::AmgT => spmv_mbsr_into(
-                ctx,
-                self.mbsr.as_ref().expect("AmgT operator carries mBSR"),
-                self.plan.as_ref().expect("AmgT operator carries a plan"),
-                x,
-                &mut scratch.spmv,
-                y,
-            ),
-        }
-    }
-
-    /// `Y = A X` on a dense multi-vector. The AmgT backend coalesces the
-    /// columns into [`amgt_kernels::spmm_mbsr::RHS_TILE`]-wide tensor slabs
-    /// (each output column stays bitwise equal to [`Operator::spmv`] of that
-    /// column); the vendor backend has no fused SpMM and loops columns.
-    pub fn spmm(&self, ctx: &Ctx, x: &MultiVector) -> MultiVector {
-        match self.backend {
-            BackendKind::Vendor => spmm_by_columns(ctx, &self.csr, x),
-            BackendKind::AmgT => spmm_mbsr(
-                ctx,
-                self.mbsr.as_ref().expect("AmgT operator carries mBSR"),
-                self.plan.as_ref().expect("AmgT operator carries a plan"),
-                x,
-            ),
-        }
-    }
-
-    /// [`Operator::spmm`] into a caller-owned multi-vector, reusing
-    /// `scratch`. Bitwise-identical result and identical kernel charges.
-    pub fn spmm_into(
+    /// `Y = A X` through the backend kernel, for a column-major operand of
+    /// `ncols` columns (`x.len() == self.ncols() * ncols`); `y` is resized
+    /// to `self.nrows() * ncols`. The AmgT backend runs the mBSR SpMV
+    /// driver once over the whole block (each output column bitwise equal
+    /// to the SpMV of that column); the vendor backend has no fused SpMM
+    /// and runs one CSR SpMV per column. Allocation-free once `scratch` and
+    /// `y` have grown to the operand size.
+    pub fn apply_into(
         &self,
         ctx: &Ctx,
-        x: &MultiVector,
+        x: &[f64],
+        ncols: usize,
         scratch: &mut OpScratch,
-        y: &mut MultiVector,
+        y: &mut Vec<f64>,
     ) {
         match self.backend {
             BackendKind::Vendor => {
-                y.reshape(self.csr.nrows(), x.ncols);
-                for j in 0..x.ncols {
-                    spmv_csr_into(ctx, &self.csr, x.col(j), &mut scratch.col);
-                    y.col_mut(j).copy_from_slice(&scratch.col);
+                let (n_in, n_out) = (self.ncols(), self.nrows());
+                assert_eq!(x.len(), n_in * ncols);
+                y.resize(n_out * ncols, 0.0);
+                for j in 0..ncols {
+                    let yj = &mut y[j * n_out..(j + 1) * n_out];
+                    spmv_csr_into(ctx, &self.csr, &x[j * n_in..(j + 1) * n_in], yj);
                 }
             }
             BackendKind::AmgT => {
@@ -186,11 +143,46 @@ impl Operator {
                     self.mbsr.as_ref().expect("AmgT operator carries mBSR"),
                     self.plan.as_ref().expect("AmgT operator carries a plan"),
                     x,
-                    &mut scratch.spmm,
+                    ncols,
+                    &mut scratch.spmv,
                     y,
                 );
             }
         }
+    }
+
+    /// `y = A x`: the one-column [`Operator::apply_into`].
+    pub fn spmv(&self, ctx: &Ctx, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.spmv_into(ctx, x, &mut OpScratch::default(), &mut y);
+        y
+    }
+
+    /// [`Operator::spmv`] into a caller-owned output, reusing `scratch`.
+    pub fn spmv_into(&self, ctx: &Ctx, x: &[f64], scratch: &mut OpScratch, y: &mut Vec<f64>) {
+        self.apply_into(ctx, x, 1, scratch, y);
+    }
+
+    /// `Y = A X` on a dense multi-vector: [`Operator::apply_into`] at
+    /// `x.ncols` columns.
+    pub fn spmm(&self, ctx: &Ctx, x: &MultiVector) -> MultiVector {
+        let mut y = MultiVector::default();
+        self.spmm_into(ctx, x, &mut OpScratch::default(), &mut y);
+        y
+    }
+
+    /// [`Operator::spmm`] into a caller-owned multi-vector, reusing
+    /// `scratch`.
+    pub fn spmm_into(
+        &self,
+        ctx: &Ctx,
+        x: &MultiVector,
+        scratch: &mut OpScratch,
+        y: &mut MultiVector,
+    ) {
+        self.apply_into(ctx, &x.data, x.ncols, scratch, &mut y.data);
+        y.nrows = self.nrows();
+        y.ncols = x.ncols;
     }
 
     /// Quantize the operator's stored values to the context precision

@@ -7,6 +7,18 @@
 //! extra SpMV per iteration evaluates the outer residual — 1551 calls for a
 //! 7-level grid over 50 iterations with a direct coarse solver, 1601/1701
 //! with iterative ones (Section V.A).
+//!
+//! One code path solves one right-hand side or a batch of them. Every
+//! cycle function takes a column-major block of `ncols` columns: each SpMV
+//! of a batched cycle is one call of the mBSR driver over the block (which
+//! streams each tile once per column chunk), and each vector op is one
+//! launch over all columns, while a column's arithmetic stays that of a
+//! solve of it alone. The outer loop tracks convergence per column. A
+//! column that reaches `tolerance` (before the first cycle too) or fails
+//! numerically leaves the active set. Until one leaves, the cycles run in
+//! place on the caller's `b` and `x`; from then on, on a compact copy of
+//! the remaining columns. [`solve`] is that loop at one column and
+//! [`solve_batched`] at `b.ncols`.
 
 use crate::backend::OpScratch;
 use crate::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
@@ -17,10 +29,11 @@ use amgt_kernels::spmm_mbsr::MultiVector;
 use amgt_kernels::Ctx;
 use amgt_sim::{Algo, Device, HealthEvent, KernelCost, KernelKind, Phase, SpanKind, SpanLabel};
 
-/// Reusable buffers for one level position of the V-cycle: every vector the
+/// Reusable buffers for one level position of the cycle: every block the
 /// cycle materializes at that level (residual chain, coarse correction,
 /// smoother temporaries, coarse-solve staging) plus the kernel scratch.
-/// Buffers grow monotonically and are reused across iterations and solves.
+/// Blocks hold as many columns as the cycle runs. Buffers grow
+/// monotonically and are reused across iterations and solves.
 #[derive(Clone, Debug, Default)]
 pub struct LevelWorkspace {
     ax: Vec<f64>,
@@ -37,30 +50,47 @@ pub struct LevelWorkspace {
     /// Coarse LDL^T permuted working vector.
     sol2: Vec<f64>,
     op: OpScratch,
-    // Multi-vector mirrors for the batched solve path.
-    ax_mv: MultiVector,
-    r_mv: MultiVector,
-    b_next_mv: MultiVector,
-    x_next_mv: MultiVector,
-    e_mv: MultiVector,
+}
+
+/// Outer-loop state of one right-hand side.
+#[derive(Clone, Debug)]
+struct Column {
+    /// `||b||`, or 1 for a zero right-hand side.
+    b_norm: f64,
+    initial_norm: f64,
+    final_norm: f64,
+    /// Relative residual after the column's last cycle (before the first
+    /// until one ran).
+    rel: f64,
+    /// Cycles run while the column was active.
+    iterations: usize,
+    converged: bool,
+    monitor: ConvergenceMonitor,
+    history: Vec<f64>,
 }
 
 /// Preallocated solve-phase buffers for a hierarchy: one [`LevelWorkspace`]
-/// per level plus the outer-residual buffers and batched gather staging.
+/// per level, the outer-residual buffers, the compact batch and the
+/// per-column state of the outer loop.
 ///
 /// Create once (or keep alongside a cached hierarchy) and pass to
 /// [`solve_with_workspace`] / [`solve_batched_with_workspace`]: after the
-/// first iteration has grown every buffer, steady-state V-cycles perform no
-/// heap allocation. All `_into` paths produce bitwise-identical iterates to
-/// the allocating entry points.
+/// first iteration has grown every buffer, steady-state cycles perform no
+/// heap allocation. All `_with_workspace` paths produce bitwise-identical
+/// iterates to the allocating entry points.
 #[derive(Clone, Debug, Default)]
 pub struct SolveWorkspace {
     levels: Vec<LevelWorkspace>,
     outer: LevelWorkspace,
-    bc_mv: MultiVector,
-    xc_mv: MultiVector,
-    /// Residual norms of the batch's active columns.
+    /// Compact copies of `b` and `x` for the active columns, in use once a
+    /// column has left the active set.
+    bc: Vec<f64>,
+    xc: Vec<f64>,
+    /// Norms of the block the outer loop last reduced.
     norms: Vec<f64>,
+    columns: Vec<Column>,
+    /// Active columns, in the order the cycle's block holds them.
+    active: Vec<usize>,
 }
 
 impl SolveWorkspace {
@@ -85,6 +115,8 @@ impl SolveWorkspace {
 pub struct SolveReport {
     pub iterations: usize,
     pub initial_residual_norm: f64,
+    /// `initial_residual_norm / ||b||` (`/ 1` for a zero `b`).
+    pub initial_relative_residual: f64,
     pub final_residual_norm: f64,
     /// Relative residual after each V-cycle.
     pub history: Vec<f64>,
@@ -98,8 +130,13 @@ pub struct SolveReport {
 }
 
 impl SolveReport {
+    /// Relative residual after the last cycle, or before the first when
+    /// none ran.
     pub fn final_relative_residual(&self) -> f64 {
-        self.history.last().copied().unwrap_or(1.0)
+        self.history
+            .last()
+            .copied()
+            .unwrap_or(self.initial_relative_residual)
     }
 }
 
@@ -136,29 +173,37 @@ fn check_finite(
 /// Jacobi across blocks — the standard GPU-parallel compromise).
 const GS_BLOCK: usize = 256;
 
-/// One smoothing sweep. Jacobi-type smoothers cost one SpMV plus a fused
-/// vector update (the paper's accounting); hybrid Gauss-Seidel traverses
-/// the matrix once and is charged like an SpMV.
+/// One smoothing sweep over a block of `ncols` columns. Jacobi-type
+/// smoothers cost one SpMV plus a fused vector update (the paper's
+/// accounting); hybrid Gauss-Seidel traverses the matrix once per column
+/// and is charged like an SpMV.
 fn smooth(
     ctx: &Ctx,
     cfg: &AmgConfig,
     lvl: &Level,
     b: &[f64],
     x: &mut [f64],
+    ncols: usize,
     lw: &mut LevelWorkspace,
 ) {
     match cfg.smoother {
         Smoother::L1Jacobi => {
-            lvl.a.spmv_into(ctx, x, &mut lw.op, &mut lw.ax);
+            lvl.a.apply_into(ctx, x, ncols, &mut lw.op, &mut lw.ax);
             vec_ops::jacobi_fused(ctx, &lvl.l1_diag_inv, b, &lw.ax, x);
         }
         Smoother::WeightedJacobi(w) => {
-            lvl.a.spmv_into(ctx, x, &mut lw.op, &mut lw.ax);
+            lvl.a.apply_into(ctx, x, ncols, &mut lw.op, &mut lw.ax);
             lw.scaled.clear();
             lw.scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
             vec_ops::jacobi_fused(ctx, &lw.scaled, b, &lw.ax, x);
         }
-        Smoother::HybridGaussSeidel => hybrid_gauss_seidel(ctx, lvl, b, x, &mut lw.gs_old),
+        Smoother::HybridGaussSeidel => {
+            let n = lvl.n();
+            for j in 0..ncols {
+                let col = j * n..(j + 1) * n;
+                hybrid_gauss_seidel(ctx, lvl, &b[col.clone()], &mut x[col], &mut lw.gs_old);
+            }
+        }
     }
 }
 
@@ -222,62 +267,57 @@ fn hybrid_gauss_seidel(ctx: &Ctx, lvl: &Level, b: &[f64], x: &mut [f64], gs_old:
     ctx.charge_timed(KernelKind::SpMV, Algo::Shared, &cost, timer);
 }
 
-/// Solve the coarsest level (Algorithm 2, line 6).
+/// Solve the coarsest level (Algorithm 2, line 6) for a block of `ncols`
+/// columns. The direct factorizations run one triangular solve pair per
+/// column (their cost is per column by nature); the Jacobi option smooths
+/// the whole block per sweep.
 fn coarse_solve(
     ctx: &Ctx,
     cfg: &AmgConfig,
     h: &Hierarchy,
     b: &[f64],
     x: &mut [f64],
+    ncols: usize,
     lw: &mut LevelWorkspace,
 ) {
     let lvl = h.levels.last().unwrap();
-    match cfg.coarse_solver {
-        CoarseSolver::DirectLu => {
-            let timer = ctx.timer();
+    if let CoarseSolver::Jacobi(sweeps) = cfg.coarse_solver {
+        for _ in 0..sweeps {
+            smooth(ctx, cfg, lvl, b, x, ncols, lw);
+        }
+        return;
+    }
+    let n = lvl.n();
+    for j in 0..ncols {
+        let timer = ctx.timer();
+        let col = j * n..(j + 1) * n;
+        let cost = if cfg.coarse_solver == CoarseSolver::DirectLu {
             let lu = h.coarse_lu.as_ref().expect("LU prepared in setup");
-            lu.solve_into(b, &mut lw.sol);
-            x.copy_from_slice(&lw.sol);
-            let n = lvl.n() as f64;
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 2.0 * n * n,
-                    bytes: n * n * 8.0,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::SparseLdl { .. } => {
-            let timer = ctx.timer();
-            let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
-            f.solve_into(b, &mut lw.sol2, &mut lw.sol);
-            x.copy_from_slice(&lw.sol);
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * lvl.n() as f64,
-                    bytes: (f.l_nnz() * 12 + lvl.n() * 16) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::Jacobi(sweeps) => {
-            for _ in 0..sweeps {
-                smooth(ctx, cfg, lvl, b, x, lw);
+            lu.solve_into(&b[col.clone()], &mut lw.sol);
+            let n = n as f64;
+            KernelCost {
+                cuda_flops: 2.0 * n * n,
+                bytes: n * n * 8.0,
+                launches: 2,
+                ..Default::default()
             }
-        }
+        } else {
+            let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
+            f.solve_into(&b[col.clone()], &mut lw.sol2, &mut lw.sol);
+            KernelCost {
+                cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * n as f64,
+                bytes: (f.l_nnz() * 12 + n * 16) as f64,
+                launches: 2,
+                ..Default::default()
+            }
+        };
+        x[col].copy_from_slice(&lw.sol);
+        ctx.charge_timed(KernelKind::CoarseSolve, Algo::Shared, &cost, timer);
     }
 }
 
-/// One multigrid cycle starting at level `k` (Algorithm 2 for V; W and F
-/// visit coarse levels more than once).
+/// One multigrid cycle over a block of `ncols` columns starting at level
+/// `k` (Algorithm 2 for V; W and F visit coarse levels more than once).
 #[allow(clippy::too_many_arguments)]
 fn vcycle(
     device: &Device,
@@ -286,6 +326,7 @@ fn vcycle(
     k: usize,
     b: &[f64],
     x: &mut [f64],
+    ncols: usize,
     poison: &mut Option<NonFiniteSite>,
     ws: &mut SolveWorkspace,
 ) {
@@ -298,7 +339,7 @@ fn vcycle(
     // pool for the coarser levels; reattached on every exit path.
     let mut lw = std::mem::take(&mut ws.levels[k]);
     if k + 1 == h.n_levels() {
-        coarse_solve(&ctx, cfg, h, b, x, &mut lw);
+        coarse_solve(&ctx, cfg, h, b, x, ncols, &mut lw);
         check_finite(poison, x, lvl, k, "coarse solve");
         ws.levels[k] = lw;
         return;
@@ -306,7 +347,7 @@ fn vcycle(
 
     // Pre-smoothing (mu_1 sweeps).
     for _ in 0..cfg.num_sweeps {
-        smooth(&ctx, cfg, lvl, b, x, &mut lw);
+        smooth(&ctx, cfg, lvl, b, x, ncols, &mut lw);
     }
     // Non-finite check *before* recursing: a NaN born here would otherwise
     // propagate down the restricted residual and be misattributed to the
@@ -314,10 +355,10 @@ fn vcycle(
     check_finite(poison, x, lvl, k, "pre-smoothing");
 
     // Residual and restriction.
-    lvl.a.spmv_into(&ctx, x, &mut lw.op, &mut lw.ax);
+    lvl.a.apply_into(&ctx, x, ncols, &mut lw.op, &mut lw.ax);
     vec_ops::sub_into(&ctx, b, &lw.ax, &mut lw.r);
     let restriction = lvl.r.as_ref().expect("non-coarsest level has R");
-    restriction.spmv_into(&ctx, &lw.r, &mut lw.op, &mut lw.b_next);
+    restriction.apply_into(&ctx, &lw.r, ncols, &mut lw.op, &mut lw.b_next);
 
     // Recurse with a zero initial guess (the reused buffer must be
     // re-zeroed: it carries the previous cycle's correction); W/F recurse
@@ -329,49 +370,224 @@ fn vcycle(
         CycleType::W | CycleType::F => 2,
     };
     for visit in 0..visits {
-        if cfg.cycle == CycleType::F && visit == 1 {
-            // F-cycle tail: finish with a plain V sweep below this level.
-            let mut vcfg = cfg.clone();
+        // F-cycle tail: finish with a plain V sweep below this level.
+        let mut vcfg;
+        let visit_cfg = if cfg.cycle == CycleType::F && visit == 1 {
+            vcfg = cfg.clone();
             vcfg.cycle = CycleType::V;
-            vcycle(
-                device,
-                &vcfg,
-                h,
-                k + 1,
-                &lw.b_next,
-                &mut lw.x_next,
-                poison,
-                ws,
-            );
+            &vcfg
         } else {
-            vcycle(
-                device,
-                cfg,
-                h,
-                k + 1,
-                &lw.b_next,
-                &mut lw.x_next,
-                poison,
-                ws,
-            );
-        }
+            cfg
+        };
+        vcycle(
+            device,
+            visit_cfg,
+            h,
+            k + 1,
+            &lw.b_next,
+            &mut lw.x_next,
+            ncols,
+            poison,
+            ws,
+        );
     }
 
     // Interpolation and correction.
     let p = lvl.p.as_ref().expect("non-coarsest level has P");
-    p.spmv_into(&ctx, &lw.x_next, &mut lw.op, &mut lw.e);
+    p.apply_into(&ctx, &lw.x_next, ncols, &mut lw.op, &mut lw.e);
     vec_ops::axpy(&ctx, 1.0, &lw.e, x);
 
     // Post-smoothing (mu_2 sweeps).
     for _ in 0..cfg.num_sweeps {
-        smooth(&ctx, cfg, lvl, b, x, &mut lw);
+        smooth(&ctx, cfg, lvl, b, x, ncols, &mut lw);
     }
     check_finite(poison, x, lvl, k, "post-smoothing");
     ws.levels[k] = lw;
 }
 
-/// Run the solve phase: `max_iterations` V-cycles (with optional early exit
-/// on `tolerance`), tracking the relative residual after each cycle.
+/// Copy the columns `idx` of the column-major `src` (columns of `n` rows)
+/// into a compact block in `out`.
+fn gather_columns(src: &[f64], n: usize, idx: &[usize], out: &mut Vec<f64>) {
+    out.resize(idx.len() * n, 0.0);
+    for (c, &j) in idx.iter().enumerate() {
+        out[c * n..(c + 1) * n].copy_from_slice(&src[j * n..(j + 1) * n]);
+    }
+}
+
+/// The outer loop shared by [`solve_with_workspace`] and
+/// [`solve_batched_with_workspace`]: cycles over the column-major block
+/// `b`/`x` of `ncols` right-hand sides until every column has converged,
+/// failed numerically or run out of cycles (see the module docs). Returns
+/// the number of cycles run and leaves each column's results in
+/// `ws.columns`. The entry point names the phase span (`label`) and says
+/// whether health and flight events carry their column (`stamp_columns`).
+#[allow(clippy::too_many_arguments)]
+fn solve_columns(
+    device: &Device,
+    cfg: &AmgConfig,
+    h: &Hierarchy,
+    b: &[f64],
+    x: &mut [f64],
+    ncols: usize,
+    ws: &mut SolveWorkspace,
+    label: &'static str,
+    stamp_columns: bool,
+    health_events: &mut Vec<HealthEvent>,
+) -> usize {
+    ws.ensure(h);
+    let n = h.finest().n();
+    let a = &h.finest().a;
+    let ctx0 = Ctx::new(device, Phase::Solve, 0, h.finest().precision)
+        .with_policy(cfg.policy)
+        .with_exec(cfg.exec);
+    let _phase_span = device.span(SpanKind::Phase, SpanLabel::named(label));
+
+    ws.norms.resize(2 * ncols, 0.0);
+    let (b_norms, r_norms) = ws.norms.split_at_mut(ncols);
+    vec_ops::norms2(&ctx0, b, b_norms);
+    // Initial residual (the paper's "+1" SpMV).
+    {
+        let _span = device.span(SpanKind::Region, SpanLabel::named("initial residual"));
+        a.apply_into(&ctx0, x, ncols, &mut ws.outer.op, &mut ws.outer.ax);
+        vec_ops::sub_into(&ctx0, b, &ws.outer.ax, &mut ws.outer.r);
+        vec_ops::norms2(&ctx0, &ws.outer.r, r_norms);
+    }
+    let within_tolerance = |rel: f64| cfg.tolerance > 0.0 && rel < cfg.tolerance;
+    ws.columns.clear();
+    ws.active.clear();
+    for (j, (&nb, &initial)) in b_norms.iter().zip(r_norms.iter()).enumerate() {
+        let b_norm = if nb == 0.0 { 1.0 } else { nb };
+        let rel = initial / b_norm;
+        let thresholds = HealthThresholds::default();
+        let monitor = if stamp_columns {
+            ConvergenceMonitor::for_column(thresholds, rel, j)
+        } else {
+            ConvergenceMonitor::new(thresholds, rel)
+        };
+        // A column already within tolerance never enters a cycle.
+        let converged = within_tolerance(rel);
+        if !converged {
+            ws.active.push(j);
+        }
+        ws.columns.push(Column {
+            b_norm,
+            initial_norm: initial,
+            final_norm: initial,
+            rel,
+            iterations: 0,
+            converged,
+            monitor,
+            history: Vec::with_capacity(cfg.max_iterations),
+        });
+    }
+
+    let mut compact = false;
+    let mut iterations = 0usize;
+    for it in 0..cfg.max_iterations {
+        let na = ws.active.len();
+        if na == 0 {
+            break;
+        }
+        if !compact && na < ncols {
+            gather_columns(b, n, &ws.active, &mut ws.bc);
+            gather_columns(x, n, &ws.active, &mut ws.xc);
+            compact = true;
+        }
+        let _iter_span = device.span(
+            SpanKind::Iteration,
+            SpanLabel::with("iteration", (it + 1) as u64),
+        );
+        // Detached from the pool so the cycle below can borrow `ws`.
+        let mut bc = std::mem::take(&mut ws.bc);
+        let mut xc = std::mem::take(&mut ws.xc);
+        let mut poison = None;
+        {
+            let (bb, xx): (&[f64], &mut [f64]) = if compact {
+                (&bc[..na * n], &mut xc[..na * n])
+            } else {
+                (b, &mut *x)
+            };
+            vcycle(device, cfg, h, 0, bb, xx, na, &mut poison, ws);
+            // Residual after the cycle (one SpMV per iteration).
+            a.apply_into(&ctx0, xx, na, &mut ws.outer.op, &mut ws.outer.ax);
+            vec_ops::sub_into(&ctx0, bb, &ws.outer.ax, &mut ws.outer.r);
+            ws.norms.resize(na, 0.0);
+            vec_ops::norms2(&ctx0, &ws.outer.r, &mut ws.norms);
+        }
+        iterations += 1;
+
+        // Columns that stay active move to the front of the block.
+        let mut kept = 0;
+        for c in 0..na {
+            let j = ws.active[c];
+            let col = &mut ws.columns[j];
+            col.final_norm = ws.norms[c];
+            col.rel = col.final_norm / col.b_norm;
+            col.iterations = iterations;
+            col.history.push(col.rel);
+            device.flight_residual(iterations, stamp_columns.then_some(j), col.rel);
+            // A poisoned cycle fails the columns whose data actually went
+            // non-finite, with the level attribution from the cycle's own
+            // checks.
+            let x_col = if compact {
+                &xc[c * n..(c + 1) * n]
+            } else {
+                &x[j * n..(j + 1) * n]
+            };
+            let column_bad = !col.rel.is_finite() || x_col.iter().any(|v| !v.is_finite());
+            let event = match (column_bad, poison) {
+                (true, Some(site)) => col.monitor.attribute_non_finite(
+                    Some(site.level),
+                    Some(site.precision),
+                    format!("non-finite values after {}", site.stage),
+                ),
+                _ => col.monitor.observe(col.rel),
+            };
+            if let Some(mut ev) = event {
+                // Divergence/stagnation fire at the outer residual check;
+                // attribute them to the finest level and its active
+                // precision so a post-mortem names the grid that failed.
+                if ev.level.is_none() {
+                    ev.level = Some(0);
+                    ev.precision = Some(level_precision(device, cfg, 0).label());
+                }
+                ev.trace_id = device.flight_id().map_or(0, |id| id.get());
+                if let Some(rec) = device.recorder() {
+                    rec.record_health(ev.clone());
+                }
+                device.flight_health(&ev);
+                health_events.push(ev);
+            }
+            let aborted = col.monitor.should_abort();
+            col.converged = !aborted && within_tolerance(col.rel);
+            if aborted || col.converged {
+                if compact {
+                    x[j * n..(j + 1) * n].copy_from_slice(&xc[c * n..(c + 1) * n]);
+                }
+            } else {
+                if compact && kept != c {
+                    bc.copy_within(c * n..(c + 1) * n, kept * n);
+                    xc.copy_within(c * n..(c + 1) * n, kept * n);
+                }
+                ws.active[kept] = j;
+                kept += 1;
+            }
+        }
+        ws.active.truncate(kept);
+        ws.bc = bc;
+        ws.xc = xc;
+    }
+    if compact {
+        for (c, &j) in ws.active.iter().enumerate() {
+            x[j * n..(j + 1) * n].copy_from_slice(&ws.xc[c * n..(c + 1) * n]);
+        }
+    }
+    iterations
+}
+
+/// Run the solve phase: `max_iterations` V-cycles (with early exit on
+/// `tolerance`, checked before the first cycle too), tracking the relative
+/// residual after each cycle.
 pub fn solve(
     device: &Device,
     cfg: &AmgConfig,
@@ -386,7 +602,8 @@ pub fn solve(
 /// [`solve`] with caller-owned buffers: bitwise-identical iterates and
 /// identical kernel charges, but all per-cycle vectors come from `ws`.
 /// Reusing one workspace across repeated solves of one hierarchy makes the
-/// steady-state solve phase allocation-free.
+/// steady-state solve phase allocation-free. The cycles run in place on
+/// `b` and `x`.
 pub fn solve_with_workspace(
     device: &Device,
     cfg: &AmgConfig,
@@ -395,98 +612,34 @@ pub fn solve_with_workspace(
     x: &mut Vec<f64>,
     ws: &mut SolveWorkspace,
 ) -> SolveReport {
-    ws.ensure(h);
     let n = h.finest().n();
     assert_eq!(b.len(), n);
     if x.len() != n {
         x.resize(n, 0.0);
     }
-    let ctx0 = Ctx::new(device, Phase::Solve, 0, h.finest().precision)
-        .with_policy(cfg.policy)
-        .with_exec(cfg.exec);
-    let _phase_span = device.span(SpanKind::Phase, SpanLabel::named("solve"));
-
-    let b_norm = {
-        let nb = vec_ops::norm2(&ctx0, b);
-        if nb == 0.0 {
-            1.0
-        } else {
-            nb
-        }
-    };
-    // Initial residual (the paper's "+1" SpMV).
-    let initial = {
-        let _span = device.span(SpanKind::Region, SpanLabel::named("initial residual"));
-        h.finest()
-            .a
-            .spmv_into(&ctx0, x, &mut ws.outer.op, &mut ws.outer.ax);
-        vec_ops::sub_into(&ctx0, b, &ws.outer.ax, &mut ws.outer.r);
-        vec_ops::norm2(&ctx0, &ws.outer.r)
-    };
-
-    let mut monitor = ConvergenceMonitor::new(HealthThresholds::default(), initial / b_norm);
-    let mut health_events: Vec<HealthEvent> = Vec::new();
-    let mut history = Vec::with_capacity(cfg.max_iterations);
-    let mut final_norm = initial;
-    let mut converged = false;
-    let mut iterations = 0usize;
-    for it in 0..cfg.max_iterations {
-        let _iter_span = device.span(
-            SpanKind::Iteration,
-            SpanLabel::with("iteration", (it + 1) as u64),
-        );
-        let mut poison = None;
-        vcycle(device, cfg, h, 0, b, x, &mut poison, ws);
-        iterations += 1;
-        // Residual after the cycle (one SpMV per iteration).
-        h.finest()
-            .a
-            .spmv_into(&ctx0, x, &mut ws.outer.op, &mut ws.outer.ax);
-        vec_ops::sub_into(&ctx0, b, &ws.outer.ax, &mut ws.outer.r);
-        final_norm = vec_ops::norm2(&ctx0, &ws.outer.r);
-        history.push(final_norm / b_norm);
-        device.flight_residual(it + 1, None, final_norm / b_norm);
-        let event = if let Some(site) = poison {
-            monitor.attribute_non_finite(
-                Some(site.level),
-                Some(site.precision),
-                format!("non-finite values after {}", site.stage),
-            )
-        } else {
-            monitor.observe(final_norm / b_norm)
-        };
-        if let Some(mut ev) = event {
-            // Divergence/stagnation fire at the outer residual check;
-            // attribute them to the finest level and its active precision
-            // so a post-mortem names the grid that failed.
-            if ev.level.is_none() {
-                ev.level = Some(0);
-                ev.precision = Some(level_precision(device, cfg, 0).label());
-            }
-            ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-            if let Some(rec) = device.recorder() {
-                rec.record_health(ev.clone());
-            }
-            device.flight_health(&ev);
-            health_events.push(ev);
-        }
-        if monitor.should_abort() {
-            break;
-        }
-        if cfg.tolerance > 0.0 && final_norm / b_norm < cfg.tolerance {
-            converged = true;
-            break;
-        }
-    }
-
+    let mut health_events = Vec::new();
+    let iterations = solve_columns(
+        device,
+        cfg,
+        h,
+        b,
+        x,
+        1,
+        ws,
+        "solve",
+        false,
+        &mut health_events,
+    );
+    let col = &mut ws.columns[0];
     SolveReport {
         iterations,
-        initial_residual_norm: initial,
-        final_residual_norm: final_norm,
-        history,
-        converged,
-        outcome: monitor.outcome(converged),
-        convergence_factor: monitor.geometric_factor(),
+        initial_residual_norm: col.initial_norm,
+        initial_relative_residual: col.initial_norm / col.b_norm,
+        final_residual_norm: col.final_norm,
+        history: std::mem::take(&mut col.history),
+        converged: col.converged,
+        outcome: col.monitor.outcome(col.converged),
+        convergence_factor: col.monitor.geometric_factor(),
         health_events,
     }
 }
@@ -532,169 +685,13 @@ impl BatchedSolveReport {
     }
 }
 
-/// Batched smoothing sweep: one fused SpMM over all columns for the
-/// Jacobi-type smoothers; hybrid Gauss-Seidel is inherently sequential per
-/// column and falls back to a column loop.
-fn smooth_mv(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    lvl: &Level,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    lw: &mut LevelWorkspace,
-) {
-    match cfg.smoother {
-        Smoother::L1Jacobi => {
-            lvl.a.spmm_into(ctx, x, &mut lw.op, &mut lw.ax_mv);
-            vec_ops::jacobi_fused_mv(ctx, &lvl.l1_diag_inv, b, &lw.ax_mv, x);
-        }
-        Smoother::WeightedJacobi(w) => {
-            lvl.a.spmm_into(ctx, x, &mut lw.op, &mut lw.ax_mv);
-            lw.scaled.clear();
-            lw.scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
-            vec_ops::jacobi_fused_mv(ctx, &lw.scaled, b, &lw.ax_mv, x);
-        }
-        Smoother::HybridGaussSeidel => {
-            let n = x.nrows;
-            for j in 0..x.ncols {
-                hybrid_gauss_seidel(
-                    ctx,
-                    lvl,
-                    &b.data[j * n..(j + 1) * n],
-                    x.col_mut(j),
-                    &mut lw.gs_old,
-                );
-            }
-        }
-    }
-}
-
-/// Batched coarsest-level solve. The direct factorizations run one
-/// triangular solve per column (their cost is per-column by nature); the
-/// Jacobi option smooths the whole batch per sweep.
-fn coarse_solve_mv(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    h: &Hierarchy,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    lw: &mut LevelWorkspace,
-) {
-    match cfg.coarse_solver {
-        CoarseSolver::DirectLu | CoarseSolver::SparseLdl { .. } => {
-            let n = x.nrows;
-            // The direct paths fully overwrite the column, so solving in
-            // place is exact.
-            for j in 0..x.ncols {
-                coarse_solve(ctx, cfg, h, &b.data[j * n..(j + 1) * n], x.col_mut(j), lw);
-            }
-        }
-        CoarseSolver::Jacobi(sweeps) => {
-            let lvl = h.levels.last().unwrap();
-            for _ in 0..sweeps {
-                smooth_mv(ctx, cfg, lvl, b, x, lw);
-            }
-        }
-    }
-}
-
-/// One batched multigrid cycle starting at level `k`: the multi-vector
-/// mirror of [`vcycle`], with every SpMV widened to an SpMM over the batch.
-#[allow(clippy::too_many_arguments)]
-fn vcycle_mv(
-    device: &Device,
-    cfg: &AmgConfig,
-    h: &Hierarchy,
-    k: usize,
-    b: &MultiVector,
-    x: &mut MultiVector,
-    poison: &mut Option<NonFiniteSite>,
-    ws: &mut SolveWorkspace,
-) {
-    let _level_span = device.span(SpanKind::Level, SpanLabel::with("level", k as u64));
-    let lvl = &h.levels[k];
-    let ctx = Ctx::new(device, Phase::Solve, k as u32, lvl.precision)
-        .with_policy(cfg.policy)
-        .with_exec(cfg.exec);
-    let mut lw = std::mem::take(&mut ws.levels[k]);
-    if k + 1 == h.n_levels() {
-        coarse_solve_mv(&ctx, cfg, h, b, x, &mut lw);
-        check_finite(poison, &x.data, lvl, k, "coarse solve");
-        ws.levels[k] = lw;
-        return;
-    }
-
-    for _ in 0..cfg.num_sweeps {
-        smooth_mv(&ctx, cfg, lvl, b, x, &mut lw);
-    }
-    check_finite(poison, &x.data, lvl, k, "pre-smoothing");
-
-    lvl.a.spmm_into(&ctx, x, &mut lw.op, &mut lw.ax_mv);
-    vec_ops::sub_mv_into(&ctx, b, &lw.ax_mv, &mut lw.r_mv);
-    let restriction = lvl.r.as_ref().expect("non-coarsest level has R");
-    restriction.spmm_into(&ctx, &lw.r_mv, &mut lw.op, &mut lw.b_next_mv);
-
-    // Zero initial guess in the reused buffer (reshape keeps stale data).
-    lw.x_next_mv.reshape(lw.b_next_mv.nrows, lw.b_next_mv.ncols);
-    lw.x_next_mv.data.fill(0.0);
-    let visits = match cfg.cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        if cfg.cycle == CycleType::F && visit == 1 {
-            let mut vcfg = cfg.clone();
-            vcfg.cycle = CycleType::V;
-            vcycle_mv(
-                device,
-                &vcfg,
-                h,
-                k + 1,
-                &lw.b_next_mv,
-                &mut lw.x_next_mv,
-                poison,
-                ws,
-            );
-        } else {
-            vcycle_mv(
-                device,
-                cfg,
-                h,
-                k + 1,
-                &lw.b_next_mv,
-                &mut lw.x_next_mv,
-                poison,
-                ws,
-            );
-        }
-    }
-
-    let p = lvl.p.as_ref().expect("non-coarsest level has P");
-    p.spmm_into(&ctx, &lw.x_next_mv, &mut lw.op, &mut lw.e_mv);
-    vec_ops::axpy_mv(&ctx, 1.0, &lw.e_mv, x);
-
-    for _ in 0..cfg.num_sweeps {
-        smooth_mv(&ctx, cfg, lvl, b, x, &mut lw);
-    }
-    check_finite(poison, &x.data, lvl, k, "post-smoothing");
-    ws.levels[k] = lw;
-}
-
-/// Copy the selected columns of `src` into a compact batch, reusing `out`.
-fn gather_columns_into(src: &MultiVector, idx: &[usize], out: &mut MultiVector) {
-    let n = src.nrows;
-    out.reshape(n, idx.len());
-    for (c, &j) in idx.iter().enumerate() {
-        out.data[c * n..(c + 1) * n].copy_from_slice(src.col(j));
-    }
-}
-
 /// Solve `A X = B` for a batch of right-hand sides over one hierarchy.
 ///
-/// All columns advance through the same V-cycles so every SpMV becomes a
-/// fused SpMM; convergence is tracked **per column**. Columns that reach
-/// `cfg.tolerance` leave the active set (early-exit masking): the batch is
-/// compacted so later cycles only pay for the still-active columns.
+/// All columns advance through the same V-cycles, so every SpMV covers the
+/// whole batch; convergence is tracked **per column**, and each column's
+/// iterates are bitwise those of [`solve`] on it alone. Columns that reach
+/// `cfg.tolerance` leave the active set (early-exit masking), and later
+/// cycles only pay for the still-active columns.
 pub fn solve_batched(
     device: &Device,
     cfg: &AmgConfig,
@@ -708,7 +705,7 @@ pub fn solve_batched(
 
 /// [`solve_batched`] with caller-owned buffers (see
 /// [`solve_with_workspace`]): bitwise-identical per-column iterates,
-/// identical charges, reusable batch staging and per-level multi-vectors.
+/// identical charges, reusable batch staging and per-level blocks.
 pub fn solve_batched_with_workspace(
     device: &Device,
     cfg: &AmgConfig,
@@ -717,145 +714,41 @@ pub fn solve_batched_with_workspace(
     x: &mut MultiVector,
     ws: &mut SolveWorkspace,
 ) -> BatchedSolveReport {
-    ws.ensure(h);
     let n = h.finest().n();
     assert_eq!(b.nrows, n, "RHS size mismatch");
     let ncols = b.ncols;
     if x.nrows != n || x.ncols != ncols {
         *x = MultiVector::zeros(n, ncols);
     }
-    let ctx0 = Ctx::new(device, Phase::Solve, 0, h.finest().precision)
-        .with_policy(cfg.policy)
-        .with_exec(cfg.exec);
-    let _phase_span = device.span(SpanKind::Phase, SpanLabel::named("solve batched"));
-
-    let b_norms: Vec<f64> = vec_ops::norms2_mv(&ctx0, b)
-        .into_iter()
-        .map(|nb| if nb == 0.0 { 1.0 } else { nb })
-        .collect();
-    let initial = {
-        let _span = device.span(SpanKind::Region, SpanLabel::named("initial residual"));
-        h.finest()
-            .a
-            .spmm_into(&ctx0, x, &mut ws.outer.op, &mut ws.outer.ax_mv);
-        vec_ops::sub_mv_into(&ctx0, b, &ws.outer.ax_mv, &mut ws.outer.r_mv);
-        vec_ops::norms2_mv(&ctx0, &ws.outer.r_mv)
-    };
-
-    let mut converged = vec![false; ncols];
-    let mut column_iterations = vec![0usize; ncols];
-    let mut final_rel: Vec<f64> = initial.iter().zip(&b_norms).map(|(r, nb)| r / nb).collect();
-    let mut active: Vec<usize> = (0..ncols).collect();
-    if cfg.tolerance > 0.0 {
-        active.retain(|&j| {
-            if final_rel[j] < cfg.tolerance {
-                converged[j] = true;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    let mut monitors: Vec<ConvergenceMonitor> = (0..ncols)
-        .map(|j| ConvergenceMonitor::for_column(HealthThresholds::default(), final_rel[j], j))
-        .collect();
-    let mut health_events: Vec<HealthEvent> = Vec::new();
-    let mut column_histories: Vec<Vec<f64>> = (0..ncols)
-        .map(|_| Vec::with_capacity(cfg.max_iterations))
-        .collect();
-    let mut iterations = 0usize;
-    for it in 0..cfg.max_iterations {
-        if active.is_empty() {
-            break;
-        }
-        let _iter_span = device.span(
-            SpanKind::Iteration,
-            SpanLabel::with("iteration", (it + 1) as u64),
-        );
-        // Compact the still-active columns into a dense batch (detached
-        // from the pool so the cycle below can borrow `ws`).
-        let mut bc = std::mem::take(&mut ws.bc_mv);
-        let mut xc = std::mem::take(&mut ws.xc_mv);
-        gather_columns_into(b, &active, &mut bc);
-        gather_columns_into(x, &active, &mut xc);
-        let mut poison = None;
-        vcycle_mv(device, cfg, h, 0, &bc, &mut xc, &mut poison, ws);
-        iterations += 1;
-
-        // Batched residual for the active columns only.
-        h.finest()
-            .a
-            .spmm_into(&ctx0, &xc, &mut ws.outer.op, &mut ws.outer.ax_mv);
-        vec_ops::sub_mv_into(&ctx0, &bc, &ws.outer.ax_mv, &mut ws.outer.r_mv);
-        vec_ops::norms2_mv_into(&ctx0, &ws.outer.r_mv, &mut ws.norms);
-        let norms = &ws.norms;
-
-        // Columns that stay active are compacted to the front of `active`.
-        let mut kept = 0;
-        for c in 0..active.len() {
-            let j = active[c];
-            x.data[j * n..(j + 1) * n].copy_from_slice(xc.col(c));
-            final_rel[j] = norms[c] / b_norms[j];
-            column_iterations[j] = iterations;
-            column_histories[j].push(final_rel[j]);
-            device.flight_residual(iterations, Some(j), final_rel[j]);
-            // Per-column health: a poisoned cycle fails the columns whose
-            // data actually went non-finite, with the level attribution
-            // from the cycle's own checks.
-            let column_bad = !final_rel[j].is_finite() || xc.col(c).iter().any(|v| !v.is_finite());
-            let event = match (column_bad, poison) {
-                (true, Some(site)) => monitors[j].attribute_non_finite(
-                    Some(site.level),
-                    Some(site.precision),
-                    format!("non-finite values after {}", site.stage),
-                ),
-                _ => monitors[j].observe(final_rel[j]),
-            };
-            if let Some(mut ev) = event {
-                // Same finest-level attribution as the single-RHS path.
-                if ev.level.is_none() {
-                    ev.level = Some(0);
-                    ev.precision = Some(level_precision(device, cfg, 0).label());
-                }
-                ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-                if let Some(rec) = device.recorder() {
-                    rec.record_health(ev.clone());
-                }
-                device.flight_health(&ev);
-                health_events.push(ev);
-            }
-            if monitors[j].should_abort() {
-                continue; // Drop the failed column from the active set.
-            }
-            if cfg.tolerance > 0.0 && final_rel[j] < cfg.tolerance {
-                converged[j] = true;
-            } else {
-                active[kept] = j;
-                kept += 1;
-            }
-        }
-        active.truncate(kept);
-        ws.bc_mv = bc;
-        ws.xc_mv = xc;
-    }
-
-    let column_outcomes: Vec<SolveOutcome> = monitors
-        .iter()
-        .zip(&converged)
-        .map(|(m, &c)| m.outcome(c))
-        .collect();
-    let column_convergence_factors: Vec<f64> =
-        monitors.iter().map(|m| m.geometric_factor()).collect();
+    let mut health_events = Vec::new();
+    let iterations = solve_columns(
+        device,
+        cfg,
+        h,
+        &b.data,
+        &mut x.data,
+        ncols,
+        ws,
+        "solve batched",
+        true,
+        &mut health_events,
+    );
+    let cols = &mut ws.columns;
     BatchedSolveReport {
         ncols,
         iterations,
-        converged,
-        column_iterations,
-        final_relative_residuals: final_rel,
-        column_histories,
-        column_outcomes,
-        column_convergence_factors,
+        converged: cols.iter().map(|c| c.converged).collect(),
+        column_iterations: cols.iter().map(|c| c.iterations).collect(),
+        final_relative_residuals: cols.iter().map(|c| c.rel).collect(),
+        column_histories: cols
+            .iter_mut()
+            .map(|c| std::mem::take(&mut c.history))
+            .collect(),
+        column_outcomes: cols
+            .iter()
+            .map(|c| c.monitor.outcome(c.converged))
+            .collect(),
+        column_convergence_factors: cols.iter().map(|c| c.monitor.geometric_factor()).collect(),
         health_events,
     }
 }
@@ -1107,6 +1000,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `solve` is the batched loop at one column: a one-column
+    /// `solve_batched` gives the same iterate bits and the same ledger, on
+    /// CUDA-core and tensor-core levels, at FP64 and mixed precision, for
+    /// V/W/F cycles, under both execution backends.
+    #[test]
+    fn solve_matches_one_column_batched_solve_bits_and_ledger() {
+        use amgt_kernels::spmv_mbsr::SpmvPath;
+        use amgt_kernels::ExecMode;
+        use amgt_sparse::gen::{elasticity_3d, NeighborSet};
+        let matrices = [
+            (laplacian_2d(16, 16, Stencil2d::Five), SpmvPath::CudaCore),
+            (
+                elasticity_3d(3, 3, 3, 4, NeighborSet::Face, 1),
+                SpmvPath::TensorCore,
+            ),
+        ];
+        for (a, path) in matrices {
+            let n = a.nrows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.5).collect();
+            for base in [AmgConfig::amgt_fp64(), AmgConfig::amgt_mixed()] {
+                let h = setup(&Device::new(GpuSpec::a100()), &base, a.clone());
+                assert_eq!(h.levels[0].a.plan.as_ref().unwrap().path, path);
+                for exec in [ExecMode::Simulated, ExecMode::Native] {
+                    for cycle in [CycleType::V, CycleType::W, CycleType::F] {
+                        let mut cfg = base.clone();
+                        cfg.exec = exec;
+                        cfg.cycle = cycle;
+                        cfg.max_iterations = 4;
+                        let what = format!("{path:?} {:?} {exec:?} {cycle:?}", cfg.precision);
+                        let dev_s = Device::new(GpuSpec::a100());
+                        let mut xs = vec![0.0; n];
+                        let rep = solve(&dev_s, &cfg, &h, &b, &mut xs);
+                        let dev_b = Device::new(GpuSpec::a100());
+                        let bm = MultiVector::from_columns(std::slice::from_ref(&b));
+                        let mut xb = MultiVector::zeros(n, 1);
+                        let brep = solve_batched(&dev_b, &cfg, &h, &bm, &mut xb);
+                        assert_eq!(rep.iterations, brep.iterations, "{what}");
+                        assert_eq!(rep.history, brep.column_histories[0], "{what}");
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&xs), bits(&xb.data), "{what}: x bits");
+                        let ledger = |d: &Device| {
+                            d.events()
+                                .iter()
+                                .map(|e| {
+                                    let id = (e.kind, e.algo, e.phase, e.level, e.precision);
+                                    (id, e.seconds.to_bits())
+                                })
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(ledger(&dev_s), ledger(&dev_b), "{what}: ledger");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A system already within tolerance runs no cycle, as a batched
+    /// column does, and reports its initial relative residual.
+    #[test]
+    fn solve_within_tolerance_before_the_first_cycle_runs_none() {
+        let a = laplacian_2d(16, 16, Stencil2d::Five);
+        let mut cfg = AmgConfig::amgt_fp64();
+        cfg.tolerance = 1e-8;
+        let dev = Device::new(GpuSpec::a100());
+        let h = setup(&dev, &cfg, a.clone());
+        let x0: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.1).cos()).collect();
+        let b = a.matvec(&x0);
+        let mut x = x0.clone();
+        let rep = solve(&dev, &cfg, &h, &b, &mut x);
+        assert_eq!(rep.iterations, 0);
+        assert!(rep.converged);
+        assert_eq!(rep.outcome, crate::diagnostics::SolveOutcome::Converged);
+        assert!(rep.history.is_empty());
+        assert_eq!(rep.final_residual_norm, rep.initial_residual_norm);
+        let b_norm = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let initial_rel = rep.initial_residual_norm / b_norm;
+        assert!(
+            (rep.final_relative_residual() - initial_rel).abs() <= 1e-12 * initial_rel,
+            "{} vs {initial_rel}",
+            rep.final_relative_residual()
+        );
+        assert_eq!(rep.final_relative_residual(), rep.initial_relative_residual);
+        assert!(rep.final_relative_residual() < cfg.tolerance);
+        assert_eq!(x, x0, "no cycle touched x");
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //! corrections, norms. Arithmetic is performed in f64 (kernels quantize at
 //! their own boundaries); traffic is charged at the context precision.
 //!
+//! A batched solve keeps its columns back to back (column-major), and the
+//! same functions serve it: elementwise ops stream the whole block as one
+//! launch, [`jacobi_fused`] broadcasts the diagonal over the columns, and
+//! [`norms2`] reduces each column on its own. A column's bits are
+//! therefore the same whether it is solved alone or in a batch.
+//!
 //! # Parallelism and the bitwise contract
 //!
 //! Elementwise updates fork over disjoint chunks of the output
 //! ([`amgt_exec::par::join_block_chunks`]); reductions ([`dot`],
-//! [`norm2`], [`norms2_mv`]) use a **fixed-topology** binary tree
+//! [`norm2`], [`norms2`]) use a **fixed-topology** binary tree
 //! ([`amgt_exec::par::join_ranges`]) whose split points depend only on
 //! the vector length and [`REDUCE_GRAIN`] — never on the pool width.
 //! Floating-point addition is not associative, so the tree shape *is* the
@@ -24,7 +30,6 @@
 
 use amgt_exec::par;
 use amgt_kernels::ctx::KernelTimer;
-use amgt_kernels::spmm_mbsr::MultiVector;
 use amgt_kernels::Ctx;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 
@@ -128,28 +133,43 @@ pub fn diag_scaled_add(ctx: &Ctx, diag_inv: &[f64], r: &[f64], y: &mut [f64]) {
 }
 
 /// Fused smoother update: `x += dinv .* (b - ax)` in one kernel launch
-/// (HYPRE fuses the relax update the same way).
+/// (HYPRE fuses the relax update the same way). `x`, `b` and `ax` hold
+/// one or more columns of `dinv.len()` rows, column-major; the diagonal
+/// is broadcast over the columns.
 pub fn jacobi_fused(ctx: &Ctx, dinv: &[f64], b: &[f64], ax: &[f64], x: &mut [f64]) {
     let timer = ctx.timer();
-    assert_eq!(dinv.len(), x.len());
+    let n = dinv.len();
     assert_eq!(b.len(), x.len());
     assert_eq!(ax.len(), x.len());
-    let n = x.len();
+    assert!(x.len().is_multiple_of(n), "x is not whole columns");
+    let len = x.len();
     par::join_block_chunks(
         x,
         0,
-        n,
+        len,
         1,
         VEC_GRAIN,
-        &|first, _n, chunk| {
-            for (i, xi) in chunk.iter_mut().enumerate() {
-                let g = first + i;
-                *xi += dinv[g] * (b[g] - ax[g]);
+        &|first, len, chunk| {
+            // Walk the leaf one column segment at a time, so the diagonal
+            // is indexed directly.
+            let mut off = 0;
+            while off < len {
+                let (g, i0) = (first + off, (first + off) % n);
+                let m = (n - i0).min(len - off);
+                for (((xi, &d), &bi), &ai) in chunk[off..off + m]
+                    .iter_mut()
+                    .zip(&dinv[i0..i0 + m])
+                    .zip(&b[g..g + m])
+                    .zip(&ax[g..g + m])
+                {
+                    *xi += d * (bi - ai);
+                }
+                off += m;
             }
         },
         &|(), ()| (),
     );
-    charge_stream(ctx, x.len(), 5.0, 3.0, timer);
+    charge_stream(ctx, len, 5.0, 3.0, timer);
 }
 
 /// `z = x - y` into a fresh vector.
@@ -195,12 +215,27 @@ pub fn dot(ctx: &Ctx, x: &[f64], y: &[f64]) -> f64 {
     d
 }
 
-/// Euclidean norm (fixed-topology tree reduction; see module docs).
+/// Euclidean norm (fixed-topology tree reduction; see module docs): the
+/// one-column [`norms2`].
 pub fn norm2(ctx: &Ctx, x: &[f64]) -> f64 {
+    let mut norm = [0.0];
+    norms2(ctx, x, &mut norm);
+    norm[0]
+}
+
+/// Per-column Euclidean norms of the column-major `x`, one column per
+/// entry of `norms`, in one reduction launch. Each column reduces with
+/// its own fixed-topology tree (see module docs), so a column's norm does
+/// not depend on the other columns.
+pub fn norms2(ctx: &Ctx, x: &[f64], norms: &mut [f64]) {
     let timer = ctx.timer();
-    let d = tree_sum(x.len(), &|i| x[i] * x[i]);
+    let n = x.len().checked_div(norms.len()).unwrap_or(0);
+    assert_eq!(x.len(), n * norms.len(), "x is not whole columns");
+    for (j, norm) in norms.iter_mut().enumerate() {
+        let col = &x[j * n..(j + 1) * n];
+        *norm = tree_sum(n, &|i| col[i] * col[i]).sqrt();
+    }
     charge_stream(ctx, x.len(), 1.0, 2.0, timer);
-    d.sqrt()
 }
 
 /// Fill with zeros (charged as a stream write).
@@ -217,126 +252,6 @@ pub fn zero_fill(ctx: &Ctx, x: &mut [f64]) {
         &|(), ()| (),
     );
     charge_stream(ctx, n, 1.0, 0.0, timer);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-vector (batched-RHS) variants: the same arithmetic applied to every
-// column, charged as ONE kernel launch streaming `n * ncols` elements —
-// batching amortizes launch overhead, not arithmetic.
-
-/// Batched [`sub`]: `Z = X - Y` columnwise.
-pub fn sub_mv(ctx: &Ctx, x: &MultiVector, y: &MultiVector) -> MultiVector {
-    let mut z = MultiVector::default();
-    sub_mv_into(ctx, x, y, &mut z);
-    z
-}
-
-/// Batched [`sub`] into a caller-owned multi-vector (same charge as
-/// [`sub_mv`]).
-pub fn sub_mv_into(ctx: &Ctx, x: &MultiVector, y: &MultiVector, z: &mut MultiVector) {
-    let timer = ctx.timer();
-    assert_eq!(x.nrows, y.nrows);
-    assert_eq!(x.ncols, y.ncols);
-    z.reshape(x.nrows, x.ncols);
-    let n = z.data.len();
-    par::join_block_chunks(
-        &mut z.data,
-        0,
-        n,
-        1,
-        VEC_GRAIN,
-        &|first, n, chunk| {
-            for ((zi, &xi), &yi) in chunk
-                .iter_mut()
-                .zip(&x.data[first..first + n])
-                .zip(&y.data[first..first + n])
-            {
-                *zi = xi - yi;
-            }
-        },
-        &|(), ()| (),
-    );
-    charge_stream(ctx, x.data.len(), 3.0, 1.0, timer);
-}
-
-/// Batched [`axpy`]: `Y += alpha * X` columnwise.
-pub fn axpy_mv(ctx: &Ctx, alpha: f64, x: &MultiVector, y: &mut MultiVector) {
-    let timer = ctx.timer();
-    assert_eq!(x.nrows, y.nrows);
-    assert_eq!(x.ncols, y.ncols);
-    let n = y.data.len();
-    par::join_block_chunks(
-        &mut y.data,
-        0,
-        n,
-        1,
-        VEC_GRAIN,
-        &|first, n, chunk| {
-            for (yi, &xi) in chunk.iter_mut().zip(&x.data[first..first + n]) {
-                *yi += alpha * xi;
-            }
-        },
-        &|(), ()| (),
-    );
-    charge_stream(ctx, x.data.len(), 3.0, 2.0, timer);
-}
-
-/// Batched [`jacobi_fused`]: `X[:,j] += dinv .* (B[:,j] - AX[:,j])` for
-/// every column, with the diagonal broadcast across columns. Forks over
-/// whole columns (block length = `nrows`) so each leaf indexes the
-/// broadcast diagonal locally.
-pub fn jacobi_fused_mv(
-    ctx: &Ctx,
-    dinv: &[f64],
-    b: &MultiVector,
-    ax: &MultiVector,
-    x: &mut MultiVector,
-) {
-    let timer = ctx.timer();
-    assert_eq!(dinv.len(), x.nrows);
-    assert_eq!(b.nrows, x.nrows);
-    assert_eq!(ax.nrows, x.nrows);
-    assert_eq!(b.ncols, x.ncols);
-    assert_eq!(ax.ncols, x.ncols);
-    let n = x.nrows;
-    let ncols = x.ncols;
-    par::join_block_chunks(
-        &mut x.data,
-        0,
-        ncols,
-        n,
-        1,
-        &|first_col, ncol, chunk| {
-            for jc in 0..ncol {
-                let j = first_col + jc;
-                for i in 0..n {
-                    chunk[jc * n + i] += dinv[i] * (b.data[j * n + i] - ax.data[j * n + i]);
-                }
-            }
-        },
-        &|(), ()| (),
-    );
-    charge_stream(ctx, x.data.len(), 5.0, 3.0, timer);
-}
-
-/// Per-column Euclidean norms in one reduction launch. Each column uses
-/// the same fixed-topology tree as [`norm2`], so the batched and
-/// single-vector paths agree bitwise.
-pub fn norms2_mv(ctx: &Ctx, x: &MultiVector) -> Vec<f64> {
-    let mut norms = Vec::with_capacity(x.ncols);
-    norms2_mv_into(ctx, x, &mut norms);
-    norms
-}
-
-/// [`norms2_mv`] into a caller-owned vector (same bits, same charge).
-pub fn norms2_mv_into(ctx: &Ctx, x: &MultiVector, norms: &mut Vec<f64>) {
-    let timer = ctx.timer();
-    norms.clear();
-    norms.extend((0..x.ncols).map(|j| {
-        let col = x.col(j);
-        tree_sum(col.len(), &|i| col[i] * col[i]).sqrt()
-    }));
-    charge_stream(ctx, x.data.len(), 1.0, 2.0, timer);
 }
 
 #[cfg(test)]
@@ -434,10 +349,32 @@ mod tests {
         let cols: Vec<Vec<f64>> = (0..3)
             .map(|j| (0..n).map(|i| 1.0 / ((i + j) as f64 + 0.9)).collect())
             .collect();
-        let mv = MultiVector::from_columns(&cols);
-        let batched = norms2_mv(&c, &mv);
+        let mut batched = [0.0; 3];
+        norms2(&c, &cols.concat(), &mut batched);
         for (j, col) in cols.iter().enumerate() {
             assert_eq!(batched[j].to_bits(), norm2(&c, col).to_bits(), "col {j}");
         }
+    }
+
+    #[test]
+    fn jacobi_fused_broadcasts_the_diagonal_over_columns() {
+        // Columns longer than the grain, so leaves start mid-column.
+        let dev = Device::new(GpuSpec::a100());
+        let c = ctx(&dev);
+        let n = VEC_GRAIN + 3;
+        let dinv: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 2.0)).collect();
+        let col = |j: usize, k: f64| -> Vec<f64> {
+            (0..n).map(|i| ((i * (j + 1)) as f64 * k).sin()).collect()
+        };
+        let b: Vec<f64> = (0..3).flat_map(|j| col(j, 0.3)).collect();
+        let ax: Vec<f64> = (0..3).flat_map(|j| col(j, 0.7)).collect();
+        let mut x: Vec<f64> = (0..3).flat_map(|j| col(j, 1.1)).collect();
+        let mut want = x.clone();
+        jacobi_fused(&c, &dinv, &b, &ax, &mut x);
+        for j in 0..3 {
+            let r = j * n..(j + 1) * n;
+            jacobi_fused(&c, &dinv, &b[r.clone()], &ax[r.clone()], &mut want[r]);
+        }
+        assert_eq!(x, want);
     }
 }

@@ -719,13 +719,17 @@ fn run_stationary(rr: &mut RankRun) -> SolveReport {
         residual_norm_dist(rr)
     };
 
-    let mut monitor = ConvergenceMonitor::new(HealthThresholds::default(), initial / b_norm);
+    let initial_rel = initial / b_norm;
+    let mut monitor = ConvergenceMonitor::new(HealthThresholds::default(), initial_rel);
     let mut health_events: Vec<HealthEvent> = Vec::new();
     let mut history = Vec::with_capacity(cfg.max_iterations);
     let mut final_norm = initial;
-    let mut converged = false;
+    // As in the single-device loop, a system already within tolerance
+    // runs no cycle.
+    let mut converged = cfg.tolerance > 0.0 && initial_rel < cfg.tolerance;
+    let max_iterations = if converged { 0 } else { cfg.max_iterations };
     let mut iterations = 0usize;
-    for it in 0..cfg.max_iterations {
+    for it in 0..max_iterations {
         let _iter_span = dev.span(
             SpanKind::Iteration,
             SpanLabel::with("iteration", (it + 1) as u64),
@@ -751,6 +755,7 @@ fn run_stationary(rr: &mut RankRun) -> SolveReport {
     SolveReport {
         iterations,
         initial_residual_norm: initial,
+        initial_relative_residual: initial_rel,
         final_residual_norm: final_norm,
         history,
         converged,
@@ -818,6 +823,7 @@ fn run_pcg(rr: &mut RankRun, tol: f64, max_iters: usize) -> (Vec<f64>, SolveRepo
         let report = SolveReport {
             iterations: 0,
             initial_residual_norm: initial,
+            initial_relative_residual: initial_rel,
             final_residual_norm: initial,
             history: vec![],
             converged: true,
@@ -890,6 +896,7 @@ fn run_pcg(rr: &mut RankRun, tol: f64, max_iters: usize) -> (Vec<f64>, SolveRepo
     let report = SolveReport {
         iterations,
         initial_residual_norm: initial,
+        initial_relative_residual: initial_rel,
         final_residual_norm: final_norm,
         history,
         converged,
@@ -952,6 +959,7 @@ fn rank_main(
                 SolveReport {
                     iterations: rep.iterations,
                     initial_residual_norm: raw_nb,
+                    initial_relative_residual: raw_nb / b_norm,
                     final_residual_norm: rep.history.last().map_or(raw_nb, |r| r * b_norm),
                     history: rep.history,
                     converged: rep.converged,
@@ -1257,4 +1265,75 @@ fn run_dist(
     let mut outs = outs;
     let x = outs.swap_remove(0).x;
     (x, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amgt_sim::GpuSpec;
+    use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
+
+    fn cluster(p: usize) -> Cluster {
+        Cluster::new(GpuSpec::a100(), p, Interconnect::nvlink())
+    }
+
+    #[test]
+    fn distributed_solution_matches_single_device_bitwise() {
+        let a = laplacian_2d(16, 16, Stencil2d::Five);
+        let b = rhs_of_ones(&a);
+        let mut cfg = AmgConfig::amgt_fp64();
+        cfg.max_iterations = 8;
+
+        // Single-device reference.
+        let dev = Device::new(GpuSpec::a100());
+        let h = setup(&dev, &cfg, a.clone());
+        let mut x_ref = vec![0.0; b.len()];
+        amgt::solve::solve(&dev, &cfg, &h, &b, &mut x_ref);
+
+        let (x, rep) = dist_solve(&cluster(4), &cfg, &DistConfig::default(), a, &b);
+        assert_eq!(rep.ranks, 4);
+        for (i, (u, v)) in x.iter().zip(&x_ref).enumerate() {
+            assert_eq!(u.to_bits(), v.to_bits(), "row {i}: {u} vs {v}");
+        }
+        assert!(rep.setup_seconds > 0.0);
+        assert!(rep.solve_seconds > 0.0);
+        assert!(rep.comm_seconds > 0.0);
+        assert!(rep.comm_seconds < rep.solve_seconds);
+    }
+
+    #[test]
+    fn more_devices_reduce_compute_but_add_comm() {
+        let a = laplacian_2d(100, 100, Stencil2d::Five);
+        let b = rhs_of_ones(&a);
+        let mut cfg = AmgConfig::hypre_fp64();
+        cfg.max_iterations = 3;
+        let dcfg = DistConfig::default();
+        let (_, r1) = dist_solve(&cluster(1), &cfg, &dcfg, a.clone(), &b);
+        let (_, r8) = dist_solve(&cluster(8), &cfg, &dcfg, a, &b);
+        // One rank exchanges nothing; eight pay real interconnect time.
+        assert_eq!(r1.comm_seconds, 0.0);
+        assert!(r8.comm_seconds > r1.comm_seconds);
+        // Setup compute scales ~1/p; the added comm must not negate it on a
+        // matrix of this size.
+        assert!(
+            r8.setup_seconds < r1.setup_seconds,
+            "r8 {} vs r1 {}",
+            r8.setup_seconds,
+            r1.setup_seconds
+        );
+    }
+
+    #[test]
+    fn mixed_precision_distributed_converges() {
+        let a = laplacian_2d(20, 20, Stencil2d::Five);
+        let b = rhs_of_ones(&a);
+        let mut cfg = AmgConfig::amgt_mixed();
+        cfg.max_iterations = 25;
+        let (_, rep) = dist_solve(&cluster(2), &cfg, &DistConfig::default(), a, &b);
+        assert!(
+            rep.solve_report.final_relative_residual() < 1e-5,
+            "relres {}",
+            rep.solve_report.final_relative_residual()
+        );
+    }
 }

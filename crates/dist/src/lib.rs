@@ -5,8 +5,8 @@
 //! ([`partition`]), each rank runs as one thread over a message-passing
 //! [`Communicator`] ([`comm`]), and the solve phase — halo-exchange SpMV,
 //! distributed smoothing, per-rank Galerkin levels with a gathered
-//! redundant coarse region — lives in [`driver`]. The legacy multi-GPU
-//! entry point is kept as a shim in [`multi_gpu`].
+//! redundant coarse region — lives in [`driver`]; [`dist_solve`] is the
+//! entry point of the paper's multi-GPU experiment (Section V.E, Figure 9).
 //!
 //! Headline invariant (tested): the stationary distributed solve is
 //! **bitwise rank-count-invariant**, and at one rank bit-identical to
@@ -15,10 +15,8 @@
 
 pub mod comm;
 pub mod driver;
-pub mod multi_gpu;
 pub mod partition;
 
 pub use comm::{CommCounters, Communicator, LocalComm};
 pub use driver::{dist_pcg, dist_solve, DistConfig, DistReport, DistSmoother, RankReport};
-pub use multi_gpu::{run_amg_multi_gpu, MultiGpuReport};
 pub use partition::{build_halo_plans, dist_spmv_once, owner_of, row_slice, HaloPlan, RankMatrix};

@@ -10,8 +10,10 @@
 //!   tensor-core and CUDA-core paths.
 //! * [`vendor`] — cuSPARSE/rocSPARSE-style CSR SpGEMM and SpMV, the
 //!   baselines HYPRE calls.
-//! * [`spmm_mbsr`] — multi-RHS SpMM where eight right-hand sides fill the
-//!   8x8x4 tensor shape with no wasted lanes (extension beyond the paper).
+//! * [`spmm_mbsr`] — the one mBSR SpMV driver, over a block of operand
+//!   columns (SpMV is its one-column call); multi-RHS SpMM lets eight
+//!   right-hand sides fill the 8x8x4 tensor shape with no wasted lanes
+//!   (extension beyond the paper).
 //! * [`spmv_bsr`] — classic dense-tile BSR SpMV, the bitmap-less
 //!   counterfactual used by the ablation study.
 //! * [`convert`] — instrumented CSR/mBSR/BSR conversions (Figure 10).

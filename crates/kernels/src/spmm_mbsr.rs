@@ -1,14 +1,16 @@
-//! SpMM (sparse matrix times dense multi-vector) on the mBSR format.
+//! The mBSR SpMV driver over a block of operand columns, and SpMM (sparse
+//! matrix times dense multi-vector) as its multi-column call.
 //!
-//! An extension beyond the paper's SpMV: with eight right-hand sides the
-//! 8x8x4 tensor-core shape is used *without* waste — `fragA` holds two
-//! stacked tiles of `A`, `fragB` holds the 4x8 slab of the dense operand,
-//! and all 64 accumulator entries are useful output (the SpMV of Section
-//! IV.D only consumes the diagonal). Multi-RHS solves (multiple load
-//! vectors in FEM, block Krylov methods) hit exactly this kernel.
+//! SpMV is the one-column call of [`spmm_mbsr_into`]. Wider operands are an
+//! extension beyond the paper: with eight right-hand sides the 8x8x4
+//! tensor-core shape is used *without* waste — `fragA` holds two stacked
+//! tiles of `A`, `fragB` holds the 4x8 slab of the dense operand, and all
+//! 64 accumulator entries are useful output (the SpMV of Section IV.D only
+//! consumes the diagonal). Multi-RHS solves (multiple load vectors in FEM,
+//! block Krylov methods) hit exactly this kernel.
 
 use crate::ctx::{Ctx, ExecMode};
-use crate::spmv_mbsr::{SpmvPath, SpmvPlan};
+use crate::spmv_mbsr::{SpmvPath, SpmvPlan, SpmvScratch};
 use amgt_exec::SPMM_COLS;
 use amgt_sim::mma::MMA_FLOPS;
 use amgt_sim::{Algo, KernelCost, KernelKind};
@@ -18,11 +20,11 @@ use amgt_sparse::Mbsr;
 /// Number of right-hand sides one tensor fragment carries.
 pub const RHS_TILE: usize = 8;
 
-/// Block-rows per leaf of the SpMM fork-join tree (each leaf processes
-/// every column's work for its rows, so the grain is smaller than the
-/// single-vector SpMV's). Part of the fixed split topology — never derive
+/// Block-rows per fork-join leaf of a one-column call; a leaf of a wider
+/// call covers proportionally fewer rows (down to a quarter at
+/// `SPMM_COLS` columns). Part of the fixed split topology — never derive
 /// it from the pool width.
-const SPMM_JOIN_GRAIN: usize = 64;
+const JOIN_GRAIN: usize = 256;
 
 /// A dense column-major multi-vector.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -87,11 +89,10 @@ impl MultiVector {
     }
 }
 
-/// Per-call statistics reported by [`spmm_mbsr_with_stats`] — consumed by
-/// the serving layer's metrics and by the throughput bench.
+/// Per-call statistics returned by the driver.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpmmStats {
-    /// Number of RHS columns processed.
+    /// Number of operand columns processed.
     pub ncols: usize,
     /// Number of [`RHS_TILE`]-wide slabs the columns were coalesced into.
     pub slabs: u32,
@@ -101,87 +102,81 @@ pub struct SpmmStats {
     pub cuda_flops: u64,
 }
 
-/// `Y = A X` on mBSR. See [`spmm_mbsr_with_stats`]; this wrapper drops the
+/// `Y = A X` on mBSR. See [`spmm_mbsr_into`]; this wrapper drops the
 /// statistics.
 pub fn spmm_mbsr(ctx: &Ctx, a: &Mbsr, plan: &SpmvPlan, x: &MultiVector) -> MultiVector {
     spmm_mbsr_with_stats(ctx, a, plan, x).0
 }
 
-/// Reusable scratch for [`spmm_mbsr_into`]: the quantized, padded,
-/// column-major operand slab. Capacity grows monotonically across calls.
-#[derive(Clone, Debug, Default)]
-pub struct SpmmScratch {
-    xq: Vec<f64>,
-    /// Reduced-precision image of `xq` from `ExecBackend::spmv_quantize_x`
-    /// (empty whenever the active backend needs none).
-    x32: Vec<f32>,
-    /// Tile image for a plan that carries none at the call's precision.
-    a32: Vec<f32>,
-}
-
-/// `Y = A X` on mBSR, returning per-call [`SpmmStats`].
-///
-/// Right-hand sides are processed in slabs of [`RHS_TILE`]: `fragB` carries
-/// the 4x8 X sub-slab of one tile's column range, so one `mma` per tile per
-/// slab produces 4x8 useful accumulator lanes (the SpMV of Section IV.D
-/// consumes only the 8-lane diagonal of each `mma`). `A`'s values, indices
-/// and bitmaps stream once per slab instead of once per column.
-///
-/// Each column's arithmetic reuses the row-range kernel of
-/// [`crate::spmv_mbsr::spmv_mbsr`] (same path selection, same job schedule,
-/// same accumulation order), so every output column is **bitwise identical**
-/// to a standalone SpMV of that column at every precision — only the charged
-/// cost differs.
+/// `Y = A X` on mBSR into a fresh multi-vector, returning the driver's
+/// [`SpmmStats`].
 pub fn spmm_mbsr_with_stats(
     ctx: &Ctx,
     a: &Mbsr,
     plan: &SpmvPlan,
     x: &MultiVector,
 ) -> (MultiVector, SpmmStats) {
-    let mut scratch = SpmmScratch::default();
-    let mut y = MultiVector::zeros(a.nrows(), x.ncols);
-    let stats = spmm_mbsr_into(ctx, a, plan, x, &mut scratch, &mut y);
+    let mut y = MultiVector {
+        nrows: a.nrows(),
+        ncols: x.ncols,
+        data: Vec::new(),
+    };
+    let mut scratch = SpmvScratch::default();
+    let stats = spmm_mbsr_into(ctx, a, plan, &x.data, x.ncols, &mut scratch, &mut y.data);
     (y, stats)
 }
 
-/// [`spmm_mbsr_with_stats`] writing into a caller-owned output, reusing
-/// `scratch` for the quantized operand slab. Bitwise-identical output and
-/// identical kernel charge; allocation-free once `scratch` and `y` have
-/// grown to the operand size.
+/// The mBSR SpMV driver: `Y = A X` for a column-major operand of `ncols`
+/// columns (`x.len() == a.ncols() * ncols`), written column-major into
+/// `y` (resized to `a.nrows() * ncols`). SpMV is the one-column call.
+///
+/// The operand is quantized and padded into `scratch` in one sweep that
+/// also checks it is finite; if it is not, the call runs on the emulator
+/// (see `amgt_exec::operand_is_finite`). The block-rows then fork into an
+/// index-range tree, and each leaf runs `ExecBackend::spmm_rows` once per
+/// chunk of up to `SPMM_COLS` columns over its rows, so a tile is read
+/// once per chunk rather than once per column. Every row's warp jobs run
+/// in order, so each output column is **bitwise identical** to the SpMV
+/// of that column at every precision and any pool width. Allocation-free
+/// once `scratch` and `y` have grown to the operand size.
+///
+/// The charge comes from the plan's counters. One column runs the SpMV
+/// kernel of Section IV.D: two tiles per `mma`, the result on the
+/// accumulator diagonal. Wider operands run the slab kernel: `fragB`
+/// carries the 4x8 sub-slab of [`RHS_TILE`] columns, so `A` streams and
+/// issues one `mma` per tile once per slab, while scalar flops and the
+/// X/Y traffic scale with the columns.
 pub fn spmm_mbsr_into(
     ctx: &Ctx,
     a: &Mbsr,
     plan: &SpmvPlan,
-    x: &MultiVector,
-    scratch: &mut SpmmScratch,
-    y: &mut MultiVector,
+    x: &[f64],
+    ncols: usize,
+    scratch: &mut SpmvScratch,
+    y: &mut Vec<f64>,
 ) -> SpmmStats {
-    assert_eq!(x.nrows, a.ncols());
+    let (x_nrows, nrows) = (a.ncols(), a.nrows());
+    assert_eq!(x.len(), x_nrows * ncols);
     let timer = ctx.timer();
     let prec = ctx.precision;
-    let nrhs = x.ncols;
     let padded = a.blk_cols() * TILE;
 
-    // Quantized, padded, column-major operand (per column, exactly the
-    // padded vector spmv_mbsr builds). Pad tails are re-zeroed each call:
-    // the scratch may carry stale values from a previous operand. Columns
-    // are independent, so the quantize sweep forks per column. The sweep
-    // also checks the operand is finite; if not, the call runs on the
-    // emulator (see `amgt_exec::operand_is_finite`).
-    scratch.xq.resize(padded * nrhs, 0.0);
-    let xq = &mut scratch.xq[..padded * nrhs];
-    let x_nrows = x.nrows;
+    // Pad tails are re-zeroed each call: the scratch may carry stale values
+    // from a previous operand. Columns are independent, so the sweep forks
+    // per column.
+    scratch.xp.resize(padded * ncols, 0.0);
     let finite = amgt_exec::par::join_block_chunks(
-        xq,
+        &mut scratch.xp[..padded * ncols],
         0,
-        nrhs,
+        ncols,
         padded,
         1,
         &|first_col, ncol, chunk| {
             let mut finite = true;
             for jc in 0..ncol {
                 let dst = &mut chunk[jc * padded..(jc + 1) * padded];
-                for (d, &v) in dst[..x_nrows].iter_mut().zip(x.col(first_col + jc)) {
+                let src = &x[(first_col + jc) * x_nrows..][..x_nrows];
+                for (d, &v) in dst[..x_nrows].iter_mut().zip(src) {
                     *d = prec.quantize(v);
                     finite &= amgt_exec::operand_is_finite(prec, *d);
                 }
@@ -191,10 +186,9 @@ pub fn spmm_mbsr_into(
         },
         &|l, r| l & r,
     );
-    let xq = &scratch.xq[..padded * nrhs];
+    let xq = &scratch.xp[..padded * ncols];
 
-    y.reshape(a.nrows(), nrhs);
-    let nrows = a.nrows();
+    y.resize(nrows * ncols, 0.0);
     let be = if finite {
         ctx.backend()
     } else {
@@ -204,26 +198,21 @@ pub fn spmm_mbsr_into(
     let x32_all = &scratch.x32[..];
     let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
 
-    // The block-rows fork into an index-range tree; each leaf runs the
-    // backend once per chunk of up to `SPMM_COLS` columns over its rows
-    // `[r0, r1)`, so a tile is read once per chunk rather than once per
-    // column. A leaf owns rows `[4 r0, 4 r1)` of every column — disjoint
-    // but strided in the column-major output, hence the `SendPtr` slices.
-    // Each column's arithmetic is exactly its SpMV's, so output is bitwise
-    // identical to the per-column SpMV at any pool width.
-    let y_out = amgt_exec::par::SendPtr::new(y.data.as_mut_ptr());
+    // A leaf owns rows `[4 r0, 4 r1)` of every column — disjoint but
+    // strided in the column-major output, hence the `SendPtr` slices.
+    let y_out = amgt_exec::par::SendPtr::new(y.as_mut_ptr());
     amgt_exec::par::join_ranges(
         0,
         a.blk_rows(),
-        SPMM_JOIN_GRAIN,
+        JOIN_GRAIN / ncols.clamp(1, SPMM_COLS),
         &|r0, r1| {
             let (lo, hi) = (r0 * TILE, (r1 * TILE).min(nrows));
-            for j0 in (0..nrhs).step_by(SPMM_COLS) {
-                let cols = j0..(j0 + SPMM_COLS).min(nrhs);
+            for j0 in (0..ncols).step_by(SPMM_COLS) {
+                let cols = j0..(j0 + SPMM_COLS).min(ncols);
                 let mut ycols: [&mut [f64]; SPMM_COLS] = std::array::from_fn(|c| {
                     if j0 + c < cols.end {
                         // SAFETY: rows `[lo, hi)` of column `j0 + c` belong
-                        // to this leaf only, lie inside the `nrows * nrhs`
+                        // to this leaf only, lie inside the `nrows * ncols`
                         // output, and `y` outlives the fork-join region.
                         unsafe {
                             std::slice::from_raw_parts_mut(
@@ -252,64 +241,68 @@ pub fn spmm_mbsr_into(
         &|(), ()| (),
     );
 
-    // The charge scales the plan's per-SpMV counters: A streams (and the
-    // tensor path issues one `mma` per tile) once per slab, scalar flops
-    // happen per column.
     let counters = plan.counters();
+    let slabs = ncols.div_ceil(RHS_TILE) as u64;
+    let stats = match plan.path {
+        SpmvPath::TensorCore => SpmmStats {
+            ncols,
+            slabs: slabs as u32,
+            mma_count: if ncols == 1 {
+                counters.mma
+            } else {
+                slabs * a.n_blocks() as u64
+            },
+            cuda_flops: 0,
+        },
+        SpmvPath::CudaCore => SpmmStats {
+            ncols,
+            slabs: slabs as u32,
+            mma_count: 0,
+            cuda_flops: ncols as u64 * counters.cuda_flops,
+        },
+    };
     let vb = prec.bytes() as f64;
     let nb = a.n_blocks() as f64;
-    let slabs = nrhs.div_ceil(RHS_TILE) as u64;
-    let (mma_total, flops_total) = match plan.path {
-        SpmvPath::TensorCore => (slabs * a.n_blocks() as u64, 0),
-        SpmvPath::CudaCore => (0, nrhs as u64 * counters.cuda_flops),
-    };
-    let nonempty_tile_rows = slabs * counters.tile_rows;
-    let slabs = slabs as f64;
+    let nc = ncols as f64;
+    let s = slabs as f64;
     let cost = match plan.path {
         SpmvPath::TensorCore => KernelCost {
-            tc_flops: mma_total as f64 * MMA_FLOPS,
+            tc_flops: stats.mma_count as f64 * MMA_FLOPS,
             // Shuffle extraction + final adds, per warp per column.
-            cuda_flops: plan.n_warps as f64 * 16.0 * nrhs as f64,
-            int_ops: nb * 2.0 * slabs,
+            cuda_flops: plan.n_warps as f64 * 16.0 * nc,
+            int_ops: nb * 2.0 * s, // Index decode + x segment addressing.
             // A (indices + bitmaps + whole tiles) streams once per slab;
             // X segments and Y stream per column.
-            bytes: slabs * nb * (4.0 + 2.0 + TILE_AREA as f64 * vb)
-                + nb * TILE as f64 * vb * nrhs as f64
-                + a.nrows() as f64 * nrhs as f64 * vb,
+            bytes: s * nb * (4.0 + 2.0 + TILE_AREA as f64 * vb)
+                + nb * TILE as f64 * vb * nc
+                + nrows as f64 * nc * vb,
             launches: slabs as u32,
         },
         SpmvPath::CudaCore => KernelCost {
-            cuda_flops: flops_total as f64,
-            int_ops: nb * (2.0 + 16.0) * slabs,
-            // Row-granular tile reads once per slab (matching spmv_mbsr's
-            // model); X segments with the same 0.6 L1 factor, per column.
-            bytes: slabs * nb * (4.0 + 2.0)
-                + nonempty_tile_rows as f64 * TILE as f64 * vb
-                + 0.6 * nb * TILE as f64 * vb * nrhs as f64
-                + a.nrows() as f64 * nrhs as f64 * vb,
+            cuda_flops: stats.cuda_flops as f64,
+            int_ops: nb * (2.0 + 16.0) * s, // Bitmap bit tests per tile.
+            // Row-granular tile reads: only nonempty 4-value tile rows hit
+            // DRAM (one 32-byte transaction each at FP64). The x segments
+            // of vertically adjacent tiles overlap and mostly hit L1
+            // (factor 0.6).
+            bytes: s * nb * (4.0 + 2.0)
+                + (slabs * counters.tile_rows) as f64 * TILE as f64 * vb
+                + 0.6 * nb * TILE as f64 * vb * nc
+                + nrows as f64 * nc * vb,
             launches: slabs as u32,
             ..Default::default()
         },
     };
     ctx.charge_timed(KernelKind::SpMV, Algo::AmgT, &cost, timer);
-    SpmmStats {
-        ncols: nrhs,
-        slabs: slabs as u32,
-        mma_count: mma_total,
-        cuda_flops: flops_total,
-    }
+    stats
 }
 
 /// Reference SpMM: column-by-column vendor SpMV (what HYPRE does absent a
-/// fused kernel) — used for comparison and testing. One output slab is
-/// shared across columns (each SpMV lands in the reused scratch, then is
-/// copied into its column) instead of allocating a fresh vector per RHS.
+/// fused kernel) — used for comparison and testing.
 pub fn spmm_by_columns(ctx: &Ctx, a: &amgt_sparse::Csr, x: &MultiVector) -> MultiVector {
     let mut y = MultiVector::zeros(a.nrows(), x.ncols);
-    let mut col = Vec::with_capacity(a.nrows());
     for j in 0..x.ncols {
-        crate::vendor::spmv_csr_into(ctx, a, x.col(j), &mut col);
-        y.col_mut(j).copy_from_slice(&col);
+        crate::vendor::spmv_csr_into(ctx, a, x.col(j), y.col_mut(j));
     }
     y
 }

@@ -10,8 +10,8 @@
 //!   on the accumulator diagonal), below that a CUDA-core path where four
 //!   threads cooperate on a tile and finish with a warp-level sum.
 
-use crate::ctx::{Ctx, ExecBackend, ExecMode};
-use amgt_sim::mma::{mma_8x8x4, FragA, FragB, FragC, MMA_FLOPS, TILE};
+use crate::ctx::{Ctx, ExecBackend};
+use amgt_sim::mma::{mma_8x8x4, FragA, FragB, FragC, TILE};
 use amgt_sim::precision::Precision;
 use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::Mbsr;
@@ -20,11 +20,6 @@ use amgt_sparse::Mbsr;
 /// Paper default; the live value comes from [`Ctx::policy`]
 /// (see [`crate::policy`]).
 pub const WARP_CAPACITY: usize = crate::policy::PAPER_SPMV_WARP_CAPACITY;
-
-/// Fork-join leaf size, in block-rows, for the SpMV output sweep. Small
-/// enough to expose parallelism on mid-size levels, large enough that the
-/// per-leaf bookkeeping is negligible next to the tile math.
-const SPMV_JOIN_GRAIN: usize = 256;
 
 /// Variation threshold above which the load-balanced schedule is selected.
 /// The paper does not publish the constant; 0.5 (a moderately skewed row
@@ -181,32 +176,30 @@ pub fn analyze_spmv_with(
     }
 }
 
-/// Reusable scratch for [`spmv_mbsr_into`]: holds the padded, quantized
-/// copy of `x` so repeated products against same-shaped operands perform no
-/// heap allocation. Capacity grows monotonically and is retained across
-/// calls (and across operands of different sizes).
+/// Reusable scratch for the mBSR SpMV driver
+/// ([`crate::spmm_mbsr::spmm_mbsr_into`]): the quantized, padded,
+/// column-major operand, so repeated products against same-shaped operands
+/// perform no heap allocation. Capacity grows monotonically and is retained
+/// across calls (and across operands of different sizes and widths).
 #[derive(Clone, Debug, Default)]
 pub struct SpmvScratch {
-    xp: Vec<f64>,
+    pub(crate) xp: Vec<f64>,
     /// Reduced-precision operand image from `ExecBackend::spmv_quantize_x`
     /// (empty whenever the active backend needs none).
-    x32: Vec<f32>,
+    pub(crate) x32: Vec<f32>,
     /// Tile image for a plan that carries none at the call's precision.
-    a32: Vec<f32>,
+    pub(crate) a32: Vec<f32>,
 }
 
 /// `y = A x` with the AmgT algorithm under a precomputed plan.
 pub fn spmv_mbsr(ctx: &Ctx, a: &Mbsr, plan: &SpmvPlan, x: &[f64]) -> Vec<f64> {
-    let mut scratch = SpmvScratch::default();
     let mut y = Vec::new();
-    spmv_mbsr_into(ctx, a, plan, x, &mut scratch, &mut y);
+    spmv_mbsr_into(ctx, a, plan, x, &mut SpmvScratch::default(), &mut y);
     y
 }
 
-/// [`spmv_mbsr`] writing into a caller-owned output vector, reusing
-/// `scratch` for the padded operand. Bitwise-identical to [`spmv_mbsr`]
-/// (same accumulation order, same kernel charge); allocation-free once
-/// `scratch` and `y` have grown to the operand size.
+/// [`spmv_mbsr`] into a caller-owned output: the one-column call of the
+/// mBSR SpMV driver [`crate::spmm_mbsr::spmm_mbsr_into`].
 pub fn spmv_mbsr_into(
     ctx: &Ctx,
     a: &Mbsr,
@@ -215,95 +208,7 @@ pub fn spmv_mbsr_into(
     scratch: &mut SpmvScratch,
     y: &mut Vec<f64>,
 ) {
-    assert_eq!(x.len(), a.ncols());
-    let timer = ctx.timer();
-    let prec = ctx.precision;
-
-    // Pad x to a multiple of the tile size so tile-column slices are easy.
-    // The pad region is re-zeroed each call: the scratch may carry stale
-    // values from a differently-shaped previous operand. The same sweep
-    // checks the operand is finite; if not, the call runs on the emulator
-    // (see `amgt_exec::operand_is_finite`).
-    let padded_cols = a.blk_cols() * TILE;
-    scratch.xp.resize(padded_cols, 0.0);
-    let xp = &mut scratch.xp[..padded_cols];
-    let mut finite = true;
-    for (dst, &src) in xp.iter_mut().zip(x.iter()) {
-        *dst = prec.quantize(src);
-        finite &= amgt_exec::operand_is_finite(prec, *dst);
-    }
-    xp[x.len()..].fill(0.0);
-    let xp = &scratch.xp[..padded_cols];
-
-    let nrows = a.nrows();
-    y.resize(nrows, 0.0);
-    let be = if finite {
-        ctx.backend()
-    } else {
-        amgt_exec::backend(ExecMode::Simulated)
-    };
-    be.spmv_quantize_x(prec, xp, &mut scratch.x32);
-    let x32 = &scratch.x32[..];
-    let a32 = plan.tile_image(be, prec, a, &mut scratch.a32);
-
-    // One pass over block-rows, writing straight into `y`. Block-rows are
-    // independent, so the pass fans out as a fork-join tree over disjoint
-    // 4-row output chunks with one backend call per leaf; inside it each
-    // row's warp jobs run in order, so the accumulation order (and hence
-    // the rounding) is fixed and the output is bitwise identical at any
-    // pool width. The charge comes from the plan's counters.
-    amgt_exec::par::join_block_chunks(
-        &mut y[..],
-        0,
-        a.blk_rows(),
-        TILE,
-        SPMV_JOIN_GRAIN,
-        &|br0, n_blocks, chunk| {
-            be.spmm_rows(
-                prec,
-                plan.path,
-                a,
-                a32,
-                plan.job_len,
-                br0..br0 + n_blocks,
-                xp,
-                x32,
-                &mut [chunk],
-            );
-        },
-        &|(), ()| (),
-    );
-
-    let counters = plan.counters;
-    let vb = prec.bytes() as f64;
-    let nb = a.n_blocks() as f64;
-    let cost = match plan.path {
-        SpmvPath::TensorCore => KernelCost {
-            tc_flops: counters.mma as f64 * MMA_FLOPS,
-            // Shuffle extraction (8/warp) + final adds.
-            cuda_flops: plan.n_warps as f64 * 16.0,
-            int_ops: nb * 2.0, // Index decode + x segment addressing.
-            // Tiles are streamed whole on the tensor path.
-            bytes: nb * (4.0 + 2.0 + 16.0 * vb) + nb * 4.0 * vb /* x segments */
-                + a.nrows() as f64 * vb,
-            launches: 1,
-        },
-        SpmvPath::CudaCore => KernelCost {
-            cuda_flops: counters.cuda_flops as f64,
-            int_ops: nb * (2.0 + 16.0), // Bitmap bit tests per tile.
-            // Row-granular tile reads: only nonempty 4-value tile rows hit
-            // DRAM (one 32-byte transaction each at FP64). The x segments
-            // of vertically adjacent tiles overlap and mostly hit L1
-            // (factor 0.6).
-            bytes: nb * (4.0 + 2.0)
-                + counters.tile_rows as f64 * 4.0 * vb
-                + 0.6 * nb * 4.0 * vb
-                + a.nrows() as f64 * vb,
-            launches: 1,
-            ..Default::default()
-        },
-    };
-    ctx.charge_timed(KernelKind::SpMV, Algo::AmgT, &cost, timer);
+    crate::spmm_mbsr::spmm_mbsr_into(ctx, a, plan, x, 1, scratch, y);
 }
 
 /// Reference implementation of one tensor-core warp over the tiles

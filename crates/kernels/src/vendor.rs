@@ -27,25 +27,25 @@ pub struct VendorSpgemmStats {
 /// the context precision first (the baseline HYPRE run always uses FP64; the
 /// quantization is the identity there).
 pub fn spmv_csr(ctx: &Ctx, a: &Csr, x: &[f64]) -> Vec<f64> {
-    let mut y = Vec::new();
+    let mut y = vec![0.0; a.nrows()];
     spmv_csr_into(ctx, a, x, &mut y);
     y
 }
 
-/// [`spmv_csr`] writing into a caller-owned output vector. Bitwise-identical
-/// (same per-row accumulation order, same kernel charge); allocation-free
-/// once `y` has grown to `a.nrows()`.
-pub fn spmv_csr_into(ctx: &Ctx, a: &Csr, x: &[f64], y: &mut Vec<f64>) {
+/// [`spmv_csr`] writing into a caller-owned output of length `a.nrows()`.
+/// Bitwise-identical (same per-row accumulation order, same kernel charge)
+/// and allocation-free.
+pub fn spmv_csr_into(ctx: &Ctx, a: &Csr, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.ncols());
+    assert_eq!(y.len(), a.nrows());
     let timer = ctx.timer();
     let prec = ctx.precision;
-    y.resize(a.nrows(), 0.0);
     let be = ctx.backend();
     // Rows are independent: fan out as a fork-join tree over disjoint output
     // chunks (sequential under a single-thread pool), one backend call per
     // leaf of rows.
     amgt_exec::par::join_block_chunks(
-        &mut y[..],
+        y,
         0,
         a.nrows(),
         1,

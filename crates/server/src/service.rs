@@ -570,6 +570,9 @@ fn worker_loop(cfg: &ServiceConfig, rx: &Receiver<Job>, shared: &Shared) {
 /// attribution and trace recorder are detached from `device`, and the
 /// panic is counted in [`ServiceMetrics::worker_panics`].
 fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
+    // A batch reads only clock deltas of its own, so the ledger restarts
+    // per batch and a long-lived worker's device stays one batch long.
+    device.reset();
     let live = preflight(shared, batch);
     if live.is_empty() {
         return;
@@ -884,5 +887,45 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
             policy: amg_cfg.policy,
             policy_tuned,
         }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
+
+    /// A device serving batch after batch (as a worker's does for the life
+    /// of the service) holds at most one batch's ledger events.
+    #[test]
+    fn device_ledger_stays_one_batch_long_across_batches() {
+        let service = SolverService::new(ServiceConfig {
+            workers: 0,
+            ..Default::default()
+        });
+        let a = laplacian_2d(12, 12, Stencil2d::Five);
+        let b = rhs_of_ones(&a);
+        let mut cfg = AmgConfig::amgt_fp64();
+        cfg.max_iterations = 5;
+        cfg.tolerance = 0.0;
+        let device = Device::new(service.config.spec.clone());
+        let mut first_batch = 0;
+        for i in 0..50 {
+            let request = SolveRequest::new(a.clone(), b.clone(), cfg.clone());
+            let handle = service.submit(request).expect("the queue has room");
+            let job = service.rx.try_recv().expect("the job is queued");
+            process_batch(&device, &service.shared, vec![job]);
+            assert!(handle.wait().is_ok(), "batch {i} failed");
+            if i == 0 {
+                // The first batch also sets the hierarchy up: the longest.
+                first_batch = device.events().len();
+            }
+        }
+        assert!(first_batch > 0);
+        assert!(
+            device.events().len() <= first_batch,
+            "{} ledger events after 50 batches, {first_batch} after the first",
+            device.events().len()
+        );
     }
 }

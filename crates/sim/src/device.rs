@@ -357,9 +357,14 @@ impl Device {
         self.state.lock().events.clone()
     }
 
-    /// Clear the ledger and clock (e.g. between solver variants).
+    /// Clear the ledger and clock (e.g. between solver variants). The
+    /// ledger keeps its capacity, so a device reset between jobs charges
+    /// into the same allocation.
     pub fn reset(&self) {
-        *self.state.lock() = DeviceState::default();
+        let mut st = self.state.lock();
+        st.clock = 0.0;
+        st.seq = 0;
+        st.events.clear();
     }
 
     /// Reserve ledger capacity for `additional` more events, so steady-state

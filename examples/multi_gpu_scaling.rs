@@ -6,7 +6,7 @@
 //! ```
 
 use amgt::prelude::*;
-use amgt_dist::run_amg_multi_gpu;
+use amgt_dist::{dist_solve, DistConfig};
 use amgt_sim::{Cluster, Interconnect};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
 
@@ -24,7 +24,7 @@ fn main() {
     let mut t1 = None;
     for p in [1usize, 2, 4, 8] {
         let cluster = Cluster::new(GpuSpec::a100(), p, Interconnect::nvlink());
-        let (x, rep) = run_amg_multi_gpu(&cluster, &cfg, a.clone(), &b);
+        let (x, rep) = dist_solve(&cluster, &cfg, &DistConfig::default(), a.clone(), &b);
         let total = rep.total_seconds();
         let t1v = *t1.get_or_insert(total);
         println!(
@@ -32,7 +32,7 @@ fn main() {
             p,
             rep.setup_seconds * 1e6,
             rep.solve_seconds * 1e6,
-            100.0 * rep.solve_comm_seconds / rep.solve_seconds,
+            100.0 * rep.comm_seconds / rep.solve_seconds,
             t1v / total
         );
         let err = x.iter().map(|v| (v - 1.0).abs()).fold(0.0f64, f64::max);
