@@ -24,7 +24,7 @@ use amgt_bench::report::{
     FlightOverheadInfo, ParStats, PolicyInfo, WallStats, SCHEMA_VERSION,
 };
 use amgt_bench::Variant;
-use amgt_dist::{dist_solve, DistConfig};
+use amgt_dist::dist_solve;
 use amgt_kernels::spgemm_mbsr::spgemm_mbsr;
 use amgt_kernels::vendor::spgemm_csr;
 use amgt_kernels::Ctx;
@@ -325,7 +325,7 @@ fn dist_case(opt: &Options, stem: &str, a: &Csr, variant: Variant, ranks: usize)
     let mut cfg = variant.config(opt.iters);
     cfg.tolerance = 1e-8;
     cfg.exec = opt.exec;
-    let (_x, rep) = dist_solve(&cluster, &cfg, &DistConfig::default(), a.clone(), &b);
+    let (_x, rep) = dist_solve(&cluster, &cfg, a.clone(), &b);
     for r in &rep.per_rank {
         println!(
             "    rank {}: {:>8} rows {:>9} nnz  compute {:>10.3e} s  comm {:>10.3e} s  \

@@ -7,7 +7,7 @@
 
 use amgt::geomean;
 use amgt_bench::{fmt_time, HarnessArgs, Table, Variant};
-use amgt_dist::{dist_solve, DistConfig};
+use amgt_dist::dist_solve;
 use amgt_sim::{Cluster, GpuSpec, Interconnect};
 use amgt_sparse::gen::rhs_of_ones;
 
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for v in Variant::ALL {
             let cluster = Cluster::new(GpuSpec::a100(), N_GPUS, Interconnect::nvlink());
             let cfg = v.config(args.iters);
-            let (_x, rep) = dist_solve(&cluster, &cfg, &DistConfig::default(), a.clone(), &b);
+            let (_x, rep) = dist_solve(&cluster, &cfg, a.clone(), &b);
             table.row(vec![
                 entry.name.to_string(),
                 v.label().to_string(),

@@ -314,7 +314,7 @@ fn finish_flight(id: amgt_sim::TraceId, outcome: SolveOutcome, wall_seconds: f64
 /// ranks, printing the per-rank comm/compute breakdown. The per-device
 /// exporters (trace, flight, profile) stay on the single-device path.
 fn run_dist(opt: &Options, a: Csr, b: &[f64]) {
-    use amgt_dist::{dist_pcg, dist_solve, DistConfig};
+    use amgt_dist::{dist_pcg, dist_solve};
 
     let mut cfg = AmgConfig::paper(opt.backend, opt.precision);
     cfg.max_iterations = opt.iters;
@@ -339,11 +339,10 @@ fn run_dist(opt: &Options, a: Csr, b: &[f64]) {
     let t0 = std::time::Instant::now();
     let cluster =
         amgt_sim::Cluster::new(opt.gpu.clone(), opt.ranks, amgt_sim::Interconnect::nvlink());
-    let dcfg = DistConfig::default();
     let (_x, rep) = if opt.pcg {
-        dist_pcg(&cluster, &cfg, &dcfg, a, b, opt.tol, opt.iters)
+        dist_pcg(&cluster, &cfg, a, b, opt.tol, opt.iters)
     } else {
-        dist_solve(&cluster, &cfg, &dcfg, a, b)
+        dist_solve(&cluster, &cfg, a, b)
     };
 
     println!(

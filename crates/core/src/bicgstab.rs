@@ -6,8 +6,9 @@
 //! the backend kernels.
 
 use crate::config::AmgConfig;
-use crate::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
+use crate::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::Hierarchy;
+use crate::solve::{vcycle, SolveWorkspace};
 use crate::vec_ops;
 use amgt_kernels::Ctx;
 use amgt_sim::{Device, HealthEvent, Phase};
@@ -49,16 +50,13 @@ pub fn bicgstab_solve(
         .with_policy(cfg.policy)
         .with_exec(cfg.exec);
 
-    // Preconditioner state hoisted out of the iteration loop: one inner
-    // config, reusable output buffers and one V-cycle workspace.
-    let mut inner = cfg.clone();
-    inner.max_iterations = 1;
-    inner.tolerance = 0.0;
-    let mut pre_ws = crate::solve::SolveWorkspace::for_hierarchy(h);
-    let precond = |r: &[f64], z: &mut Vec<f64>, ws: &mut crate::solve::SolveWorkspace| {
+    // Preconditioner state hoisted out of the iteration loop: reusable
+    // output buffers and one cycle workspace.
+    let mut pre_ws = SolveWorkspace::for_hierarchy(h);
+    let precond = |r: &[f64], z: &mut Vec<f64>, ws: &mut SolveWorkspace| {
         z.clear();
         z.resize(n, 0.0);
-        crate::solve::solve_with_workspace(device, &inner, h, r, z, ws);
+        vcycle(device, cfg, h, 0, cfg.cycle, r, z, 1, ws);
     };
     let mut p_hat = Vec::new();
     let mut s_hat = Vec::new();
@@ -90,13 +88,8 @@ pub fn bicgstab_solve(
     let mut health_events: Vec<HealthEvent> = Vec::new();
     let observe =
         |monitor: &mut ConvergenceMonitor, health_events: &mut Vec<HealthEvent>, rel: f64| {
-            if let Some(mut ev) = monitor.observe(rel) {
-                ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-                if let Some(rec) = device.recorder() {
-                    rec.record_health(ev.clone());
-                }
-                device.flight_health(&ev);
-                health_events.push(ev);
+            if let Some(ev) = monitor.observe(rel) {
+                emit_health(device, ev, health_events);
             }
         };
 

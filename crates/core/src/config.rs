@@ -88,6 +88,19 @@ pub enum CycleType {
     F,
 }
 
+impl CycleType {
+    /// The cycles a level of this shape runs on the next coarser level, in
+    /// order: V visits once, W twice, and F recurses as F and then finishes
+    /// with a plain V sweep.
+    pub fn coarse_visits(self) -> &'static [CycleType] {
+        match self {
+            CycleType::V => &[CycleType::V],
+            CycleType::W => &[CycleType::W, CycleType::W],
+            CycleType::F => &[CycleType::F, CycleType::V],
+        }
+    }
+}
+
 /// Full AMG configuration.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AmgConfig {

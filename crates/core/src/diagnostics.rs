@@ -20,8 +20,20 @@
 //!   and a diverged job must not report identically.
 
 use crate::hierarchy::Hierarchy;
-use amgt_sim::{HealthEvent, HealthEventKind, HierarchyDiagnostics, LevelStats};
+use amgt_sim::{Device, HealthEvent, HealthEventKind, HierarchyDiagnostics, LevelStats};
 use serde::Serialize;
+
+/// Publish a health event a solve loop detected: stamp the device's flight
+/// trace id, hand it to an installed recorder, write it to the flight ring
+/// and append it to the solve's own list.
+pub fn emit_health(device: &Device, mut ev: HealthEvent, sink: &mut Vec<HealthEvent>) {
+    ev.trace_id = device.flight_id().map_or(0, |id| id.get());
+    if let Some(rec) = device.recorder() {
+        rec.record_health(ev.clone());
+    }
+    device.flight_health(&ev);
+    sink.push(ev);
+}
 
 /// Terminal classification of a solve, finer-grained than `converged:
 /// bool`. `MaxIterations` and `Stagnated` mean "ran out of budget /

@@ -33,7 +33,6 @@
 pub mod aggregation;
 pub mod backend;
 pub mod bicgstab;
-pub mod chebyshev;
 pub mod config;
 pub mod diagnostics;
 pub mod driver;

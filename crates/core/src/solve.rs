@@ -19,10 +19,15 @@
 //! place on the caller's `b` and `x`; from then on, on a compact copy of
 //! the remaining columns. [`solve`] is that loop at one column and
 //! [`solve_batched`] at `b.ncols`.
+//!
+//! The pieces other drivers reuse are public: [`vcycle`] is one cycle from
+//! any start level (the Krylov preconditioners apply it from level 0, the
+//! distributed driver runs its gathered coarse region through it), and
+//! [`Column`] holds what judges one right-hand side between cycles.
 
 use crate::backend::OpScratch;
 use crate::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
-use crate::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
+use crate::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::{level_precision, Hierarchy, Level};
 use crate::vec_ops;
 use amgt_kernels::spmm_mbsr::MultiVector;
@@ -52,9 +57,16 @@ pub struct LevelWorkspace {
     op: OpScratch,
 }
 
-/// Outer-loop state of one right-hand side.
+/// Outer-loop state of one right-hand side, and the rules that judge it
+/// between cycles: the zero-`b` norm rule, the tolerance test before the
+/// first cycle and after each one, the convergence monitor and its health
+/// events, the history and the flight residual.
+///
+/// [`solve`] and [`solve_batched`] keep one per column. The distributed
+/// driver keeps one per solve and feeds it all-reduced norms, so every
+/// rank takes the same decisions.
 #[derive(Clone, Debug)]
-struct Column {
+pub struct Column {
     /// `||b||`, or 1 for a zero right-hand side.
     b_norm: f64,
     initial_norm: f64,
@@ -67,6 +79,104 @@ struct Column {
     converged: bool,
     monitor: ConvergenceMonitor,
     history: Vec<f64>,
+    /// Column index stamped on flight residuals and health events
+    /// (batched solves only).
+    stamp: Option<usize>,
+}
+
+impl Column {
+    /// State before the first cycle, from `||b||` and the initial residual
+    /// norm. A zero `b` is measured against 1. A column already within
+    /// `cfg.tolerance` counts as converged and runs no cycle.
+    pub fn new(cfg: &AmgConfig, b_norm: f64, initial_norm: f64, stamp: Option<usize>) -> Column {
+        let b_norm = if b_norm == 0.0 { 1.0 } else { b_norm };
+        let rel = initial_norm / b_norm;
+        let thresholds = HealthThresholds::default();
+        let monitor = match stamp {
+            Some(j) => ConvergenceMonitor::for_column(thresholds, rel, j),
+            None => ConvergenceMonitor::new(thresholds, rel),
+        };
+        Column {
+            b_norm,
+            initial_norm,
+            final_norm: initial_norm,
+            rel,
+            iterations: 0,
+            converged: within_tolerance(cfg, rel),
+            monitor,
+            history: Vec::with_capacity(cfg.max_iterations),
+            stamp,
+        }
+    }
+
+    /// True until the column converges or its monitor aborts the solve.
+    pub fn is_active(&self) -> bool {
+        !self.converged && !self.monitor.should_abort()
+    }
+
+    /// Judge the cycle just run from the residual norm after it. Records
+    /// the relative residual in the history and the flight ring and feeds
+    /// the monitor. When the residual or the iterate (`x_non_finite`) went
+    /// non-finite, the event names `site`, the cycle's first non-finite
+    /// sighting, if there is one. Events without a level are attributed to
+    /// the finest level. Returns whether the column keeps cycling.
+    pub fn judge_cycle(
+        &mut self,
+        device: &Device,
+        cfg: &AmgConfig,
+        norm: f64,
+        x_non_finite: bool,
+        site: Option<NonFiniteSite>,
+        health_events: &mut Vec<HealthEvent>,
+    ) -> bool {
+        self.final_norm = norm;
+        self.rel = norm / self.b_norm;
+        self.iterations += 1;
+        self.history.push(self.rel);
+        device.flight_residual(self.iterations, self.stamp, self.rel);
+        let event = match site {
+            Some(site) if x_non_finite || !self.rel.is_finite() => {
+                self.monitor.attribute_non_finite(
+                    Some(site.level),
+                    Some(site.precision),
+                    format!("non-finite values after {}", site.stage),
+                )
+            }
+            _ => self.monitor.observe(self.rel),
+        };
+        if let Some(mut ev) = event {
+            // Divergence/stagnation fire at the outer residual check;
+            // attribute them to the finest level and its active precision
+            // so a post-mortem names the grid that failed.
+            if ev.level.is_none() {
+                ev.level = Some(0);
+                ev.precision = Some(level_precision(device, cfg, 0).label());
+            }
+            emit_health(device, ev, health_events);
+        }
+        self.converged = !self.monitor.should_abort() && within_tolerance(cfg, self.rel);
+        self.is_active()
+    }
+
+    /// The report of a one-column solve; takes the history.
+    pub fn report(&mut self, health_events: Vec<HealthEvent>) -> SolveReport {
+        SolveReport {
+            iterations: self.iterations,
+            initial_residual_norm: self.initial_norm,
+            initial_relative_residual: self.initial_norm / self.b_norm,
+            final_residual_norm: self.final_norm,
+            history: std::mem::take(&mut self.history),
+            converged: self.converged,
+            outcome: self.monitor.outcome(self.converged),
+            convergence_factor: self.monitor.geometric_factor(),
+            health_events,
+        }
+    }
+}
+
+/// The outer tolerance test (`tolerance = 0` disables early exit).
+fn within_tolerance(cfg: &AmgConfig, rel: f64) -> bool {
+    cfg.tolerance > 0.0 && rel < cfg.tolerance
 }
 
 /// Preallocated solve-phase buffers for a hierarchy: one [`LevelWorkspace`]
@@ -91,6 +201,8 @@ pub struct SolveWorkspace {
     columns: Vec<Column>,
     /// Active columns, in the order the cycle's block holds them.
     active: Vec<usize>,
+    /// First non-finite sighting since it was last taken.
+    non_finite: Option<NonFiniteSite>,
 }
 
 impl SolveWorkspace {
@@ -107,6 +219,27 @@ impl SolveWorkspace {
         if self.levels.len() < h.n_levels() {
             self.levels.resize_with(h.n_levels(), Default::default);
         }
+    }
+
+    /// Record the first non-finite sighting in `values`, the iterate of
+    /// level `k` after `stage`. Checks run top-down, so the finest poisoned
+    /// level wins: the level that *produced* the NaN, not the levels it
+    /// propagated to. Pure CPU-side inspection of data the cycle already
+    /// touched: it charges no simulated kernels, so kernel counts still
+    /// match the paper's Section V.A formulas.
+    pub fn check_finite(&mut self, values: &[f64], lvl: &Level, k: usize, stage: &'static str) {
+        if self.non_finite.is_none() && values.iter().any(|v| !v.is_finite()) {
+            self.non_finite = Some(NonFiniteSite {
+                level: k as u32,
+                precision: lvl.precision.label(),
+                stage,
+            });
+        }
+    }
+
+    /// Take the first non-finite sighting recorded since the last take.
+    pub fn take_non_finite(&mut self) -> Option<NonFiniteSite> {
+        self.non_finite.take()
     }
 }
 
@@ -140,33 +273,13 @@ impl SolveReport {
     }
 }
 
-/// Where in a cycle a non-finite value was first seen (top-down, so the
-/// finest poisoned level wins — the level that *produced* the NaN, not the
-/// levels it propagated to).
+/// Where in a cycle a non-finite value was first seen (see
+/// [`SolveWorkspace::check_finite`]).
 #[derive(Clone, Copy, Debug)]
-struct NonFiniteSite {
+pub struct NonFiniteSite {
     level: u32,
     precision: &'static str,
     stage: &'static str,
-}
-
-/// Record the first non-finite sighting. Pure CPU-side inspection of data
-/// the cycle already touched — deliberately charges no simulated kernels,
-/// so kernel counts still match the paper's Section V.A formulas.
-fn check_finite(
-    poison: &mut Option<NonFiniteSite>,
-    values: &[f64],
-    lvl: &Level,
-    k: usize,
-    stage: &'static str,
-) {
-    if poison.is_none() && values.iter().any(|v| !v.is_finite()) {
-        *poison = Some(NonFiniteSite {
-            level: k as u32,
-            precision: lvl.precision.label(),
-            stage,
-        });
-    }
 }
 
 /// Rows per Gauss-Seidel block in the hybrid smoother (GS inside a block,
@@ -316,20 +429,25 @@ fn coarse_solve(
     }
 }
 
-/// One multigrid cycle over a block of `ncols` columns starting at level
-/// `k` (Algorithm 2 for V; W and F visit coarse levels more than once).
+/// One multigrid cycle of shape `cycle` over a block of `ncols` columns,
+/// starting at level `k` with the right-hand side `b` and the iterate `x`
+/// of that level (Algorithm 2 for V; W and F visit coarse levels more than
+/// once). `cfg` supplies the smoother, sweep count, coarse solver and
+/// kernel policy. The first non-finite value the cycle produces is
+/// recorded in `ws` (see [`SolveWorkspace::take_non_finite`]).
 #[allow(clippy::too_many_arguments)]
-fn vcycle(
+pub fn vcycle(
     device: &Device,
     cfg: &AmgConfig,
     h: &Hierarchy,
     k: usize,
+    cycle: CycleType,
     b: &[f64],
     x: &mut [f64],
     ncols: usize,
-    poison: &mut Option<NonFiniteSite>,
     ws: &mut SolveWorkspace,
 ) {
+    ws.ensure(h);
     let _level_span = device.span(SpanKind::Level, SpanLabel::with("level", k as u64));
     let lvl = &h.levels[k];
     let ctx = Ctx::new(device, Phase::Solve, k as u32, lvl.precision)
@@ -340,7 +458,7 @@ fn vcycle(
     let mut lw = std::mem::take(&mut ws.levels[k]);
     if k + 1 == h.n_levels() {
         coarse_solve(&ctx, cfg, h, b, x, ncols, &mut lw);
-        check_finite(poison, x, lvl, k, "coarse solve");
+        ws.check_finite(x, lvl, k, "coarse solve");
         ws.levels[k] = lw;
         return;
     }
@@ -352,7 +470,7 @@ fn vcycle(
     // Non-finite check *before* recursing: a NaN born here would otherwise
     // propagate down the restricted residual and be misattributed to the
     // coarsest level on unwind.
-    check_finite(poison, x, lvl, k, "pre-smoothing");
+    ws.check_finite(x, lvl, k, "pre-smoothing");
 
     // Residual and restriction.
     lvl.a.apply_into(&ctx, x, ncols, &mut lw.op, &mut lw.ax);
@@ -365,29 +483,16 @@ fn vcycle(
     // twice per level, the second visit continuing from the first.
     lw.x_next.clear();
     lw.x_next.resize(lw.b_next.len(), 0.0);
-    let visits = match cfg.cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        // F-cycle tail: finish with a plain V sweep below this level.
-        let mut vcfg;
-        let visit_cfg = if cfg.cycle == CycleType::F && visit == 1 {
-            vcfg = cfg.clone();
-            vcfg.cycle = CycleType::V;
-            &vcfg
-        } else {
-            cfg
-        };
+    for &sub in cycle.coarse_visits() {
         vcycle(
             device,
-            visit_cfg,
+            cfg,
             h,
             k + 1,
+            sub,
             &lw.b_next,
             &mut lw.x_next,
             ncols,
-            poison,
             ws,
         );
     }
@@ -401,7 +506,7 @@ fn vcycle(
     for _ in 0..cfg.num_sweeps {
         smooth(&ctx, cfg, lvl, b, x, ncols, &mut lw);
     }
-    check_finite(poison, x, lvl, k, "post-smoothing");
+    ws.check_finite(x, lvl, k, "post-smoothing");
     ws.levels[k] = lw;
 }
 
@@ -452,33 +557,15 @@ fn solve_columns(
         vec_ops::sub_into(&ctx0, b, &ws.outer.ax, &mut ws.outer.r);
         vec_ops::norms2(&ctx0, &ws.outer.r, r_norms);
     }
-    let within_tolerance = |rel: f64| cfg.tolerance > 0.0 && rel < cfg.tolerance;
     ws.columns.clear();
     ws.active.clear();
-    for (j, (&nb, &initial)) in b_norms.iter().zip(r_norms.iter()).enumerate() {
-        let b_norm = if nb == 0.0 { 1.0 } else { nb };
-        let rel = initial / b_norm;
-        let thresholds = HealthThresholds::default();
-        let monitor = if stamp_columns {
-            ConvergenceMonitor::for_column(thresholds, rel, j)
-        } else {
-            ConvergenceMonitor::new(thresholds, rel)
-        };
+    for (j, (&b_norm, &initial)) in b_norms.iter().zip(r_norms.iter()).enumerate() {
+        let col = Column::new(cfg, b_norm, initial, stamp_columns.then_some(j));
         // A column already within tolerance never enters a cycle.
-        let converged = within_tolerance(rel);
-        if !converged {
+        if col.is_active() {
             ws.active.push(j);
         }
-        ws.columns.push(Column {
-            b_norm,
-            initial_norm: initial,
-            final_norm: initial,
-            rel,
-            iterations: 0,
-            converged,
-            monitor,
-            history: Vec::with_capacity(cfg.max_iterations),
-        });
+        ws.columns.push(col);
     }
 
     let mut compact = false;
@@ -500,14 +587,14 @@ fn solve_columns(
         // Detached from the pool so the cycle below can borrow `ws`.
         let mut bc = std::mem::take(&mut ws.bc);
         let mut xc = std::mem::take(&mut ws.xc);
-        let mut poison = None;
+        ws.non_finite = None;
         {
             let (bb, xx): (&[f64], &mut [f64]) = if compact {
                 (&bc[..na * n], &mut xc[..na * n])
             } else {
                 (b, &mut *x)
             };
-            vcycle(device, cfg, h, 0, bb, xx, na, &mut poison, ws);
+            vcycle(device, cfg, h, 0, cfg.cycle, bb, xx, na, ws);
             // Residual after the cycle (one SpMV per iteration).
             a.apply_into(&ctx0, xx, na, &mut ws.outer.op, &mut ws.outer.ax);
             vec_ops::sub_into(&ctx0, bb, &ws.outer.ax, &mut ws.outer.r);
@@ -516,51 +603,22 @@ fn solve_columns(
         }
         iterations += 1;
 
-        // Columns that stay active move to the front of the block.
+        // Columns that stay active move to the front of the block. A
+        // poisoned cycle fails the columns whose data actually went
+        // non-finite, with the level attribution from the cycle's own
+        // checks.
+        let site = ws.non_finite.take();
         let mut kept = 0;
         for c in 0..na {
             let j = ws.active[c];
-            let col = &mut ws.columns[j];
-            col.final_norm = ws.norms[c];
-            col.rel = col.final_norm / col.b_norm;
-            col.iterations = iterations;
-            col.history.push(col.rel);
-            device.flight_residual(iterations, stamp_columns.then_some(j), col.rel);
-            // A poisoned cycle fails the columns whose data actually went
-            // non-finite, with the level attribution from the cycle's own
-            // checks.
             let x_col = if compact {
                 &xc[c * n..(c + 1) * n]
             } else {
                 &x[j * n..(j + 1) * n]
             };
-            let column_bad = !col.rel.is_finite() || x_col.iter().any(|v| !v.is_finite());
-            let event = match (column_bad, poison) {
-                (true, Some(site)) => col.monitor.attribute_non_finite(
-                    Some(site.level),
-                    Some(site.precision),
-                    format!("non-finite values after {}", site.stage),
-                ),
-                _ => col.monitor.observe(col.rel),
-            };
-            if let Some(mut ev) = event {
-                // Divergence/stagnation fire at the outer residual check;
-                // attribute them to the finest level and its active
-                // precision so a post-mortem names the grid that failed.
-                if ev.level.is_none() {
-                    ev.level = Some(0);
-                    ev.precision = Some(level_precision(device, cfg, 0).label());
-                }
-                ev.trace_id = device.flight_id().map_or(0, |id| id.get());
-                if let Some(rec) = device.recorder() {
-                    rec.record_health(ev.clone());
-                }
-                device.flight_health(&ev);
-                health_events.push(ev);
-            }
-            let aborted = col.monitor.should_abort();
-            col.converged = !aborted && within_tolerance(col.rel);
-            if aborted || col.converged {
+            let x_non_finite = x_col.iter().any(|v| !v.is_finite());
+            let norm = ws.norms[c];
+            if !ws.columns[j].judge_cycle(device, cfg, norm, x_non_finite, site, health_events) {
                 if compact {
                     x[j * n..(j + 1) * n].copy_from_slice(&xc[c * n..(c + 1) * n]);
                 }
@@ -618,7 +676,7 @@ pub fn solve_with_workspace(
         x.resize(n, 0.0);
     }
     let mut health_events = Vec::new();
-    let iterations = solve_columns(
+    solve_columns(
         device,
         cfg,
         h,
@@ -630,18 +688,7 @@ pub fn solve_with_workspace(
         false,
         &mut health_events,
     );
-    let col = &mut ws.columns[0];
-    SolveReport {
-        iterations,
-        initial_residual_norm: col.initial_norm,
-        initial_relative_residual: col.initial_norm / col.b_norm,
-        final_residual_norm: col.final_norm,
-        history: std::mem::take(&mut col.history),
-        converged: col.converged,
-        outcome: col.monitor.outcome(col.converged),
-        convergence_factor: col.monitor.geometric_factor(),
-        health_events,
-    }
+    ws.columns[0].report(health_events)
 }
 
 /// Result of a batched multi-RHS solve.

@@ -5,10 +5,18 @@
 //! is built once on a reference device (the numerics of setup are not
 //! distributed — only its cost model is, mirroring HYPRE's per-event
 //! scaling); each rank then slices every *fine* level into its contiguous,
-//! tile-aligned row block and runs the cycle distributed down to the
-//! `gather_threshold`, below which levels are gathered (one all-gather per
-//! transit) and solved redundantly on every rank — the standard dodge for
-//! coarse grids whose halo would exceed their interior.
+//! tile-aligned row block and runs the cycle distributed down to
+//! `GATHER_THRESHOLD` (128) rows. Below it, levels are gathered (one
+//! all-gather per transit) and solved redundantly on every rank — the
+//! standard dodge for coarse grids whose halo would exceed their interior.
+//!
+//! The driver owns only what distribution changes: the halo-exchange cycle
+//! on the distributed levels and the all-reduced norms. The gathered region
+//! runs [`amgt::solve::vcycle`] itself, and the stationary outer loop is
+//! judged by [`amgt::solve::Column`], the per-column state of the
+//! single-device solver. Hybrid Gauss-Seidel, a sequential sweep within
+//! each row block, is not distributable as-is and runs as L1-Jacobi; only
+//! a system small enough to be gathered whole keeps it.
 //!
 //! Determinism: the stationary cycle contains no reductions inside the
 //! update path, so the iterate trajectory is **bitwise invariant in the
@@ -24,53 +32,22 @@
 
 use crate::comm::{CommCounters, Communicator, LocalComm};
 use crate::partition::{build_halo_plans, HaloPlan, RankMatrix};
-use amgt::chebyshev::{gershgorin_lambda_max, Chebyshev};
-use amgt::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
-use amgt::diagnostics::{ConvergenceMonitor, HealthThresholds, SolveOutcome};
-use amgt::hierarchy::{level_precision, setup, Hierarchy};
-use amgt::solve::SolveReport;
+use amgt::config::{AmgConfig, CycleType, Smoother};
+use amgt::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
+use amgt::hierarchy::{setup, Hierarchy};
+use amgt::solve::{vcycle, Column, SolveReport, SolveWorkspace};
 use amgt::vec_ops;
 use amgt::OpScratch;
 use amgt_kernels::Ctx;
 use amgt_sim::{
-    Algo, Cluster, Device, HealthEvent, Interconnect, KernelCost, KernelKind, Phase, SpanKind,
-    SpanLabel,
+    Cluster, Device, HealthEvent, Interconnect, KernelKind, Phase, SpanKind, SpanLabel,
 };
 use amgt_sparse::reorder::{partition_contiguous, Partition};
 use amgt_sparse::Csr;
 
-/// Smoother used by the distributed cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DistSmoother {
-    /// Take the smoother from [`AmgConfig`]. Hybrid Gauss-Seidel falls
-    /// back to L1-Jacobi (a sequential sweep is not distributable as-is);
-    /// the Jacobi-type smoothers run bit-identically to the single-device
-    /// solver.
-    FromConfig,
-    /// Chebyshev polynomial smoothing of the given degree over the
-    /// Gershgorin-bounded spectrum — reduction-free, so it keeps the
-    /// stationary cycle bitwise rank-count-invariant.
-    Chebyshev { degree: usize },
-}
-
-/// Distributed-solve configuration (the rank count comes from the
-/// [`Cluster`]).
-#[derive(Clone, Copy, Debug)]
-pub struct DistConfig {
-    /// Levels with `n <= gather_threshold` rows are gathered and solved
-    /// redundantly on every rank instead of distributed.
-    pub gather_threshold: usize,
-    pub smoother: DistSmoother,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            gather_threshold: 128,
-            smoother: DistSmoother::FromConfig,
-        }
-    }
-}
+/// Levels with at most this many rows are gathered and solved redundantly
+/// on every rank instead of distributed.
+const GATHER_THRESHOLD: usize = 128;
 
 /// One rank's share of a distributed run.
 #[derive(Clone, Debug)]
@@ -94,7 +71,8 @@ pub struct RankReport {
 pub struct DistReport {
     pub ranks: usize,
     pub levels: usize,
-    /// Trailing levels solved redundantly on every rank.
+    /// Trailing levels solved redundantly on every rank (the levels from
+    /// the first one of at most 128 rows down, and always the coarsest).
     pub gathered_levels: usize,
     /// Edge cut of the finest-level partition (nonzeros coupling rows
     /// across rank boundaries).
@@ -133,27 +111,20 @@ enum DistMode {
 /// Numerically equivalent to [`amgt::solve::solve`] for Jacobi-type
 /// smoothers (bitwise at one rank); returns the assembled solution and the
 /// distributed report.
-pub fn dist_solve(
-    cluster: &Cluster,
-    cfg: &AmgConfig,
-    dcfg: &DistConfig,
-    a: Csr,
-    b: &[f64],
-) -> (Vec<f64>, DistReport) {
-    run_dist(cluster, cfg, dcfg, a, b, DistMode::Stationary)
+pub fn dist_solve(cluster: &Cluster, cfg: &AmgConfig, a: Csr, b: &[f64]) -> (Vec<f64>, DistReport) {
+    run_dist(cluster, cfg, a, b, DistMode::Stationary)
 }
 
 /// Solve `A x = b` by AMG-preconditioned CG over the cluster's ranks.
 pub fn dist_pcg(
     cluster: &Cluster,
     cfg: &AmgConfig,
-    dcfg: &DistConfig,
     a: Csr,
     b: &[f64],
     tol: f64,
     max_iters: usize,
 ) -> (Vec<f64>, DistReport) {
-    run_dist(cluster, cfg, dcfg, a, b, DistMode::Pcg { tol, max_iters })
+    run_dist(cluster, cfg, a, b, DistMode::Pcg { tol, max_iters })
 }
 
 /// Halo plans of one distributed level (index `k < boundary`).
@@ -165,14 +136,6 @@ struct LevelPlans {
     /// `P_k`: rows on partition `k`, operand on partition `k+1`; `None`
     /// when level `k+1` is gathered (the operand is replicated).
     p: Option<Vec<HaloPlan>>,
-}
-
-/// Effective smoother after resolving [`DistSmoother::FromConfig`].
-#[derive(Clone, Copy)]
-enum Eff {
-    L1,
-    Weighted(f64),
-    Cheb(usize),
 }
 
 /// One rank's slices of one distributed level.
@@ -188,10 +151,11 @@ struct RankLevel {
     next_hi: usize,
 }
 
-/// Per-level vector pool of one rank. Distributed levels keep `x` (and the
-/// residual staging `r_full`) at full length — only the owned plus ghost
-/// lanes are meaningful — and everything else owned-sized; gathered levels
-/// use full-length vectors throughout.
+/// Per-level vectors of one rank, for the distributed levels and the first
+/// gathered one (whose `b` and `x` are the gathered cycle's operands).
+/// Distributed levels keep `x` (and the residual staging `r_full`) at full
+/// length — only the owned plus ghost lanes are meaningful — and everything
+/// else owned-sized.
 #[derive(Default)]
 struct LevelBufs {
     x: Vec<f64>,
@@ -205,12 +169,6 @@ struct LevelBufs {
     e: Vec<f64>,
     /// Weighted-Jacobi scaled diagonal slice.
     scaled: Vec<f64>,
-    /// Chebyshev search direction (full length) and residual (owned).
-    cp: Vec<f64>,
-    cr: Vec<f64>,
-    /// Coarse direct-solve staging.
-    sol: Vec<f64>,
-    sol2: Vec<f64>,
     op: OpScratch,
 }
 
@@ -218,16 +176,19 @@ struct LevelBufs {
 struct RankRun<'a> {
     nranks: usize,
     dev: &'a Device,
-    cfg: &'a AmgConfig,
+    /// The solver configuration with hybrid Gauss-Seidel mapped to
+    /// L1-Jacobi, on the distributed and the gathered levels alike.
+    cfg: AmgConfig,
     h: &'a Hierarchy,
     /// First gathered level; levels `0..boundary` run distributed.
     boundary: usize,
-    eff: Eff,
     comm: LocalComm,
     levels: Vec<RankLevel>,
     bufs: Vec<LevelBufs>,
-    /// Gershgorin `lambda_max` per level (Chebyshev smoothing only).
-    lambda: Vec<f64>,
+    /// The gathered region's cycle buffers, and the first non-finite
+    /// sighting of the current cycle (distributed levels record theirs on
+    /// the owned lanes).
+    ws: SolveWorkspace,
     interconnect: Interconnect,
     /// Monotone exchange tag; identical across ranks because every rank
     /// runs the identical program order.
@@ -281,8 +242,6 @@ fn account_gather(rr: &mut RankRun, received: usize) {
 enum HaloOp {
     /// `A_k` over `bufs[k].x`.
     AOnX,
-    /// `A_k` over the Chebyshev direction `bufs[k].cp`.
-    AOnCp,
     /// `R_k` over the full-length residual `bufs[k].r_full`.
     ROnResidual,
     /// `P_k` over the coarse iterate `bufs[k + 1].x`.
@@ -297,9 +256,6 @@ fn halo_exchange(rr: &mut RankRun, k: usize, op: HaloOp) {
         HaloOp::AOnX => rr.levels[k]
             .a
             .exchange(&rr.comm, tag, &mut rr.bufs[k].x, prec),
-        HaloOp::AOnCp => rr.levels[k]
-            .a
-            .exchange(&rr.comm, tag, &mut rr.bufs[k].cp, prec),
         HaloOp::ROnResidual => rr.levels[k]
             .r
             .exchange(&rr.comm, tag, &mut rr.bufs[k].r_full, prec),
@@ -314,14 +270,9 @@ fn halo_exchange(rr: &mut RankRun, k: usize, op: HaloOp) {
 /// One distributed smoothing sweep at level `k < boundary`: exchange the
 /// iterate's halo, apply the owned row block, update the owned lanes.
 fn smooth_dist(rr: &mut RankRun, k: usize) {
-    if let Eff::Cheb(degree) = rr.eff {
-        chebyshev_dist(rr, k, degree);
-        return;
-    }
     halo_exchange(rr, k, HaloOp::AOnX);
     let h = rr.h;
     let ctx = ctx_at(rr, Phase::Solve, k);
-    let eff = rr.eff;
     let rl = &rr.levels[k];
     let (lo, hi) = (rl.lo, rl.hi);
     let LevelBufs {
@@ -333,8 +284,8 @@ fn smooth_dist(rr: &mut RankRun, k: usize) {
         ..
     } = &mut rr.bufs[k];
     rl.a.spmv(&ctx, x, op, ax);
-    match eff {
-        Eff::Weighted(w) => {
+    match rr.cfg.smoother {
+        Smoother::WeightedJacobi(w) => {
             scaled.clear();
             scaled.extend(h.levels[k].diag_inv[lo..hi].iter().map(|&d| d * w));
             vec_ops::jacobi_fused(&ctx, scaled, b, ax, &mut x[lo..hi]);
@@ -349,224 +300,22 @@ fn smooth_dist(rr: &mut RankRun, k: usize) {
     }
 }
 
-/// Distributed Chebyshev sweep: the three-term recurrence of
-/// [`Chebyshev::apply`] with the direction vector `cp` kept full-length and
-/// halo-exchanged before each `A p` product. Elementwise throughout, so the
-/// owned lanes match the replicated recurrence bitwise for any rank count.
-fn chebyshev_dist(rr: &mut RankRun, k: usize, degree: usize) {
-    let h = rr.h;
-    let lam = rr.lambda[k];
-    let upper = lam * 1.1;
-    let lower = lam / 30.0;
-    let theta = 0.5 * (upper + lower);
-    let delta = 0.5 * (upper - lower);
-    let nk = h.levels[k].n();
-    let ctx = ctx_at(rr, Phase::Solve, k);
-
-    halo_exchange(rr, k, HaloOp::AOnX);
-    {
-        let rl = &rr.levels[k];
-        let (lo, hi) = (rl.lo, rl.hi);
-        let dinv = &h.levels[k].diag_inv[lo..hi];
-        let LevelBufs {
-            x,
-            b,
-            ax,
-            cr,
-            cp,
-            op,
-            ..
-        } = &mut rr.bufs[k];
-        rl.a.spmv(&ctx, x, op, ax);
-        // cr = D^{-1} (b - A x) on the owned lanes.
-        cr.clear();
-        cr.extend(
-            b.iter()
-                .zip(ax.iter())
-                .zip(dinv)
-                .map(|((&bi, &ai), &d)| (bi - ai) * d),
-        );
-        let alpha = 1.0 / theta;
-        cp.clear();
-        cp.resize(nk, 0.0);
-        for (i, &ri) in cr.iter().enumerate() {
-            cp[lo + i] = ri * alpha;
-        }
-        vec_ops::axpy(&ctx, 1.0, &cp[lo..hi], &mut x[lo..hi]);
-    }
-    let mut rho = delta * (1.0 / theta);
-    for _ in 1..degree {
-        halo_exchange(rr, k, HaloOp::AOnCp);
-        let rl = &rr.levels[k];
-        let (lo, hi) = (rl.lo, rl.hi);
-        let dinv = &h.levels[k].diag_inv[lo..hi];
-        let LevelBufs {
-            x, ax, cr, cp, op, ..
-        } = &mut rr.bufs[k];
-        rl.a.spmv(&ctx, cp, op, ax);
-        for ((ri, &api), &d) in cr.iter_mut().zip(ax.iter()).zip(dinv) {
-            *ri -= api * d;
-        }
-        let rho_new = 1.0 / (2.0 * theta / delta - rho);
-        let beta = rho * rho_new;
-        let alpha = 2.0 * rho_new / delta;
-        for (i, &ri) in cr.iter().enumerate() {
-            cp[lo + i] = alpha * ri + beta * cp[lo + i];
-        }
-        vec_ops::axpy(&ctx, 1.0, &cp[lo..hi], &mut x[lo..hi]);
-        rho = rho_new;
-    }
+/// Record a non-finite value on this rank's owned lanes of level `k`.
+fn check_finite_dist(rr: &mut RankRun, k: usize, stage: &'static str) {
+    let (lo, hi) = (rr.levels[k].lo, rr.levels[k].hi);
+    let lanes = &rr.bufs[k].x[lo..hi];
+    rr.ws.check_finite(lanes, &rr.h.levels[k], k, stage);
 }
 
-/// One redundant smoothing sweep at a gathered level (full vectors,
-/// identical on every rank — mirrors the single-device smoother exactly).
-fn smooth_red(rr: &mut RankRun, k: usize) {
-    let h = rr.h;
-    let ctx = ctx_at(rr, Phase::Solve, k);
-    let eff = rr.eff;
-    let lvl = &h.levels[k];
-    match eff {
-        Eff::Cheb(degree) => {
-            let ch = Chebyshev::new(degree, rr.lambda[k]);
-            let LevelBufs { x, b, .. } = &mut rr.bufs[k];
-            ch.apply(&ctx, lvl, b, x);
-        }
-        Eff::Weighted(w) => {
-            let LevelBufs {
-                x,
-                b,
-                ax,
-                scaled,
-                op,
-                ..
-            } = &mut rr.bufs[k];
-            lvl.a.spmv_into(&ctx, x, op, ax);
-            scaled.clear();
-            scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
-            vec_ops::jacobi_fused(&ctx, scaled, b, ax, x);
-        }
-        Eff::L1 => {
-            let LevelBufs { x, b, ax, op, .. } = &mut rr.bufs[k];
-            lvl.a.spmv_into(&ctx, x, op, ax);
-            vec_ops::jacobi_fused(&ctx, &lvl.l1_diag_inv, b, ax, x);
-        }
-    }
-}
-
-/// Redundant coarsest-level solve — the exact mirror of the single-device
-/// coarse solve, including its kernel charges.
-fn coarse_red(rr: &mut RankRun) {
-    let h = rr.h;
-    let k = h.n_levels() - 1;
-    let ctx = ctx_at(rr, Phase::Solve, k);
-    match rr.cfg.coarse_solver {
-        CoarseSolver::DirectLu => {
-            let timer = ctx.timer();
-            let lu = h.coarse_lu.as_ref().expect("LU prepared in setup");
-            let LevelBufs { x, b, sol, .. } = &mut rr.bufs[k];
-            lu.solve_into(b, sol);
-            x.copy_from_slice(sol);
-            let n = h.levels[k].n() as f64;
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 2.0 * n * n,
-                    bytes: n * n * 8.0,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::SparseLdl { .. } => {
-            let timer = ctx.timer();
-            let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
-            let LevelBufs {
-                x, b, sol, sol2, ..
-            } = &mut rr.bufs[k];
-            f.solve_into(b, sol2, sol);
-            x.copy_from_slice(sol);
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * h.levels[k].n() as f64,
-                    bytes: (f.l_nnz() * 12 + h.levels[k].n() * 16) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-        }
-        CoarseSolver::Jacobi(sweeps) => {
-            for _ in 0..sweeps {
-                smooth_red(rr, k);
-            }
-        }
-    }
-}
-
-/// Cycle dispatch: distributed above the boundary, redundant below.
+/// Cycle dispatch: distributed above the boundary; in the gathered region
+/// every rank runs the single-device cycle on the replicated vectors.
 fn cycle_at(rr: &mut RankRun, k: usize, cycle: CycleType) {
-    if k >= rr.boundary {
-        cycle_red(rr, k, cycle);
-    } else {
+    if k < rr.boundary {
         cycle_dist(rr, k, cycle);
-    }
-}
-
-/// Redundant cycle over a gathered level: full vectors, every rank runs
-/// the identical single-device arithmetic.
-fn cycle_red(rr: &mut RankRun, k: usize, cycle: CycleType) {
-    let dev = rr.dev;
-    let h = rr.h;
-    let _span = dev.span(SpanKind::Level, SpanLabel::with("level", k as u64));
-    if k + 1 == h.n_levels() {
-        coarse_red(rr);
         return;
     }
-    let ctx = ctx_at(rr, Phase::Solve, k);
-    let sweeps = rr.cfg.num_sweeps;
-    for _ in 0..sweeps {
-        smooth_red(rr, k);
-    }
-    {
-        let lvl = &h.levels[k];
-        let (head, tail) = rr.bufs.split_at_mut(k + 1);
-        let cur = &mut head[k];
-        let next = &mut tail[0];
-        lvl.a.spmv_into(&ctx, &cur.x, &mut cur.op, &mut cur.ax);
-        vec_ops::sub_into(&ctx, &cur.b, &cur.ax, &mut cur.ro);
-        let restriction = lvl.r.as_ref().expect("non-coarsest level has R");
-        restriction.spmv_into(&ctx, &cur.ro, &mut cur.op, &mut next.b);
-        next.x.clear();
-        next.x.resize(next.b.len(), 0.0);
-    }
-    let visits = match cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        let sub = if cycle == CycleType::F && visit == 1 {
-            CycleType::V
-        } else {
-            cycle
-        };
-        cycle_red(rr, k + 1, sub);
-    }
-    {
-        let lvl = &h.levels[k];
-        let (head, tail) = rr.bufs.split_at_mut(k + 1);
-        let cur = &mut head[k];
-        let next = &tail[0];
-        let p = lvl.p.as_ref().expect("non-coarsest level has P");
-        p.spmv_into(&ctx, &next.x, &mut cur.op, &mut cur.e);
-        vec_ops::axpy(&ctx, 1.0, &cur.e, &mut cur.x);
-    }
-    for _ in 0..sweeps {
-        smooth_red(rr, k);
-    }
+    let LevelBufs { x, b, .. } = &mut rr.bufs[k];
+    vcycle(rr.dev, &rr.cfg, rr.h, k, cycle, b, x, 1, &mut rr.ws);
 }
 
 /// Distributed cycle at level `k < boundary`: halo-exchange SpMV for the
@@ -584,6 +333,7 @@ fn cycle_dist(rr: &mut RankRun, k: usize, cycle: CycleType) {
     for _ in 0..sweeps {
         smooth_dist(rr, k);
     }
+    check_finite_dist(rr, k, "pre-smoothing");
 
     // Owned residual, staged into a full-length vector for R's operand.
     halo_exchange(rr, k, HaloOp::AOnX);
@@ -631,16 +381,7 @@ fn cycle_dist(rr: &mut RankRun, k: usize, cycle: CycleType) {
         account_gather(rr, n_next - owned);
     }
 
-    let visits = match cycle {
-        CycleType::V => 1,
-        CycleType::W | CycleType::F => 2,
-    };
-    for visit in 0..visits {
-        let sub = if cycle == CycleType::F && visit == 1 {
-            CycleType::V
-        } else {
-            cycle
-        };
+    for &sub in cycle.coarse_visits() {
         cycle_at(rr, k + 1, sub);
     }
 
@@ -661,6 +402,7 @@ fn cycle_dist(rr: &mut RankRun, k: usize, cycle: CycleType) {
     for _ in 0..sweeps {
         smooth_dist(rr, k);
     }
+    check_finite_dist(rr, k, "post-smoothing");
 }
 
 /// Distributed residual norm at the finest level: owned partial dot,
@@ -683,86 +425,40 @@ fn residual_norm_dist(rr: &mut RankRun) -> f64 {
     allreduce(rr, local).sqrt()
 }
 
-/// Attach flight/trace plumbing (and, for the stationary loop, finest-level
-/// attribution) to a health event, mirroring the single-device loops.
-fn emit_health(rr: &RankRun, mut ev: HealthEvent, attribute: bool, sink: &mut Vec<HealthEvent>) {
-    if attribute && ev.level.is_none() {
-        ev.level = Some(0);
-        ev.precision = Some(level_precision(rr.dev, rr.cfg, 0).label());
-    }
-    ev.trace_id = rr.dev.flight_id().map_or(0, |id| id.get());
-    if let Some(rec) = rr.dev.recorder() {
-        rec.record_health(ev.clone());
-    }
-    rr.dev.flight_health(&ev);
-    sink.push(ev);
-}
-
-/// The stationary outer loop (the distributed mirror of
-/// [`amgt::solve::solve_with_workspace`]). `bufs[0].b` holds the owned
+/// The stationary outer loop: distributed cycles judged by the
+/// single-device solver's [`Column`]. `bufs[0].b` holds the owned
 /// right-hand side and `bufs[0].x` the zeroed full-length iterate.
+///
+/// The column sees only all-reduced norms, identical on every rank, so
+/// every keep-cycling decision is too. The non-finite site it names is
+/// this rank's own first sighting; the iterate is not scanned separately
+/// (an owned-lane scan could differ between ranks).
 fn run_stationary(rr: &mut RankRun) -> SolveReport {
     let dev = rr.dev;
-    let cfg = rr.cfg;
     let ctx0 = ctx_at(rr, Phase::Solve, 0);
-    let b_norm = {
-        let local = vec_ops::dot(&ctx0, &rr.bufs[0].b, &rr.bufs[0].b);
-        let nb = allreduce(rr, local).sqrt();
-        if nb == 0.0 {
-            1.0
-        } else {
-            nb
-        }
-    };
+    let local = vec_ops::dot(&ctx0, &rr.bufs[0].b, &rr.bufs[0].b);
+    let b_norm = allreduce(rr, local).sqrt();
     let initial = {
         let _span = dev.span(SpanKind::Region, SpanLabel::named("initial residual"));
         residual_norm_dist(rr)
     };
-
-    let initial_rel = initial / b_norm;
-    let mut monitor = ConvergenceMonitor::new(HealthThresholds::default(), initial_rel);
-    let mut health_events: Vec<HealthEvent> = Vec::new();
-    let mut history = Vec::with_capacity(cfg.max_iterations);
-    let mut final_norm = initial;
-    // As in the single-device loop, a system already within tolerance
-    // runs no cycle.
-    let mut converged = cfg.tolerance > 0.0 && initial_rel < cfg.tolerance;
-    let max_iterations = if converged { 0 } else { cfg.max_iterations };
-    let mut iterations = 0usize;
-    for it in 0..max_iterations {
+    let mut col = Column::new(&rr.cfg, b_norm, initial, None);
+    let mut health_events = Vec::new();
+    let cycle = rr.cfg.cycle;
+    for it in 0..rr.cfg.max_iterations {
+        if !col.is_active() {
+            break;
+        }
         let _iter_span = dev.span(
             SpanKind::Iteration,
             SpanLabel::with("iteration", (it + 1) as u64),
         );
-        cycle_at(rr, 0, cfg.cycle);
-        iterations += 1;
-        final_norm = residual_norm_dist(rr);
-        let rel = final_norm / b_norm;
-        history.push(rel);
-        dev.flight_residual(it + 1, None, rel);
-        if let Some(ev) = monitor.observe(rel) {
-            emit_health(rr, ev, true, &mut health_events);
-        }
-        if monitor.should_abort() {
-            break;
-        }
-        if cfg.tolerance > 0.0 && rel < cfg.tolerance {
-            converged = true;
-            break;
-        }
+        cycle_at(rr, 0, cycle);
+        let norm = residual_norm_dist(rr);
+        let site = rr.ws.take_non_finite();
+        col.judge_cycle(dev, &rr.cfg, norm, false, site, &mut health_events);
     }
-
-    SolveReport {
-        iterations,
-        initial_residual_norm: initial,
-        initial_relative_residual: initial_rel,
-        final_residual_norm: final_norm,
-        history,
-        converged,
-        outcome: monitor.outcome(converged),
-        convergence_factor: monitor.geometric_factor(),
-        health_events,
-    }
+    col.report(health_events)
 }
 
 /// One V-cycle preconditioner application: `z = M^{-1} r` (owned lanes).
@@ -874,7 +570,7 @@ fn run_pcg(rr: &mut RankRun, tol: f64, max_iters: usize) -> (Vec<f64>, SolveRepo
         history.push(rel);
         dev.flight_residual(history.len(), None, rel);
         if let Some(ev) = monitor.observe(rel) {
-            emit_health(rr, ev, false, &mut health_events);
+            emit_health(dev, ev, &mut health_events);
         }
         if monitor.nonfinite() {
             break;
@@ -929,7 +625,6 @@ fn rank_main(
     nranks: usize,
     dev: &Device,
     cfg: &AmgConfig,
-    dcfg: &DistConfig,
     h: &Hierarchy,
     parts: &[Partition],
     plans: &[LevelPlans],
@@ -939,7 +634,6 @@ fn rank_main(
     b: &[f64],
     mode: DistMode,
 ) -> RankOut {
-    let n_levels = h.n_levels();
     let n0 = h.levels[0].n();
 
     if boundary == 0 {
@@ -952,21 +646,7 @@ fn rank_main(
         let report = match mode {
             DistMode::Stationary => amgt::solve::solve(dev, cfg, h, b, &mut x),
             DistMode::Pcg { tol, max_iters } => {
-                let rep = amgt::pcg::pcg_solve(dev, cfg, h, b, &mut x, tol, max_iters);
-                // With a zero initial iterate the initial residual is b.
-                let raw_nb = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let b_norm = if raw_nb == 0.0 { 1.0 } else { raw_nb };
-                SolveReport {
-                    iterations: rep.iterations,
-                    initial_residual_norm: raw_nb,
-                    initial_relative_residual: raw_nb / b_norm,
-                    final_residual_norm: rep.history.last().map_or(raw_nb, |r| r * b_norm),
-                    history: rep.history,
-                    converged: rep.converged,
-                    outcome: rep.outcome,
-                    convergence_factor: rep.convergence_factor,
-                    health_events: rep.health_events,
-                }
+                amgt::pcg::pcg_solve(dev, cfg, h, b, &mut x, tol, max_iters)
             }
         };
         return RankOut {
@@ -1032,20 +712,13 @@ fn rank_main(
     }
     let prep_seconds = dev.elapsed() - prep_start;
 
-    let lambda: Vec<f64> = if matches!(dcfg.smoother, DistSmoother::Chebyshev { .. }) {
-        h.levels.iter().map(gershgorin_lambda_max).collect()
-    } else {
-        vec![0.0; n_levels]
-    };
-    let eff = match dcfg.smoother {
-        DistSmoother::Chebyshev { degree } => Eff::Cheb(degree.max(1)),
-        DistSmoother::FromConfig => match cfg.smoother {
-            Smoother::WeightedJacobi(w) => Eff::Weighted(w),
-            Smoother::L1Jacobi | Smoother::HybridGaussSeidel => Eff::L1,
-        },
-    };
-
-    let mut bufs: Vec<LevelBufs> = (0..n_levels).map(|_| LevelBufs::default()).collect();
+    // Hybrid Gauss-Seidel sweeps sequentially within a row block, which
+    // does not distribute as-is; the distributed cycle runs L1-Jacobi.
+    let mut cfg = cfg.clone();
+    if cfg.smoother == Smoother::HybridGaussSeidel {
+        cfg.smoother = Smoother::L1Jacobi;
+    }
+    let mut bufs: Vec<LevelBufs> = (0..=boundary).map(|_| LevelBufs::default()).collect();
     let (lo0, hi0) = parts[0].range(rank);
     bufs[0].x = vec![0.0; n0];
     bufs[0].b = b[lo0..hi0].to_vec();
@@ -1057,11 +730,10 @@ fn rank_main(
         cfg,
         h,
         boundary,
-        eff,
         comm,
         levels,
         bufs,
-        lambda,
+        ws: SolveWorkspace::for_hierarchy(h),
         interconnect,
         tag: 0,
         comm_seconds: 0.0,
@@ -1102,7 +774,6 @@ fn rank_main(
 fn run_dist(
     cluster: &Cluster,
     cfg: &AmgConfig,
-    dcfg: &DistConfig,
     a: Csr,
     b: &[f64],
     mode: DistMode,
@@ -1120,7 +791,7 @@ fn run_dist(
     let boundary = h
         .levels
         .iter()
-        .position(|l| l.n() <= dcfg.gather_threshold)
+        .position(|l| l.n() <= GATHER_THRESHOLD)
         .unwrap_or(n_levels - 1)
         .min(n_levels - 1);
 
@@ -1204,7 +875,6 @@ fn run_dist(
                         p,
                         dev,
                         cfg,
-                        dcfg,
                         h,
                         parts,
                         plans,
@@ -1290,7 +960,7 @@ mod tests {
         let mut x_ref = vec![0.0; b.len()];
         amgt::solve::solve(&dev, &cfg, &h, &b, &mut x_ref);
 
-        let (x, rep) = dist_solve(&cluster(4), &cfg, &DistConfig::default(), a, &b);
+        let (x, rep) = dist_solve(&cluster(4), &cfg, a, &b);
         assert_eq!(rep.ranks, 4);
         for (i, (u, v)) in x.iter().zip(&x_ref).enumerate() {
             assert_eq!(u.to_bits(), v.to_bits(), "row {i}: {u} vs {v}");
@@ -1307,9 +977,8 @@ mod tests {
         let b = rhs_of_ones(&a);
         let mut cfg = AmgConfig::hypre_fp64();
         cfg.max_iterations = 3;
-        let dcfg = DistConfig::default();
-        let (_, r1) = dist_solve(&cluster(1), &cfg, &dcfg, a.clone(), &b);
-        let (_, r8) = dist_solve(&cluster(8), &cfg, &dcfg, a, &b);
+        let (_, r1) = dist_solve(&cluster(1), &cfg, a.clone(), &b);
+        let (_, r8) = dist_solve(&cluster(8), &cfg, a, &b);
         // One rank exchanges nothing; eight pay real interconnect time.
         assert_eq!(r1.comm_seconds, 0.0);
         assert!(r8.comm_seconds > r1.comm_seconds);
@@ -1329,7 +998,7 @@ mod tests {
         let b = rhs_of_ones(&a);
         let mut cfg = AmgConfig::amgt_mixed();
         cfg.max_iterations = 25;
-        let (_, rep) = dist_solve(&cluster(2), &cfg, &DistConfig::default(), a, &b);
+        let (_, rep) = dist_solve(&cluster(2), &cfg, a, &b);
         assert!(
             rep.solve_report.final_relative_residual() < 1e-5,
             "relres {}",

@@ -7,6 +7,9 @@
 //! distributed smoothing, per-rank Galerkin levels with a gathered
 //! redundant coarse region — lives in [`driver`]; [`dist_solve`] is the
 //! entry point of the paper's multi-GPU experiment (Section V.E, Figure 9).
+//! The driver reuses the single-device solver rather than mirroring it:
+//! the gathered region runs [`amgt::solve::vcycle`] and the outer loop is
+//! judged by [`amgt::solve::Column`].
 //!
 //! Headline invariant (tested): the stationary distributed solve is
 //! **bitwise rank-count-invariant**, and at one rank bit-identical to
@@ -18,5 +21,5 @@ pub mod driver;
 pub mod partition;
 
 pub use comm::{CommCounters, Communicator, LocalComm};
-pub use driver::{dist_pcg, dist_solve, DistConfig, DistReport, DistSmoother, RankReport};
+pub use driver::{dist_pcg, dist_solve, DistReport, RankReport};
 pub use partition::{build_halo_plans, dist_spmv_once, owner_of, row_slice, HaloPlan, RankMatrix};

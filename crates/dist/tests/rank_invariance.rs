@@ -3,13 +3,14 @@
 //! bitwise-identical to the single-device solver, and the iterate
 //! trajectory does not change with the rank count.
 
-use amgt::config::AmgConfig;
+use amgt::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
+use amgt::diagnostics::SolveOutcome;
 use amgt::hierarchy::setup;
 use amgt::solve::solve;
-use amgt_dist::{dist_solve, DistConfig};
+use amgt_dist::dist_solve;
 use amgt_kernels::ExecMode;
 use amgt_sim::{Cluster, Device, GpuSpec, Interconnect};
-use amgt_sparse::gen::rhs_of_ones;
+use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
 use amgt_sparse::suite::{self, Scale};
 
 fn cluster(p: usize) -> Cluster {
@@ -40,7 +41,7 @@ fn suite_rank_invariance() {
         let mut histories = Vec::new();
         for p in [1usize, 2, 4] {
             let cl = cluster(p);
-            let (x, rep) = dist_solve(&cl, &cfg, &DistConfig::default(), a.clone(), &b);
+            let (x, rep) = dist_solve(&cl, &cfg, a.clone(), &b);
             assert_eq!(
                 rep.solve_report.iterations, ref_report.iterations,
                 "{}: iterations diverged at p={p}",
@@ -98,15 +99,7 @@ fn pcg_rank_agreement() {
     let ref_rep = amgt::pcg::pcg_solve(&dev, &cfg, &h, &b, &mut x_ref, tol, max_iters);
     assert!(ref_rep.converged);
 
-    let (x1, r1) = dist_pcg(
-        &cluster(1),
-        &cfg,
-        &DistConfig::default(),
-        a.clone(),
-        &b,
-        tol,
-        max_iters,
-    );
+    let (x1, r1) = dist_pcg(&cluster(1), &cfg, a.clone(), &b, tol, max_iters);
     assert_eq!(r1.solve_report.iterations, ref_rep.iterations);
     assert_eq!(r1.solve_report.history, ref_rep.history);
     for (u, v) in x1.iter().zip(&x_ref) {
@@ -114,15 +107,7 @@ fn pcg_rank_agreement() {
     }
 
     for p in [2usize, 4] {
-        let (_, rp) = dist_pcg(
-            &cluster(p),
-            &cfg,
-            &DistConfig::default(),
-            a.clone(),
-            &b,
-            tol,
-            max_iters,
-        );
+        let (_, rp) = dist_pcg(&cluster(p), &cfg, a.clone(), &b, tol, max_iters);
         assert!(rp.solve_report.converged, "p={p} did not converge");
         assert!(
             rp.solve_report.iterations.abs_diff(ref_rep.iterations) <= 1,
@@ -133,4 +118,105 @@ fn pcg_rank_agreement() {
         let rel = rp.solve_report.history.last().unwrap();
         assert!(*rel < tol, "p={p} converged residual {rel}");
     }
+}
+
+/// The distributed cycle against the single-device solver over the
+/// configurations it runs: smoother x cycle shape x coarse solver. P = 1
+/// matches `solve` bitwise in solution and history, and P = 2 gives the
+/// same iterate bits. The 1024-row Laplacian distributes two levels (one
+/// with a halo-exchanged interpolation) above a gathered region that
+/// smooths before its coarse solve; the 100-row one is below the gather
+/// threshold and runs fully redundant.
+#[test]
+fn cycle_configurations_match_single_device() {
+    let matrices = [
+        laplacian_2d(32, 32, Stencil2d::Five),
+        laplacian_2d(10, 10, Stencil2d::Five),
+    ];
+    let smoothers = [Smoother::L1Jacobi, Smoother::WeightedJacobi(0.8)];
+    let cycles = [CycleType::V, CycleType::W, CycleType::F];
+    let coarse_solvers = [
+        CoarseSolver::Jacobi(1),
+        CoarseSolver::DirectLu,
+        CoarseSolver::SparseLdl { reorder: true },
+    ];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (m, a) in matrices.iter().enumerate() {
+        let b: Vec<f64> = (0..a.nrows())
+            .map(|i| (i as f64 * 0.37).sin() + 0.5)
+            .collect();
+        for smoother in smoothers {
+            for cycle in cycles {
+                for coarse_solver in coarse_solvers {
+                    let mut cfg = AmgConfig::amgt_fp64();
+                    cfg.exec = ExecMode::Native;
+                    cfg.max_row_sum = 1.0;
+                    cfg.max_iterations = 3;
+                    cfg.tolerance = 1e-10;
+                    cfg.smoother = smoother;
+                    cfg.cycle = cycle;
+                    cfg.coarse_solver = coarse_solver;
+                    let what = format!("matrix {m} {smoother:?} {cycle:?} {coarse_solver:?}");
+
+                    let dev = Device::new(GpuSpec::a100());
+                    let h = setup(&dev, &cfg, a.clone());
+                    let mut x_ref = vec![0.0; b.len()];
+                    let ref_report = solve(&dev, &cfg, &h, &b, &mut x_ref);
+
+                    let (x1, r1) = dist_solve(&cluster(1), &cfg, a.clone(), &b);
+                    assert_eq!(bits(&x1), bits(&x_ref), "{what}: p=1 x");
+                    assert_eq!(r1.solve_report.history, ref_report.history, "{what}");
+                    if m == 0 {
+                        assert!(r1.gathered_levels >= 2, "{what}: {r1:?}");
+                        assert!(r1.levels - r1.gathered_levels >= 2, "{what}: {r1:?}");
+                    } else {
+                        assert_eq!(r1.gathered_levels, r1.levels, "{what}");
+                    }
+
+                    let (x2, r2) = dist_solve(&cluster(2), &cfg, a.clone(), &b);
+                    assert_eq!(bits(&x2), bits(&x_ref), "{what}: p=2 x");
+                    assert_eq!(r2.solve_report.iterations, ref_report.iterations, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// A right-hand side with a NaN poisons the first cycle. At P = 1 the
+/// distributed solve reports the same health events as `solve`, naming the
+/// level and stage that produced the NaN; at P = 2 every rank still stops
+/// after that cycle.
+#[test]
+fn non_finite_first_cycle_reports_like_single_device() {
+    let a = laplacian_2d(32, 32, Stencil2d::Five);
+    let mut b = rhs_of_ones(&a);
+    b[17] = f64::NAN;
+    let mut cfg = AmgConfig::amgt_fp64();
+    cfg.exec = ExecMode::Native;
+    cfg.max_iterations = 4;
+    cfg.tolerance = 1e-10;
+
+    let dev = Device::new(GpuSpec::a100());
+    let h = setup(&dev, &cfg, a.clone());
+    let mut x_ref = vec![0.0; b.len()];
+    let ref_report = solve(&dev, &cfg, &h, &b, &mut x_ref);
+    assert_eq!(ref_report.outcome, SolveOutcome::NonFinite);
+    assert_eq!(ref_report.iterations, 1);
+    assert_eq!(ref_report.health_events.len(), 1);
+    assert_eq!(
+        ref_report.health_events[0].detail,
+        "non-finite values after pre-smoothing"
+    );
+
+    let (_, r1) = dist_solve(&cluster(1), &cfg, a.clone(), &b);
+    assert_eq!(
+        format!("{:?}", r1.solve_report.health_events),
+        format!("{:?}", ref_report.health_events)
+    );
+    assert_eq!(r1.solve_report.outcome, SolveOutcome::NonFinite);
+    assert_eq!(r1.solve_report.iterations, 1);
+
+    let (_, r2) = dist_solve(&cluster(2), &cfg, a, &b);
+    assert_eq!(r2.solve_report.outcome, SolveOutcome::NonFinite);
+    assert_eq!(r2.solve_report.iterations, 1);
 }

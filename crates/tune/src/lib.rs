@@ -10,7 +10,7 @@
 //!    heuristics key off from the mBSR image;
 //! 2. [`PolicySpace::for_features`] scopes a discrete candidate space
 //!    around the paper defaults;
-//! 3. [`search`] runs coordinate descent + random restarts, scoring each
+//! 3. [`search()`] runs coordinate descent + random restarts, scoring each
 //!    candidate with the deterministic `amgt-sim` cost model on the real
 //!    matrix ([`simulated_total_seconds`]);
 //! 4. [`PolicyStore`] persists winners keyed by the structural fingerprint,
@@ -63,8 +63,9 @@ impl TuneResult {
     }
 }
 
-/// Flatten a [`KernelPolicy`] into the trace layer's [`PolicyNote`], for
-/// attachment to a [`amgt_trace::Recording`] via `Recorder::set_policy`.
+/// Flatten a [`KernelPolicy`] into the trace layer's
+/// [`PolicyNote`](amgt_trace::PolicyNote), for attachment to a
+/// [`amgt_trace::Recording`] via `Recorder::set_policy`.
 pub fn policy_note(
     source: &str,
     predicted_speedup: f64,

@@ -6,7 +6,7 @@
 //! ```
 
 use amgt::prelude::*;
-use amgt_dist::{dist_solve, DistConfig};
+use amgt_dist::dist_solve;
 use amgt_sim::{Cluster, Interconnect};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
 
@@ -24,7 +24,7 @@ fn main() {
     let mut t1 = None;
     for p in [1usize, 2, 4, 8] {
         let cluster = Cluster::new(GpuSpec::a100(), p, Interconnect::nvlink());
-        let (x, rep) = dist_solve(&cluster, &cfg, &DistConfig::default(), a.clone(), &b);
+        let (x, rep) = dist_solve(&cluster, &cfg, a.clone(), &b);
         let total = rep.total_seconds();
         let t1v = *t1.get_or_insert(total);
         println!(

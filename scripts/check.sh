@@ -13,6 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (amgt-trace, -D warnings)"
 cargo clippy -p amgt-trace --all-targets -- -D warnings
 
+echo "==> rustdoc: no broken intra-doc links"
+# A deleted or renamed item leaves stale [`links`] in the docs of the code
+# that survives it; rustdoc resolves every link, so deny the broken ones.
+# The vendored stand-ins under vendor/ are not documented.
+vendored=()
+for manifest in vendor/*/Cargo.toml; do
+    vendored+=(--exclude "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+done
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+    cargo doc --no-deps --workspace "${vendored[@]}" -q
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
