@@ -41,14 +41,10 @@ use serde::Serialize;
 ///   thread-count-invariant, so only the walls differ between widths.
 pub const SCHEMA_VERSION: u64 = 8;
 
-/// Oldest schema [`BenchReport::from_json`] still reads. v1 reports parse
-/// with `policy: None`, v2 reports with `wall: None`/`threads: None`,
-/// v3 reports with `exec: None`/`simd: None`, v4 reports with
-/// `fidelity: None`, v5 reports with `flight_overhead: None`, v6
-/// reports with `dist: None`, and v7 reports with `par: None`, so
-/// `--validate` and `--compare` keep working against baselines written
-/// before those fields existed.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
+/// Oldest schema [`BenchReport::from_json`] still reads: the current one.
+/// Both shipped baselines are v8. The optional blocks stay optional within
+/// v8, since each bench mode writes only its own.
+pub const MIN_SCHEMA_VERSION: u64 = 8;
 
 /// The kernel policy a report's cases ran under, plus where it came from.
 #[derive(Clone, Debug, Serialize)]
@@ -256,13 +252,12 @@ pub struct BenchReport {
     pub schema_version: u64,
     pub gpu: String,
     pub scale: String,
-    /// Active kernel policy (v2+; `None` when parsed from a v1 report).
+    /// Active kernel policy (v2+).
     pub policy: Option<PolicyInfo>,
     /// Rayon worker-thread count the run used (v3+, wall-clock runs; wall
     /// timings are only comparable between runs with equal thread counts).
     pub threads: Option<usize>,
-    /// Execution-backend label (`"sim"`/`"native"`; v4+, `None` when parsed
-    /// from an older report).
+    /// Execution-backend label (`"sim"`/`"native"`; v4+).
     pub exec: Option<String>,
     /// SIMD level detected at runtime on the recording host (v4+).
     pub simd: Option<String>,
@@ -297,12 +292,10 @@ impl BenchReport {
         }
         let gpu = field_str(&root, "gpu")?;
         let scale = field_str(&root, "scale")?;
-        // `policy` arrived in v2; absent or null in a v1 report.
         let policy = match root.get("policy") {
             Some(p) if !p.is_null() => Some(parse_policy_info(p)?),
             _ => None,
         };
-        // `threads` arrived in v3; absent or null before that.
         let threads = match root.get("threads") {
             Some(t) if !t.is_null() => Some(
                 t.as_f64()
@@ -311,7 +304,6 @@ impl BenchReport {
             ),
             _ => None,
         };
-        // `exec` and `simd` arrived in v4; absent or null before that.
         let exec = match root.get("exec") {
             Some(e) if !e.is_null() => Some(
                 e.as_str()
@@ -328,12 +320,10 @@ impl BenchReport {
             ),
             _ => None,
         };
-        // `fidelity` arrived in v5; absent or null before that.
         let fidelity = match root.get("fidelity") {
             Some(f) if !f.is_null() => Some(parse_fidelity(f)?),
             _ => None,
         };
-        // `flight_overhead` arrived in v6; absent or null before that.
         let flight_overhead = match root.get("flight_overhead") {
             Some(f) if !f.is_null() => Some(parse_flight_overhead(f)?),
             _ => None,
@@ -640,17 +630,14 @@ fn parse_dist(v: &Json) -> Result<DistInfo, String> {
 }
 
 fn parse_case(v: &Json) -> Result<BenchCase, String> {
-    // `wall` arrived in v3; absent or null before that.
     let wall = match v.get("wall") {
         Some(w) if !w.is_null() => Some(parse_wall(w)?),
         _ => None,
     };
-    // `dist` arrived in v7; absent or null before that.
     let dist = match v.get("dist") {
         Some(d) if !d.is_null() => Some(parse_dist(d)?),
         _ => None,
     };
-    // `par` arrived in v8; absent or null before that.
     let par = match v.get("par") {
         Some(p) if !p.is_null() => Some(parse_par(p)?),
         _ => None,
@@ -1000,26 +987,29 @@ mod tests {
 
     #[test]
     fn wrong_schema_version_rejected() {
-        let mut r = report(vec![case("x", 1.0, 1, "Converged")]);
-        r.schema_version = 99;
-        let json = r.to_json();
-        let err = BenchReport::from_json(&json).unwrap_err();
-        assert!(err.contains("schema_version 99"), "{err}");
+        for version in [99, 7] {
+            let mut r = report(vec![case("x", 1.0, 1, "Converged")]);
+            r.schema_version = version;
+            let json = r.to_json();
+            let err = BenchReport::from_json(&json).unwrap_err();
+            assert!(err.contains(&format!("schema_version {version}")), "{err}");
+        }
     }
 
     #[test]
-    fn v1_report_without_policy_still_parses() {
-        // A pre-policy baseline: version 1, no `policy` key at all.
+    fn report_without_optional_blocks_parses() {
+        // A v8 report from a plain run: no top-level or per-case optional
+        // block at all.
         let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 1;
         r.policy = None;
         let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert!(back.policy.is_none());
+        assert_eq!(back.schema_version, SCHEMA_VERSION);
+        assert!(back.policy.is_none() && back.threads.is_none());
+        assert!(back.exec.is_none() && back.simd.is_none());
+        assert!(back.fidelity.is_none() && back.flight_overhead.is_none());
+        let c = &back.cases[0];
+        assert!(c.wall.is_none() && c.dist.is_none() && c.par.is_none());
         back.validate().unwrap();
-        // And an old baseline still gates a new (v2) report.
-        let current = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        assert!(compare(&current, &back, &CompareThresholds::default()).is_empty());
     }
 
     #[test]
@@ -1081,21 +1071,6 @@ mod tests {
         back.validate().unwrap();
     }
 
-    #[test]
-    fn v4_report_without_fidelity_still_parses() {
-        // A pre-fidelity baseline: version 4, no `fidelity` key.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 4;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 4);
-        assert!(back.fidelity.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v5) report.
-        let mut current = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        current.fidelity = Some(fidelity());
-        assert!(compare(&current, &back, &CompareThresholds::default()).is_empty());
-    }
-
     fn flight_overhead() -> FlightOverheadInfo {
         FlightOverheadInfo {
             geomean_ratio: 1.012,
@@ -1132,21 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn v5_report_without_flight_overhead_still_parses() {
-        // A pre-flight baseline: version 5, no `flight_overhead` key.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 5;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 5);
-        assert!(back.flight_overhead.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v6) report.
-        let mut current = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        current.flight_overhead = Some(flight_overhead());
-        assert!(compare(&current, &back, &CompareThresholds::default()).is_empty());
-    }
-
-    #[test]
     fn v7_dist_round_trips() {
         let mut c = case("dist:a:amgt-fp64", 1.0e-4, 10, "Converged");
         c.dist = Some(dist_info(4, 65_536.0, 40));
@@ -1160,22 +1120,6 @@ mod tests {
         assert_eq!(d.halo_messages, 96);
         assert_eq!(d.allreduce_count, 40);
         back.validate().unwrap();
-    }
-
-    #[test]
-    fn v6_report_without_dist_still_parses() {
-        // A pre-distributed baseline: version 6, no `dist` key on any case.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 6;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 6);
-        assert!(back.cases[0].dist.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v7) report; the dist gate is
-        // simply skipped for cases without a baseline dist block.
-        let mut c = case("a", 1.0e-4, 10, "Converged");
-        c.dist = Some(dist_info(4, 1.0e9, 10_000));
-        assert!(compare(&report(vec![c]), &back, &CompareThresholds::default()).is_empty());
     }
 
     #[test]
@@ -1194,22 +1138,6 @@ mod tests {
         assert!((p.speedup - 3.2).abs() < 1e-12);
         assert!((p.efficiency - 0.8).abs() < 1e-12);
         back.validate().unwrap();
-    }
-
-    #[test]
-    fn v7_report_without_par_still_parses() {
-        // A pre-parallel baseline: version 7, no `par` key on any case.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 7;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 7);
-        assert!(back.cases[0].par.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v8) report; the efficiency
-        // gate is simply skipped for cases without a baseline par block.
-        let mut c = case("a", 1.0e-4, 10, "Converged");
-        c.par = Some(par_stats(4, 1_000_000, 4_000_000)); // terrible scaling
-        assert!(compare(&report(vec![c]), &back, &CompareThresholds::default()).is_empty());
     }
 
     #[test]
@@ -1358,43 +1286,6 @@ mod tests {
         f.rows[0].count = 0;
         r.fidelity = Some(f);
         assert!(r.validate().unwrap_err().contains("zero samples"));
-    }
-
-    #[test]
-    fn v3_report_without_exec_still_parses() {
-        // A pre-exec-backend baseline: version 3, no `exec`/`simd` keys.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 3;
-        r.exec = None;
-        r.simd = None;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 3);
-        assert!(back.exec.is_none() && back.simd.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v4) report.
-        let mut current = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        current.exec = Some("sim".into());
-        current.simd = Some("scalar".into());
-        assert!(compare(&current, &back, &CompareThresholds::default()).is_empty());
-    }
-
-    #[test]
-    fn v2_report_without_wall_still_parses() {
-        // A pre-wallclock baseline: version 2, no `threads`/`wall` keys.
-        let mut r = report(vec![case("a", 1.0e-4, 10, "Converged")]);
-        r.schema_version = 2;
-        r.threads = None;
-        let back = BenchReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert!(back.threads.is_none());
-        assert!(back.cases[0].wall.is_none());
-        back.validate().unwrap();
-        // An old baseline still gates a new (v3) report; the alloc gate is
-        // simply skipped for cases without baseline wall stats.
-        let mut c = case("a", 1.0e-4, 10, "Converged");
-        c.wall = Some(wall(500.0));
-        let current = report(vec![c]);
-        assert!(compare(&current, &back, &CompareThresholds::default()).is_empty());
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! `max_coarse_size = 3`), extended+i interpolation with truncation
 //! (`trunc_fact = 0.1`, `max_elmts = 4`), L1-Jacobi smoothing (1 sweep),
 //! at most 7 levels, and 50 solve iterations regardless of convergence.
+//! The components themselves are not options: setup always runs PMIS and
+//! extended+i, and the cycle always smooths with one L1-Jacobi sweep
+//! before and after the coarse correction and relaxes the coarsest level
+//! with one more. [`AmgConfig`] carries only the scalar parameters.
 
 use amgt_kernels::{ExecMode, KernelPolicy};
 use serde::{Deserialize, Serialize};
@@ -31,51 +35,6 @@ pub enum PrecisionPolicy {
     /// Tsai et al. config: FP64 / FP32 / FP16... per level, degraded to
     /// FP64 / FP32 / FP32... on GPUs without FP16 MMA support (MI210).
     Mixed,
-}
-
-/// Coarsening scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Coarsening {
-    /// PMIS C/F splitting (the paper's choice).
-    Pmis,
-    /// Smoothed aggregation (AmgX-style): greedy aggregates + one-step
-    /// Jacobi-smoothed piecewise-constant prolongator (one SpGEMM).
-    SmoothedAggregation,
-}
-
-/// Interpolation operator construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Interpolation {
-    /// Classical direct (distance-1) interpolation.
-    Direct,
-    /// Extended+i-style distance-2 interpolation built with one SpGEMM
-    /// (Li, Sjögreen, Yang — the method the paper selects).
-    ExtendedI,
-}
-
-/// Coarsest-level solver (Algorithm 2, line 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoarseSolver {
-    /// Dense LU with partial pivoting (small coarse grids).
-    DirectLu,
-    /// Sparse LDL^T with optional RCM pre-ordering — the PanguLU-class
-    /// sparse-direct option; scales to large coarse grids.
-    SparseLdl { reorder: bool },
-    /// `n` L1-Jacobi sweeps — each costs one extra SpMV per V-cycle, which
-    /// is how Table II reaches 351/601/851/1101-call counts.
-    Jacobi(usize),
-}
-
-/// Smoother selection.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum Smoother {
-    /// `x += D_l1^{-1} (b - A x)` with `d_i = sum_j |a_ij|`.
-    L1Jacobi,
-    /// Damped Jacobi with the given weight.
-    WeightedJacobi(f64),
-    /// HYPRE-style hybrid Gauss-Seidel: sequential GS inside fixed row
-    /// blocks, Jacobi across block boundaries (parallelizable on GPUs).
-    HybridGaussSeidel,
 }
 
 /// Multigrid cycle shape (Algorithm 2 is the V-cycle; W and F recurse more
@@ -111,21 +70,14 @@ pub struct AmgConfig {
     /// Rows with `|sum_j a_ij| / |a_ii|`-style ratio above this are treated
     /// as having only weak connections (HYPRE's `max_row_sum`).
     pub max_row_sum: f64,
-    /// Coarsening scheme.
-    pub coarsening: Coarsening,
     /// Coarsening stops when the grid has at most this many rows.
     pub max_coarse_size: usize,
     /// Hard cap on hierarchy depth.
     pub max_levels: usize,
-    pub interpolation: Interpolation,
     /// Truncation: drop interpolation weights below `trunc_fact * rowmax`.
     pub trunc_fact: f64,
     /// Truncation: keep at most this many weights per row.
     pub max_elmts: usize,
-    pub smoother: Smoother,
-    /// Pre- and post-smoothing sweeps (the paper's `num_sweep = 1`).
-    pub num_sweeps: usize,
-    pub coarse_solver: CoarseSolver,
     /// Cycle shape; the paper evaluates V-cycles.
     pub cycle: CycleType,
     /// Fixed solve iteration count (the paper runs 50 regardless).
@@ -154,15 +106,10 @@ impl AmgConfig {
             precision,
             strength_threshold: 0.25,
             max_row_sum: 0.8,
-            coarsening: Coarsening::Pmis,
             max_coarse_size: 3,
             max_levels: 7,
-            interpolation: Interpolation::ExtendedI,
             trunc_fact: 0.1,
             max_elmts: 4,
-            smoother: Smoother::L1Jacobi,
-            num_sweeps: 1,
-            coarse_solver: CoarseSolver::Jacobi(1),
             cycle: CycleType::V,
             max_iterations: 50,
             tolerance: 0.0,
@@ -206,10 +153,7 @@ mod tests {
         assert_eq!(c.max_levels, 7);
         assert_eq!(c.trunc_fact, 0.1);
         assert_eq!(c.max_elmts, 4);
-        assert_eq!(c.num_sweeps, 1);
         assert_eq!(c.max_iterations, 50);
-        assert_eq!(c.interpolation, Interpolation::ExtendedI);
-        assert_eq!(c.smoother, Smoother::L1Jacobi);
         assert_eq!(c.cycle, CycleType::V);
     }
 

@@ -22,7 +22,6 @@ pub struct PhaseBreakdown {
     pub convert: f64,
     pub vector: f64,
     pub graph: f64,
-    pub coarse_solve: f64,
     pub transpose: f64,
 }
 
@@ -37,7 +36,6 @@ impl PhaseBreakdown {
                 KernelKind::Convert => b.convert += e.seconds,
                 KernelKind::Vector => b.vector += e.seconds,
                 KernelKind::Graph => b.graph += e.seconds,
-                KernelKind::CoarseSolve => b.coarse_solve += e.seconds,
                 KernelKind::Transpose => b.transpose += e.seconds,
                 KernelKind::Comm => {}
             }

@@ -10,9 +10,8 @@
 //! quantized to that level's precision (FP64 / FP32 / FP16 / ... per
 //! Section IV.E).
 
-use crate::aggregation::{aggregate, smoothed_prolongator};
 use crate::backend::{op_transpose, Operator};
-use crate::config::{AmgConfig, BackendKind, Coarsening, Interpolation, PrecisionPolicy};
+use crate::config::{AmgConfig, BackendKind, PrecisionPolicy};
 use crate::interp::build_interpolation;
 use crate::pmis::pmis;
 use crate::strength::strength_graph;
@@ -21,7 +20,7 @@ use amgt_kernels::spgemm_mbsr::{spgemm_mbsr_with_workspace, SpgemmWorkspace};
 use amgt_kernels::vendor::spgemm_csr;
 use amgt_kernels::Ctx;
 use amgt_sim::{Algo, Device, KernelCost, KernelKind, Phase, Precision, SpanKind, SpanLabel};
-use amgt_sparse::{Csr, Lu, SparseLdl};
+use amgt_sparse::Csr;
 use std::sync::{Arc, Mutex};
 
 /// One level of the grid hierarchy.
@@ -36,8 +35,6 @@ pub struct Level {
     pub r: Option<Operator>,
     /// Inverse L1 diagonal (`1 / sum_j |a_ij|`) for the L1-Jacobi smoother.
     pub l1_diag_inv: Vec<f64>,
-    /// Inverse plain diagonal for weighted Jacobi.
-    pub diag_inv: Vec<f64>,
     /// Storage/compute precision assigned to this level.
     pub precision: Precision,
 }
@@ -56,9 +53,8 @@ pub struct SetupStats {
     pub grid_nnz: Vec<usize>,
     /// `sum_k nnz(A_k) / nnz(A_0)`.
     pub operator_complexity: f64,
-    /// SpGEMM kernel calls issued: 2 Galerkin products per coarsening plus
-    /// the interpolation's (one for extended+i and smoothed aggregation,
-    /// none for direct interpolation).
+    /// SpGEMM kernel calls issued: 3 per coarsening, the extended+i
+    /// interpolation's one and the Galerkin product's two.
     pub spgemm_calls: usize,
     pub coarsening_rounds: Vec<usize>,
 }
@@ -67,11 +63,6 @@ pub struct SetupStats {
 #[derive(Clone)]
 pub struct Hierarchy {
     pub levels: Vec<Level>,
-    /// Dense factorization of the coarsest matrix when the direct coarse
-    /// solver is configured (and the grid is reasonably small).
-    pub coarse_lu: Option<Lu>,
-    /// Sparse LDL^T factorization for the sparse-direct coarse option.
-    pub coarse_ldl: Option<SparseLdl>,
     pub stats: SetupStats,
     /// SpGEMM workspace (hash-table slab + prefix-sum scratch) grown by the
     /// setup's RAP products and reused by every [`resetup`] of this
@@ -136,16 +127,11 @@ fn rap(
     }
 }
 
-/// Charged computation of the smoother diagonals.
-fn smoother_diagonals(ctx: &Ctx, a: &Csr) -> (Vec<f64>, Vec<f64>) {
+/// Charged computation of the inverse L1 diagonal the smoother scales by.
+fn smoother_diagonal(ctx: &Ctx, a: &Csr) -> Vec<f64> {
     let timer = ctx.timer();
     let l1: Vec<f64> = a
         .l1_diagonal()
-        .iter()
-        .map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 })
-        .collect();
-    let dg: Vec<f64> = a
-        .diagonal()
         .iter()
         .map(|&d| if d != 0.0 { 1.0 / d } else { 0.0 })
         .collect();
@@ -153,76 +139,14 @@ fn smoother_diagonals(ctx: &Ctx, a: &Csr) -> (Vec<f64>, Vec<f64>) {
         KernelKind::Vector,
         Algo::Shared,
         &KernelCost {
-            cuda_flops: a.nnz() as f64 + 2.0 * a.nrows() as f64,
-            bytes: a.bytes() + a.nrows() as f64 * 16.0,
-            launches: 2,
+            cuda_flops: a.nnz() as f64 + a.nrows() as f64,
+            bytes: a.bytes() + a.nrows() as f64 * 8.0,
+            launches: 1,
             ..Default::default()
         },
         timer,
     );
-    (l1, dg)
-}
-
-/// Coarsest-level factorization for the direct coarse solvers, inside a
-/// "coarse factorization" span with one `CoarseSolve` charge. Shared by
-/// [`setup`] and [`resetup`] so both charge the ledger alike.
-fn factor_coarse(
-    device: &Device,
-    cfg: &AmgConfig,
-    levels: &[Level],
-) -> (Option<Lu>, Option<SparseLdl>) {
-    if let crate::config::CoarseSolver::Jacobi(_) = cfg.coarse_solver {
-        return (None, None);
-    }
-    let _span = device.span(SpanKind::Region, SpanLabel::named("coarse factorization"));
-    let last = levels.last().expect("hierarchy has a level");
-    let ctx = Ctx::new(
-        device,
-        Phase::Setup,
-        (levels.len() - 1) as u32,
-        Precision::Fp64,
-    )
-    .with_policy(cfg.policy)
-    .with_exec(cfg.exec);
-    let timer = ctx.timer();
-    match cfg.coarse_solver {
-        crate::config::CoarseSolver::DirectLu => {
-            let n = last.n();
-            let lu = Lu::factor_csr(&last.a.csr).expect("coarsest matrix singular");
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: (2.0 / 3.0) * (n as f64).powi(3),
-                    bytes: (n * n * 8) as f64,
-                    launches: 1,
-                    ..Default::default()
-                },
-                timer,
-            );
-            (Some(lu), None)
-        }
-        crate::config::CoarseSolver::SparseLdl { reorder } => {
-            let f = SparseLdl::factor(&last.a.csr, reorder)
-                .expect("coarsest matrix not LDL^T-factorizable");
-            // Charge by actual factor fill: ~2 flops per L entry per
-            // elimination plus the symbolic traversal.
-            ctx.charge_timed(
-                KernelKind::CoarseSolve,
-                Algo::Shared,
-                &KernelCost {
-                    cuda_flops: 4.0 * f.l_nnz() as f64,
-                    int_ops: 2.0 * (f.l_nnz() + last.a.nnz()) as f64,
-                    bytes: (f.l_nnz() * 12 + last.a.nnz() * 12) as f64,
-                    launches: 2,
-                    ..Default::default()
-                },
-                timer,
-            );
-            (None, Some(f))
-        }
-        crate::config::CoarseSolver::Jacobi(_) => unreachable!("handled above"),
-    }
+    l1
 }
 
 /// Run the full setup phase on a device.
@@ -248,96 +172,56 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
         if prec != Precision::Fp64 {
             a_op.quantize(&ctx);
         }
-        let (l1, dg) = smoother_diagonals(&ctx, &a_op.csr);
+        let l1 = smoother_diagonal(&ctx, &a_op.csr);
         stats.grid_sizes.push(a_op.nrows());
         stats.grid_nnz.push(a_op.nnz());
 
+        // Coarsening (Algorithm 1, line 3). The level is the coarsest when
+        // it is small enough, at the depth cap, or when PMIS cannot shrink
+        // it.
         let n = a_op.nrows();
-        let at_cap = k + 1 >= cfg.max_levels;
-        let small_enough = n <= cfg.max_coarse_size;
-        if at_cap || small_enough {
+        let coarsened = if k + 1 < cfg.max_levels && n > cfg.max_coarse_size {
+            let s = strength_graph(&ctx, &a_op.csr, cfg.strength_threshold, cfg.max_row_sum);
+            let split = pmis(&ctx, &s, 0xA3_97 + k as u64);
+            stats.coarsening_rounds.push(split.rounds);
+            (split.n_coarse > 0 && split.n_coarse < n).then_some((s, split))
+        } else {
+            None
+        };
+        let Some((s, split)) = coarsened else {
             levels.push(Level {
                 a: a_op,
                 p: None,
                 r: None,
                 l1_diag_inv: l1,
-                diag_inv: dg,
                 precision: prec,
             });
             break;
-        }
-
-        // Coarsening (Algorithm 1, line 3) and interpolation (line 4):
-        // either PMIS + (extended+i | direct), or smoothed aggregation.
-        // Both route their one interpolation SpGEMM through the backend.
-        let s = strength_graph(&ctx, &a_op.csr, cfg.strength_threshold, cfg.max_row_sum);
-        let p_csr = match cfg.coarsening {
-            Coarsening::Pmis => {
-                let split = pmis(&ctx, &s, 0xA3_97 + k as u64);
-                stats.coarsening_rounds.push(split.rounds);
-                if split.n_coarse == 0 || split.n_coarse >= n {
-                    levels.push(Level {
-                        a: a_op,
-                        p: None,
-                        r: None,
-                        l1_diag_inv: l1,
-                        diag_inv: dg,
-                        precision: prec,
-                    });
-                    break;
-                }
-                // Extended+i issues one SpGEMM, direct interpolation none.
-                stats.spgemm_calls += usize::from(cfg.interpolation == Interpolation::ExtendedI);
-                build_interpolation(
-                    &ctx,
-                    cfg.backend,
-                    &a_op.csr,
-                    &s,
-                    &split,
-                    cfg.interpolation,
-                    cfg.trunc_fact,
-                    cfg.max_elmts,
-                    &mut spgemm_ws,
-                )
-            }
-            Coarsening::SmoothedAggregation => {
-                let agg = aggregate(&ctx, &s, 0xA3_97 + k as u64);
-                stats.coarsening_rounds.push(1);
-                if agg.n_aggregates == 0 || agg.n_aggregates >= n {
-                    levels.push(Level {
-                        a: a_op,
-                        p: None,
-                        r: None,
-                        l1_diag_inv: l1,
-                        diag_inv: dg,
-                        precision: prec,
-                    });
-                    break;
-                }
-                stats.spgemm_calls += 1;
-                smoothed_prolongator(
-                    &ctx,
-                    cfg.backend,
-                    &a_op.csr,
-                    &agg,
-                    2.0 / 3.0,
-                    &mut spgemm_ws,
-                )
-            }
         };
+
+        // Extended+i interpolation (line 4): one SpGEMM through the backend.
+        let p_csr = build_interpolation(
+            &ctx,
+            cfg.backend,
+            &a_op.csr,
+            &s,
+            &split,
+            cfg.trunc_fact,
+            cfg.max_elmts,
+            &mut spgemm_ws,
+        );
         let p_op = Operator::prepare(&ctx, cfg.backend, p_csr);
         let r_op = op_transpose(&ctx, cfg.backend, &p_op.csr);
 
         // Galerkin product (line 5): two SpGEMMs.
         let a_next = rap(&ctx, cfg.backend, &a_op, &p_op, &r_op, &mut spgemm_ws);
-        stats.spgemm_calls += 2;
+        stats.spgemm_calls += 3;
 
         levels.push(Level {
             a: a_op,
             p: Some(p_op),
             r: Some(r_op),
             l1_diag_inv: l1,
-            diag_inv: dg,
             precision: prec,
         });
         current = a_next;
@@ -347,12 +231,8 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
     stats.levels = levels.len();
     stats.operator_complexity = stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / nnz0 as f64;
 
-    let (coarse_lu, coarse_ldl) = factor_coarse(device, cfg, &levels);
-
     let h = Hierarchy {
         levels,
-        coarse_lu,
-        coarse_ldl,
         stats,
         spgemm_ws: Arc::new(Mutex::new(spgemm_ws)),
     };
@@ -365,7 +245,7 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
 /// Value-only re-setup for a *sequence* of systems with a fixed sparsity
 /// pattern (time-stepping, Newton chains): keeps the coarsening and the
 /// interpolation operators of an existing hierarchy and only recomputes the
-/// Galerkin products, smoother diagonals and coarse factorization — the
+/// Galerkin products and smoother diagonals — the
 /// adaptive-setup idea of alpha-Setup-AMG (Xu et al., cited by the paper).
 /// Skips the strength/PMIS/interpolation graph work entirely (2 of 3
 /// SpGEMMs per level remain: the two RAP products).
@@ -388,7 +268,7 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
         if prec != Precision::Fp64 {
             a_op.quantize(&ctx);
         }
-        let (l1, dg) = smoother_diagonals(&ctx, &a_op.csr);
+        let l1 = smoother_diagonal(&ctx, &a_op.csr);
         h.stats.grid_nnz[k] = a_op.nnz();
         if k + 1 < n_levels {
             let p_op = h.levels[k].p.as_ref().expect("existing hierarchy has P");
@@ -398,12 +278,9 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
         let lvl = &mut h.levels[k];
         lvl.a = a_op;
         lvl.l1_diag_inv = l1;
-        lvl.diag_inv = dg;
     }
     h.stats.operator_complexity =
         h.stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / h.stats.grid_nnz[0].max(1) as f64;
-
-    (h.coarse_lu, h.coarse_ldl) = factor_coarse(device, cfg, &h.levels);
 
     if let Some(rec) = device.recorder() {
         rec.set_hierarchy(h.diagnostics());
@@ -413,8 +290,8 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{AmgConfig, CoarseSolver};
-    use amgt_sim::{GpuSpec, KernelEvent};
+    use crate::config::AmgConfig;
+    use amgt_sim::GpuSpec;
     use amgt_sparse::gen::{elasticity_3d, laplacian_2d, NeighborSet, Stencil2d};
 
     fn build(cfg: &AmgConfig, a: Csr) -> (Device, Hierarchy) {
@@ -486,20 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_coarse_solver_factors() {
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.coarse_solver = CoarseSolver::DirectLu;
-        cfg.max_coarse_size = 60;
-        let a = laplacian_2d(16, 16, Stencil2d::Five);
-        let (_, h) = build(&cfg, a);
-        assert!(h.coarse_lu.is_some());
-        assert_eq!(
-            h.coarse_lu.as_ref().unwrap().n(),
-            h.levels.last().unwrap().n()
-        );
-    }
-
-    #[test]
     fn dense_block_matrix_coarsens() {
         let a = elasticity_3d(4, 4, 4, 4, NeighborSet::Face, 5);
         let (_, h) = build(&AmgConfig::amgt_fp64(), a);
@@ -567,34 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn resetup_charges_sparse_ldl_factorization_like_setup() {
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.coarse_solver = CoarseSolver::SparseLdl { reorder: true };
-        cfg.max_coarse_size = 60;
-        let a = laplacian_2d(16, 16, Stencil2d::Five);
-        let dev = Device::new(GpuSpec::a100());
-        let coarse_events = |from: usize| -> Vec<KernelEvent> {
-            dev.events()[from..]
-                .iter()
-                .filter(|e| e.kind == KernelKind::CoarseSolve)
-                .cloned()
-                .collect()
-        };
-        let mut h = setup(&dev, &cfg, a.clone());
-        let from_setup = coarse_events(0);
-        let before = dev.events().len();
-        resetup(&dev, &cfg, &mut h, a);
-        let from_resetup = coarse_events(before);
-        assert!(h.coarse_ldl.is_some());
-        assert_eq!(from_setup.len(), 1, "setup charges one factorization");
-        assert_eq!(from_resetup.len(), 1, "resetup charges one factorization");
-        let (s, r) = (&from_setup[0], &from_resetup[0]);
-        assert_eq!((s.algo, s.phase, s.level), (r.algo, r.phase, r.level));
-        assert_eq!(s.precision, r.precision);
-        assert_eq!(s.seconds.to_bits(), r.seconds.to_bits());
-    }
-
-    #[test]
     fn conversion_count_matches_data_flow() {
         // AmgT flow, per coarsening: CSR2MBSR of A, of the two interpolation
         // operands (A_FFs, N) and of P and R, plus MBSR2CSR of the
@@ -618,23 +453,17 @@ mod tests {
 
     #[test]
     fn spgemm_calls_count_the_products_issued() {
-        // Direct interpolation issues no SpGEMM, extended+i and smoothed
-        // aggregation one; the Galerkin product always two.
+        // Extended+i interpolation issues one SpGEMM and the Galerkin
+        // product two.
         let a = laplacian_2d(20, 20, Stencil2d::Five);
-        let mut direct = AmgConfig::amgt_fp64();
-        direct.interpolation = crate::config::Interpolation::Direct;
-        let mut sa = AmgConfig::hypre_fp64();
-        sa.coarsening = Coarsening::SmoothedAggregation;
-        for (cfg, per_level) in [(direct, 2), (AmgConfig::amgt_fp64(), 3), (sa, 3)] {
-            let (dev, h) = build(&cfg, a.clone());
-            let numeric = dev
-                .events()
-                .iter()
-                .filter(|e| e.kind == KernelKind::SpGemmNumeric)
-                .count();
-            assert!(h.n_levels() >= 2);
-            assert_eq!(h.stats.spgemm_calls, numeric, "{:?}", cfg.interpolation);
-            assert_eq!(h.stats.spgemm_calls, per_level * (h.n_levels() - 1));
-        }
+        let (dev, h) = build(&AmgConfig::amgt_fp64(), a);
+        let numeric = dev
+            .events()
+            .iter()
+            .filter(|e| e.kind == KernelKind::SpGemmNumeric)
+            .count();
+        assert!(h.n_levels() >= 2);
+        assert_eq!(h.stats.spgemm_calls, numeric);
+        assert_eq!(h.stats.spgemm_calls, 3 * (h.n_levels() - 1));
     }
 }

@@ -1,20 +1,16 @@
 //! Interpolation operator construction (Algorithm 1, line 4).
 //!
-//! Two schemes:
-//!
-//! * **Direct** — classical distance-1 interpolation (no SpGEMM), kept as a
-//!   baseline and fallback.
-//! * **Extended+i-style** — the paper selects the matrix-product
-//!   formulation of Li, Sjögreen and Yang, where strong F-F connections are
-//!   extended through their strong C neighbours with **one SpGEMM**:
-//!   `W = A_FCs + A_FFs * N`, `N = rowscale(A_FCs)`, and the final weights
-//!   are `P_F = -diag(1/D) * W` with weak couplings (and F neighbours that
-//!   have no strong C point) lumped into `D`. Truncation keeps at most
-//!   `max_elmts` weights per row, drops weights below `trunc_fact * rowmax`,
-//!   and rescales to preserve the row sum.
+//! Extended+i-style interpolation: the paper selects the matrix-product
+//! formulation of Li, Sjögreen and Yang, where strong F-F connections are
+//! extended through their strong C neighbours with **one SpGEMM**:
+//! `W = A_FCs + A_FFs * N`, `N = rowscale(A_FCs)`, and the final weights
+//! are `P_F = -diag(1/D) * W` with weak couplings (and F neighbours that
+//! have no strong C point) lumped into `D`. Truncation keeps at most
+//! `max_elmts` weights per row, drops weights below `trunc_fact * rowmax`,
+//! and rescales to preserve the row sum.
 
 use crate::backend::{op_matmul_ws, Operator};
-use crate::config::{BackendKind, Interpolation};
+use crate::config::BackendKind;
 use crate::pmis::Splitting;
 use crate::strength::Strength;
 use amgt_kernels::spgemm_mbsr::SpgemmWorkspace;
@@ -23,8 +19,8 @@ use amgt_sim::{Algo, KernelCost, KernelKind};
 use amgt_sparse::Csr;
 
 /// Build `P` (size `n x n_coarse`). The returned matrix is in CSR; callers
-/// prepare it for their backend. Extended+i runs its SpGEMM on the
-/// caller's workspace `ws`.
+/// prepare it for their backend. The SpGEMM runs on the caller's workspace
+/// `ws`.
 #[allow(clippy::too_many_arguments)] // Mirrors the HYPRE interpolation signature.
 pub fn build_interpolation(
     ctx: &Ctx,
@@ -32,16 +28,12 @@ pub fn build_interpolation(
     a: &Csr,
     s: &Strength,
     split: &Splitting,
-    scheme: Interpolation,
     trunc_fact: f64,
     max_elmts: usize,
     ws: &mut SpgemmWorkspace,
 ) -> Csr {
     assert!(split.n_coarse > 0, "no coarse points to interpolate to");
-    let mut p = match scheme {
-        Interpolation::Direct => direct_interpolation(a, s, split),
-        Interpolation::ExtendedI => extended_i_interpolation(ctx, backend, a, s, split, ws),
-    };
+    let mut p = extended_i_interpolation(ctx, backend, a, s, split, ws);
     let timer = ctx.timer();
     truncate_rows(&mut p, split, trunc_fact, max_elmts);
     let cost = KernelCost {
@@ -110,43 +102,6 @@ impl CsrRows {
             self.vals,
         )
     }
-}
-
-fn direct_interpolation(a: &Csr, s: &Strength, split: &Splitting) -> Csr {
-    let n = a.nrows();
-    let mut p = CsrRows::with_rows(n);
-    for i in 0..n {
-        if split.is_coarse(i) {
-            p.push(split.coarse_index[i], 1.0);
-            p.end_row();
-            continue;
-        }
-        let strong_c = |j: usize, strong: bool| j != i && strong && split.is_coarse(j);
-        let mut diag = 0.0f64;
-        let mut off_sum = 0.0f64;
-        let mut cs_sum = 0.0f64;
-        for (j, v, strong) in strong_entries(a, s, i) {
-            if j == i {
-                diag = v;
-            } else {
-                off_sum += v;
-                if strong_c(j, strong) {
-                    cs_sum += v;
-                }
-            }
-        }
-        // Otherwise a pure smoothing point: empty interpolation row.
-        if cs_sum != 0.0 && diag != 0.0 {
-            let alpha = off_sum / cs_sum;
-            for (j, v, strong) in strong_entries(a, s, i) {
-                if strong_c(j, strong) {
-                    p.push(split.coarse_index[j], -alpha * v / diag);
-                }
-            }
-        }
-        p.end_row();
-    }
-    p.finish(split.n_coarse)
 }
 
 fn extended_i_interpolation(
@@ -351,12 +306,12 @@ mod tests {
         Csr::from_triplets(base.nrows(), base.ncols(), &trips)
     }
 
-    fn check_interp(scheme: Interpolation, backend: BackendKind) {
+    fn check_interp(backend: BackendKind) {
         let a = graph_laplacian(12, 12);
         let (s, sp) = setup(&a);
         let dev = Device::new(GpuSpec::a100());
         let mut ws = SpgemmWorkspace::default();
-        let p = build_interpolation(&ctx(&dev), backend, &a, &s, &sp, scheme, 0.1, 4, &mut ws);
+        let p = build_interpolation(&ctx(&dev), backend, &a, &s, &sp, 0.1, 4, &mut ws);
         assert_eq!(p.nrows(), a.nrows());
         assert_eq!(p.ncols(), sp.n_coarse);
         // C rows are identity.
@@ -375,7 +330,7 @@ mod tests {
                     let sum: f64 = vals.iter().sum();
                     assert!(
                         (sum - 1.0).abs() < 0.35,
-                        "row {i} weight sum {sum} ({scheme:?})"
+                        "row {i} weight sum {sum} ({backend:?})"
                     );
                 }
             }
@@ -384,18 +339,13 @@ mod tests {
     }
 
     #[test]
-    fn direct_interpolation_properties() {
-        check_interp(Interpolation::Direct, BackendKind::Vendor);
-    }
-
-    #[test]
     fn extended_i_properties_vendor() {
-        check_interp(Interpolation::ExtendedI, BackendKind::Vendor);
+        check_interp(BackendKind::Vendor);
     }
 
     #[test]
     fn extended_i_properties_amgt() {
-        check_interp(Interpolation::ExtendedI, BackendKind::AmgT);
+        check_interp(BackendKind::AmgT);
     }
 
     #[test]
@@ -409,7 +359,6 @@ mod tests {
             &a,
             &s,
             &sp,
-            Interpolation::ExtendedI,
             0.1,
             4,
             &mut SpgemmWorkspace::default(),
@@ -423,32 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn direct_issues_no_spgemm() {
-        let a = graph_laplacian(10, 10);
-        let (s, sp) = setup(&a);
-        let dev = Device::new(GpuSpec::a100());
-        build_interpolation(
-            &ctx(&dev),
-            BackendKind::Vendor,
-            &a,
-            &s,
-            &sp,
-            Interpolation::Direct,
-            0.1,
-            4,
-            &mut SpgemmWorkspace::default(),
-        );
-        assert!(dev
-            .events()
-            .iter()
-            .all(|e| e.kind != KernelKind::SpGemmNumeric));
-    }
-
-    #[test]
     fn extended_i_reaches_distance_two() {
-        // A chain F-F-C: the middle F point has no strong C at distance 1
-        // in "direct", but extended+i reaches the C point through its F
-        // neighbour... construct: 0 -- 1 -- 2 with 2 coarse.
+        // A chain F-F-C: node 0 has no strong C neighbour at distance 1,
+        // but extended+i reaches the C point through its F neighbour...
+        // construct: 0 -- 1 -- 2 with 2 coarse.
         let a = Csr::from_triplets(
             3,
             3,
@@ -481,9 +408,6 @@ mod tests {
         let (cols, vals) = p.row(0);
         assert_eq!(cols, &[0]);
         assert!(vals[0] > 0.0, "distance-2 weight {}", vals[0]);
-        // Direct interpolation cannot reach it.
-        let pd = direct_interpolation(&a, &s, &split);
-        assert_eq!(pd.row(0).0.len(), 0);
     }
 
     #[test]

@@ -30,7 +30,6 @@
 // has an inherently wordy type; naming it would not make it clearer.
 #![allow(clippy::type_complexity)]
 
-pub mod aggregation;
 pub mod backend;
 pub mod bicgstab;
 pub mod config;
@@ -48,10 +47,7 @@ pub mod vec_ops;
 
 pub use amgt_kernels::{ExecMode, KernelPolicy};
 pub use backend::{op_matmul, op_matmul_ws, OpScratch, Operator};
-pub use config::{
-    AmgConfig, BackendKind, CoarseSolver, Coarsening, CycleType, Interpolation, PrecisionPolicy,
-    Smoother,
-};
+pub use config::{AmgConfig, BackendKind, CycleType, PrecisionPolicy};
 pub use diagnostics::{hierarchy_diagnostics, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 pub use driver::{geomean, run_amg, run_amg_traced, PhaseBreakdown, RunReport};
 pub use hierarchy::{resetup, setup, Hierarchy, Level, SetupStats};
@@ -63,7 +59,7 @@ pub use solve::{
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bicgstab::bicgstab_solve;
-    pub use crate::config::{AmgConfig, BackendKind, CoarseSolver, Interpolation, PrecisionPolicy};
+    pub use crate::config::{AmgConfig, BackendKind, PrecisionPolicy};
     pub use crate::diagnostics::SolveOutcome;
     pub use crate::driver::{geomean, run_amg, RunReport};
     pub use crate::gmres::fgmres_solve;

@@ -223,7 +223,7 @@ mod tests {
         // One application before the loop and one per iteration but the
         // last; the outer-loop formula at one cycle less its two residuals.
         let applications = rep.iterations;
-        let per_cycle = expected_spmv_calls(h.n_levels(), 1, cfg.coarse_solver, cfg.num_sweeps) - 2;
+        let per_cycle = expected_spmv_calls(h.n_levels(), 1) - 2;
         assert_eq!(spmv, 1 + rep.iterations + applications * per_cycle);
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Mirrors the paper's accounting exactly: per V-cycle each non-coarsest
 //! level issues five SpMV calls (pre-smooth, residual, restrict,
-//! interpolate, post-smooth with `num_sweeps = 1`), the coarsest level
-//! adds its own work (direct LU or Jacobi sweeps at one SpMV each), and one
-//! extra SpMV per iteration evaluates the outer residual — 1551 calls for a
-//! 7-level grid over 50 iterations with a direct coarse solver, 1601/1701
-//! with iterative ones (Section V.A).
+//! interpolate, post-smooth, with the paper's `num_sweep = 1`), the
+//! coarsest level relaxes with one more L1-Jacobi sweep (one SpMV), and
+//! one extra SpMV per iteration evaluates the outer residual — 1601 calls
+//! for a 7-level grid over 50 iterations (Section V.A).
 //!
 //! One code path solves one right-hand side or a batch of them. Every
 //! cycle function takes a column-major block of `ncols` columns: each SpMV
@@ -26,17 +25,17 @@
 //! [`Column`] holds what judges one right-hand side between cycles.
 
 use crate::backend::OpScratch;
-use crate::config::{AmgConfig, CoarseSolver, CycleType, Smoother};
+use crate::config::{AmgConfig, CycleType};
 use crate::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use crate::hierarchy::{level_precision, Hierarchy, Level};
 use crate::vec_ops;
 use amgt_kernels::spmm_mbsr::MultiVector;
 use amgt_kernels::Ctx;
-use amgt_sim::{Algo, Device, HealthEvent, KernelCost, KernelKind, Phase, SpanKind, SpanLabel};
+use amgt_sim::{Device, HealthEvent, Phase, SpanKind, SpanLabel};
 
 /// Reusable buffers for one level position of the cycle: every block the
-/// cycle materializes at that level (residual chain, coarse correction,
-/// smoother temporaries, coarse-solve staging) plus the kernel scratch.
+/// cycle materializes at that level (smoother product, residual chain,
+/// coarse correction) plus the kernel scratch.
 /// Blocks hold as many columns as the cycle runs. Buffers grow
 /// monotonically and are reused across iterations and solves.
 #[derive(Clone, Debug, Default)]
@@ -46,14 +45,6 @@ pub struct LevelWorkspace {
     b_next: Vec<f64>,
     x_next: Vec<f64>,
     e: Vec<f64>,
-    /// Weighted-Jacobi scaled diagonal (`diag_inv * w`).
-    scaled: Vec<f64>,
-    /// Pre-sweep solution copy for hybrid Gauss-Seidel.
-    gs_old: Vec<f64>,
-    /// Coarse direct-solve output staging.
-    sol: Vec<f64>,
-    /// Coarse LDL^T permuted working vector.
-    sol2: Vec<f64>,
     op: OpScratch,
 }
 
@@ -282,158 +273,18 @@ pub struct NonFiniteSite {
     stage: &'static str,
 }
 
-/// Rows per Gauss-Seidel block in the hybrid smoother (GS inside a block,
-/// Jacobi across blocks — the standard GPU-parallel compromise).
-const GS_BLOCK: usize = 256;
-
-/// One smoothing sweep over a block of `ncols` columns. Jacobi-type
-/// smoothers cost one SpMV plus a fused vector update (the paper's
-/// accounting); hybrid Gauss-Seidel traverses the matrix once per column
-/// and is charged like an SpMV.
-fn smooth(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    lvl: &Level,
-    b: &[f64],
-    x: &mut [f64],
-    ncols: usize,
-    lw: &mut LevelWorkspace,
-) {
-    match cfg.smoother {
-        Smoother::L1Jacobi => {
-            lvl.a.apply_into(ctx, x, ncols, &mut lw.op, &mut lw.ax);
-            vec_ops::jacobi_fused(ctx, &lvl.l1_diag_inv, b, &lw.ax, x);
-        }
-        Smoother::WeightedJacobi(w) => {
-            lvl.a.apply_into(ctx, x, ncols, &mut lw.op, &mut lw.ax);
-            lw.scaled.clear();
-            lw.scaled.extend(lvl.diag_inv.iter().map(|&d| d * w));
-            vec_ops::jacobi_fused(ctx, &lw.scaled, b, &lw.ax, x);
-        }
-        Smoother::HybridGaussSeidel => {
-            let n = lvl.n();
-            for j in 0..ncols {
-                let col = j * n..(j + 1) * n;
-                hybrid_gauss_seidel(ctx, lvl, &b[col.clone()], &mut x[col], &mut lw.gs_old);
-            }
-        }
-    }
-}
-
-/// Hybrid Gauss-Seidel: within each block of [`GS_BLOCK`] rows, rows use the
-/// freshest values (sequential GS); values from other blocks are read at
-/// their pre-sweep state (Jacobi coupling), which is what makes the sweep
-/// block-parallel on a GPU — and, here, across the host pool: each
-/// GS block writes only its own rows and reads other blocks exclusively
-/// from the pre-sweep copy, so blocks fork with no ordering dependence
-/// and the sweep is bitwise identical at any pool width.
-fn hybrid_gauss_seidel(ctx: &Ctx, lvl: &Level, b: &[f64], x: &mut [f64], gs_old: &mut Vec<f64>) {
-    let timer = ctx.timer();
-    let a = &lvl.a.csr;
-    let n = a.nrows();
-    gs_old.clear();
-    gs_old.extend_from_slice(x);
-    let x_old = &gs_old[..];
-    amgt_exec::par::join_block_chunks(
-        x,
-        0,
-        n.div_ceil(GS_BLOCK),
-        GS_BLOCK,
-        1,
-        &|first_block, n_blocks, chunk| {
-            let chunk_base = first_block * GS_BLOCK;
-            for gb in 0..n_blocks {
-                let block_start = (first_block + gb) * GS_BLOCK;
-                let block_end = (block_start + GS_BLOCK).min(n);
-                for r in block_start..block_end {
-                    let (cols, vals) = a.row(r);
-                    let mut acc = b[r];
-                    let mut diag = 0.0;
-                    for (&c, &v) in cols.iter().zip(vals) {
-                        let j = c as usize;
-                        if j == r {
-                            diag = v;
-                        } else if (block_start..r).contains(&j) {
-                            // Fresh value inside the same GS block (always
-                            // within this leaf's chunk).
-                            acc -= v * chunk[j - chunk_base];
-                        } else {
-                            acc -= v * x_old[j]; // Pre-sweep value elsewhere.
-                        }
-                    }
-                    if diag != 0.0 {
-                        chunk[r - chunk_base] = acc / diag;
-                    }
-                }
-            }
-        },
-        &|(), ()| (),
-    );
-    // One matrix traversal + one solution write: SpMV-like traffic.
-    let cost = KernelCost {
-        cuda_flops: 2.0 * a.nnz() as f64 + n as f64,
-        int_ops: a.nnz() as f64,
-        bytes: a.bytes() + 2.0 * n as f64 * ctx.precision.bytes() as f64,
-        launches: 1,
-        ..Default::default()
-    };
-    ctx.charge_timed(KernelKind::SpMV, Algo::Shared, &cost, timer);
-}
-
-/// Solve the coarsest level (Algorithm 2, line 6) for a block of `ncols`
-/// columns. The direct factorizations run one triangular solve pair per
-/// column (their cost is per column by nature); the Jacobi option smooths
-/// the whole block per sweep.
-fn coarse_solve(
-    ctx: &Ctx,
-    cfg: &AmgConfig,
-    h: &Hierarchy,
-    b: &[f64],
-    x: &mut [f64],
-    ncols: usize,
-    lw: &mut LevelWorkspace,
-) {
-    let lvl = h.levels.last().unwrap();
-    if let CoarseSolver::Jacobi(sweeps) = cfg.coarse_solver {
-        for _ in 0..sweeps {
-            smooth(ctx, cfg, lvl, b, x, ncols, lw);
-        }
-        return;
-    }
-    let n = lvl.n();
-    for j in 0..ncols {
-        let timer = ctx.timer();
-        let col = j * n..(j + 1) * n;
-        let cost = if cfg.coarse_solver == CoarseSolver::DirectLu {
-            let lu = h.coarse_lu.as_ref().expect("LU prepared in setup");
-            lu.solve_into(&b[col.clone()], &mut lw.sol);
-            let n = n as f64;
-            KernelCost {
-                cuda_flops: 2.0 * n * n,
-                bytes: n * n * 8.0,
-                launches: 2,
-                ..Default::default()
-            }
-        } else {
-            let f = h.coarse_ldl.as_ref().expect("LDL^T prepared in setup");
-            f.solve_into(&b[col.clone()], &mut lw.sol2, &mut lw.sol);
-            KernelCost {
-                cuda_flops: 4.0 * f.l_nnz() as f64 + 2.0 * n as f64,
-                bytes: (f.l_nnz() * 12 + n * 16) as f64,
-                launches: 2,
-                ..Default::default()
-            }
-        };
-        x[col].copy_from_slice(&lw.sol);
-        ctx.charge_timed(KernelKind::CoarseSolve, Algo::Shared, &cost, timer);
-    }
+/// One L1-Jacobi sweep over a block of `ncols` columns: one SpMV plus a
+/// fused vector update (the paper's accounting).
+fn smooth(ctx: &Ctx, lvl: &Level, b: &[f64], x: &mut [f64], ncols: usize, lw: &mut LevelWorkspace) {
+    lvl.a.apply_into(ctx, x, ncols, &mut lw.op, &mut lw.ax);
+    vec_ops::jacobi_fused(ctx, &lvl.l1_diag_inv, b, &lw.ax, x);
 }
 
 /// One multigrid cycle of shape `cycle` over a block of `ncols` columns,
 /// starting at level `k` with the right-hand side `b` and the iterate `x`
 /// of that level (Algorithm 2 for V; W and F visit coarse levels more than
-/// once). `cfg` supplies the smoother, sweep count, coarse solver and
-/// kernel policy. The first non-finite value the cycle produces is
+/// once). `cfg` supplies the kernel policy and execution backend. The
+/// first non-finite value the cycle produces is
 /// recorded in `ws` (see [`SolveWorkspace::take_non_finite`]).
 #[allow(clippy::too_many_arguments)]
 pub fn vcycle(
@@ -457,16 +308,15 @@ pub fn vcycle(
     // pool for the coarser levels; reattached on every exit path.
     let mut lw = std::mem::take(&mut ws.levels[k]);
     if k + 1 == h.n_levels() {
-        coarse_solve(&ctx, cfg, h, b, x, ncols, &mut lw);
+        // Coarsest level (Algorithm 2, line 6): one L1-Jacobi sweep.
+        smooth(&ctx, lvl, b, x, ncols, &mut lw);
         ws.check_finite(x, lvl, k, "coarse solve");
         ws.levels[k] = lw;
         return;
     }
 
-    // Pre-smoothing (mu_1 sweeps).
-    for _ in 0..cfg.num_sweeps {
-        smooth(&ctx, cfg, lvl, b, x, ncols, &mut lw);
-    }
+    // Pre-smoothing: one sweep (the paper's `num_sweep = 1`).
+    smooth(&ctx, lvl, b, x, ncols, &mut lw);
     // Non-finite check *before* recursing: a NaN born here would otherwise
     // propagate down the restricted residual and be misattributed to the
     // coarsest level on unwind.
@@ -502,10 +352,8 @@ pub fn vcycle(
     p.apply_into(&ctx, &lw.x_next, ncols, &mut lw.op, &mut lw.e);
     vec_ops::axpy(&ctx, 1.0, &lw.e, x);
 
-    // Post-smoothing (mu_2 sweeps).
-    for _ in 0..cfg.num_sweeps {
-        smooth(&ctx, cfg, lvl, b, x, ncols, &mut lw);
-    }
+    // Post-smoothing: one sweep.
+    smooth(&ctx, lvl, b, x, ncols, &mut lw);
     ws.check_finite(x, lvl, k, "post-smoothing");
     ws.levels[k] = lw;
 }
@@ -800,22 +648,13 @@ pub fn solve_batched_with_workspace(
     }
 }
 
-/// Expected SpMV calls for a solve: the paper's Section V.A formulas.
-pub fn expected_spmv_calls(
-    levels: usize,
-    iterations: usize,
-    coarse: CoarseSolver,
-    sweeps: usize,
-) -> usize {
-    // Per cycle: each non-coarsest level runs (2*sweeps + 3) SpMVs... with
-    // sweeps = 1 that is the paper's five; plus coarse-level extras; plus
-    // one outer residual per iteration; plus the initial residual.
-    let per_level = 2 * sweeps + 3;
-    let coarse_extra = match coarse {
-        CoarseSolver::DirectLu | CoarseSolver::SparseLdl { .. } => 0,
-        CoarseSolver::Jacobi(s) => s,
-    };
-    iterations * (per_level * (levels - 1) + coarse_extra + 1) + 1
+/// Expected SpMV calls for a solve: the paper's Section V.A formula
+/// `iterations * (5 (levels - 1) + 2) + 1`.
+pub fn expected_spmv_calls(levels: usize, iterations: usize) -> usize {
+    // Per cycle: five SpMVs on each non-coarsest level, one for the
+    // coarsest level's sweep and one outer residual; plus the initial
+    // residual.
+    iterations * (5 * (levels - 1) + 2) + 1
 }
 
 #[cfg(test)]
@@ -923,53 +762,18 @@ mod tests {
             .iter()
             .filter(|e| e.kind == KernelKind::SpMV)
             .count();
-        let expect = expected_spmv_calls(
-            h.n_levels(),
-            cfg.max_iterations,
-            cfg.coarse_solver,
-            cfg.num_sweeps,
-        );
+        let expect = expected_spmv_calls(h.n_levels(), cfg.max_iterations);
         assert_eq!(spmv, expect, "levels {}", h.n_levels());
     }
 
     #[test]
     fn paper_formula_values() {
-        // Section V.A: 7 levels, 50 iterations, direct coarse solve -> 1551.
-        assert_eq!(expected_spmv_calls(7, 50, CoarseSolver::DirectLu, 1), 1551);
-        // Iterative coarse solve with 1 or 3 SpMVs -> 1601 / 1701.
-        assert_eq!(expected_spmv_calls(7, 50, CoarseSolver::Jacobi(1), 1), 1601);
-        assert_eq!(expected_spmv_calls(7, 50, CoarseSolver::Jacobi(3), 1), 1701);
+        // Section V.A: 7 levels, 50 iterations, one coarse sweep -> 1601.
+        assert_eq!(expected_spmv_calls(7, 50), 1601);
         // Table II: 2-level matrices report 351.
-        assert_eq!(expected_spmv_calls(2, 50, CoarseSolver::Jacobi(1), 1), 351);
-        // 3-level with direct -> 551 (Pres_Poisson), with Jacobi(1) -> 601.
-        assert_eq!(expected_spmv_calls(3, 50, CoarseSolver::DirectLu, 1), 551);
-        assert_eq!(expected_spmv_calls(3, 50, CoarseSolver::Jacobi(1), 1), 601);
-    }
-
-    #[test]
-    fn sparse_ldl_coarse_solver_works() {
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.coarse_solver = CoarseSolver::SparseLdl { reorder: true };
-        cfg.max_coarse_size = 80;
-        cfg.max_iterations = 20;
-        let a = laplacian_2d(18, 18, Stencil2d::Five);
-        let (_, rep, _) = run(&cfg, a);
-        assert!(
-            rep.final_relative_residual() < 1e-7,
-            "{}",
-            rep.final_relative_residual()
-        );
-    }
-
-    #[test]
-    fn direct_coarse_solver_works() {
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.coarse_solver = CoarseSolver::DirectLu;
-        cfg.max_coarse_size = 40;
-        cfg.max_iterations = 20;
-        let a = laplacian_2d(16, 16, Stencil2d::Five);
-        let (_, rep, _) = run(&cfg, a);
-        assert!(rep.final_relative_residual() < 1e-7);
+        assert_eq!(expected_spmv_calls(2, 50), 351);
+        // 3 levels -> 601.
+        assert_eq!(expected_spmv_calls(3, 50), 601);
     }
 
     #[test]
@@ -981,38 +785,6 @@ mod tests {
         let (_, rep, _) = run(&cfg, a);
         assert!(rep.converged);
         assert!(rep.iterations < 50);
-    }
-
-    #[test]
-    fn single_level_hierarchy_solves_directly() {
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.max_levels = 1;
-        cfg.coarse_solver = CoarseSolver::DirectLu;
-        let a = laplacian_2d(6, 6, Stencil2d::Five);
-        let dev = Device::new(GpuSpec::a100());
-        let b = rhs_of_ones(&a);
-        let h = setup(&dev, &cfg, a);
-        assert_eq!(h.n_levels(), 1);
-        let mut x = vec![0.0; b.len()];
-        let rep = solve(&dev, &cfg, &h, &b, &mut x);
-        assert!(rep.final_relative_residual() < 1e-12);
-    }
-
-    #[test]
-    fn gauss_seidel_converges_faster_per_iteration_than_jacobi() {
-        let a = laplacian_2d(20, 20, Stencil2d::Five);
-        let mut jac = AmgConfig::amgt_fp64();
-        jac.max_iterations = 8;
-        let mut gs = jac.clone();
-        gs.smoother = crate::config::Smoother::HybridGaussSeidel;
-        let (_, rj, _) = run(&jac, a.clone());
-        let (_, rg, _) = run(&gs, a);
-        assert!(
-            rg.final_relative_residual() <= rj.final_relative_residual() * 1.5,
-            "GS {} vs Jacobi {}",
-            rg.final_relative_residual(),
-            rj.final_relative_residual()
-        );
     }
 
     #[test]
@@ -1263,7 +1035,6 @@ mod tests {
         let a = negative_definite_matrix(12);
         let mut cfg = AmgConfig::amgt_fp64();
         cfg.max_levels = 1; // Pure smoother iteration, no coarse correction.
-        cfg.coarse_solver = CoarseSolver::Jacobi(1);
         cfg.max_iterations = 50;
         cfg.tolerance = 1e-10;
         let dev = Device::new(GpuSpec::a100());
@@ -1296,7 +1067,6 @@ mod tests {
         let a = negative_definite_matrix(10);
         let mut cfg = AmgConfig::amgt_fp64();
         cfg.max_levels = 1;
-        cfg.coarse_solver = CoarseSolver::Jacobi(1);
         cfg.max_iterations = 50;
         cfg.tolerance = 1e-10;
         let dev = Device::new(GpuSpec::a100());
@@ -1348,7 +1118,6 @@ mod tests {
         let a = negative_definite_matrix(10);
         let mut cfg = AmgConfig::amgt_fp64();
         cfg.max_levels = 1;
-        cfg.coarse_solver = CoarseSolver::Jacobi(1);
         cfg.max_iterations = 50;
         cfg.tolerance = 1e-10;
         let dev = Device::new(GpuSpec::a100());
@@ -1405,7 +1174,6 @@ mod tests {
         cfg.max_levels = 2;
         cfg.max_iterations = 1;
         cfg.tolerance = 0.0;
-        cfg.coarse_solver = CoarseSolver::DirectLu;
         let dev = Device::new(GpuSpec::a100());
         let b = rhs_of_ones(&a);
         let h = setup(&dev, &cfg, a);
@@ -1479,25 +1247,11 @@ mod tests {
         assert!(
             (rec.total_kernel_seconds() - solve_seconds).abs() <= 1e-12 * solve_seconds.max(1.0)
         );
-        // The coarse solve ran under the "level 1" span.
+        // The coarse solve's sweep ran under the "level 1" span.
         assert!(rec
             .kernels_under(id_of("level 1"))
             .iter()
-            .any(|k| k.kind == "CoarseSolve"));
-    }
-
-    #[test]
-    fn weighted_jacobi_converges() {
-        let a = laplacian_2d(16, 16, Stencil2d::Five);
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.smoother = crate::config::Smoother::WeightedJacobi(0.8);
-        cfg.max_iterations = 30;
-        let (_, rep, _) = run(&cfg, a);
-        assert!(
-            rep.final_relative_residual() < 1e-6,
-            "{}",
-            rep.final_relative_residual()
-        );
+            .any(|k| k.kind == "SpMV"));
     }
 
     #[test]
@@ -1536,20 +1290,6 @@ mod tests {
         let mut w = v.clone();
         w.cycle = crate::config::CycleType::W;
         assert!(count(&w) > count(&v));
-    }
-
-    #[test]
-    fn smoothed_aggregation_hierarchy_converges() {
-        let a = laplacian_2d(24, 24, Stencil2d::Five);
-        let mut cfg = AmgConfig::amgt_fp64();
-        cfg.coarsening = crate::config::Coarsening::SmoothedAggregation;
-        cfg.max_iterations = 40;
-        let (_, rep, _) = run(&cfg, a);
-        assert!(
-            rep.final_relative_residual() < 1e-6,
-            "SA relres {}",
-            rep.final_relative_residual()
-        );
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //! ([`amgt_exec::par::join_block_chunks`]); reductions ([`dot`],
 //! [`norm2`], [`norms2`]) use a **fixed-topology** binary tree
 //! ([`amgt_exec::par::join_ranges`]) whose split points depend only on
-//! the vector length and [`REDUCE_GRAIN`] — never on the pool width.
-//! Floating-point addition is not associative, so the tree shape *is* the
-//! answer: keeping it fixed makes every result bitwise identical from 1
-//! to N threads (the `thread_invariance` suite pins this). The grain
-//! constants below are therefore part of the numerical contract, not
-//! tuning knobs — changing them changes reduction results.
+//! the vector length and the `REDUCE_GRAIN` constant (4096 elements per
+//! leaf) — never on the pool width. Floating-point addition is not
+//! associative, so the tree shape *is* the answer: keeping it fixed makes
+//! every result bitwise identical from 1 to N threads (the
+//! `thread_invariance` suite pins this). The grain constants below are
+//! therefore part of the numerical contract, not tuning knobs — changing
+//! them changes reduction results.
 //!
 //! Simulated charges are computed on the calling thread after the
 //! parallel region completes (leaves never touch the `Ctx`), so the cost
@@ -104,32 +105,6 @@ pub fn xpby(ctx: &Ctx, x: &[f64], beta: f64, y: &mut [f64]) {
         &|(), ()| (),
     );
     charge_stream(ctx, x.len(), 3.0, 2.0, timer);
-}
-
-/// Elementwise `y += diag_inv[i] * r[i]` (the Jacobi correction).
-pub fn diag_scaled_add(ctx: &Ctx, diag_inv: &[f64], r: &[f64], y: &mut [f64]) {
-    let timer = ctx.timer();
-    assert_eq!(diag_inv.len(), y.len());
-    assert_eq!(r.len(), y.len());
-    let n = y.len();
-    par::join_block_chunks(
-        y,
-        0,
-        n,
-        1,
-        VEC_GRAIN,
-        &|first, n, chunk| {
-            for ((yi, &di), &ri) in chunk
-                .iter_mut()
-                .zip(&diag_inv[first..first + n])
-                .zip(&r[first..first + n])
-            {
-                *yi += di * ri;
-            }
-        },
-        &|(), ()| (),
-    );
-    charge_stream(ctx, y.len(), 4.0, 2.0, timer);
 }
 
 /// Fused smoother update: `x += dinv .* (b - ax)` in one kernel launch
@@ -272,9 +247,6 @@ mod tests {
         assert_eq!(y, vec![3.0, 4.0, 5.0]);
         xpby(&c, &[1.0, 1.0, 1.0], -1.0, &mut y);
         assert_eq!(y, vec![-2.0, -3.0, -4.0]);
-        let mut z = vec![0.0; 3];
-        diag_scaled_add(&c, &[0.5, 0.5, 0.5], &[2.0, 4.0, 6.0], &mut z);
-        assert_eq!(z, vec![1.0, 2.0, 3.0]);
         assert_eq!(sub(&c, &[3.0, 3.0], &[1.0, 2.0]), vec![2.0, 1.0]);
         assert_eq!(dot(&c, &[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&c, &[3.0, 4.0]), 5.0);
@@ -285,7 +257,7 @@ mod tests {
         jacobi_fused(&c, &[0.5, 0.25], &[3.0, 5.0], &[1.0, 1.0], &mut xf);
         assert_eq!(xf, vec![2.0, 2.0]);
         // Every op charged one Vector event.
-        assert_eq!(dev.events().len(), 8);
+        assert_eq!(dev.events().len(), 7);
         assert!(dev.events().iter().all(|e| e.kind == KernelKind::Vector));
     }
 

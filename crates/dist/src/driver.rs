@@ -14,25 +14,24 @@
 //! on the distributed levels and the all-reduced norms. The gathered region
 //! runs [`amgt::solve::vcycle`] itself, and the stationary outer loop is
 //! judged by [`amgt::solve::Column`], the per-column state of the
-//! single-device solver. Hybrid Gauss-Seidel, a sequential sweep within
-//! each row block, is not distributable as-is and runs as L1-Jacobi; only
-//! a system small enough to be gathered whole keeps it.
+//! single-device solver. The smoother is the single-device one, L1-Jacobi,
+//! applied to each rank's owned rows after a halo exchange.
 //!
 //! Determinism: the stationary cycle contains no reductions inside the
 //! update path, so the iterate trajectory is **bitwise invariant in the
-//! rank count** for the Jacobi-type smoothers. Residual norms are computed
-//! from rank-ordered all-reduces — identical bits on every rank of a run,
-//! so control flow (tolerance tests, health monitoring) never diverges
-//! across ranks — but a sum of per-rank partials rounds differently from
-//! the sequential fold, so the *recorded* norms move at the ulp between
-//! rank counts while the iterates do not. At `P = 1` the whole run is
+//! rank count**. Residual norms are computed from rank-ordered
+//! all-reduces — identical bits on every rank of a run, so control flow
+//! (tolerance tests, health monitoring) never diverges across ranks — but
+//! a sum of per-rank partials rounds differently from the sequential fold,
+//! so the *recorded* norms move at the ulp between rank counts while the
+//! iterates do not. At `P = 1` the whole run is
 //! bit-identical to [`amgt::solve::solve`]. Distributed PCG feeds those
 //! dots back into its coefficients, so only `P = 1` is bitwise there;
 //! more ranks agree on the converged residual and iterations ±1.
 
 use crate::comm::{CommCounters, Communicator, LocalComm};
 use crate::partition::{build_halo_plans, HaloPlan, RankMatrix};
-use amgt::config::{AmgConfig, CycleType, Smoother};
+use amgt::config::{AmgConfig, CycleType};
 use amgt::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use amgt::hierarchy::{setup, Hierarchy};
 use amgt::solve::{vcycle, Column, SolveReport, SolveWorkspace};
@@ -108,9 +107,8 @@ enum DistMode {
 }
 
 /// Solve `A x = b` with stationary AMG cycles over the cluster's ranks.
-/// Numerically equivalent to [`amgt::solve::solve`] for Jacobi-type
-/// smoothers (bitwise at one rank); returns the assembled solution and the
-/// distributed report.
+/// Numerically equivalent to [`amgt::solve::solve`] (bitwise at one rank);
+/// returns the assembled solution and the distributed report.
 pub fn dist_solve(cluster: &Cluster, cfg: &AmgConfig, a: Csr, b: &[f64]) -> (Vec<f64>, DistReport) {
     run_dist(cluster, cfg, a, b, DistMode::Stationary)
 }
@@ -167,8 +165,6 @@ struct LevelBufs {
     r_full: Vec<f64>,
     /// Interpolated correction / restriction staging.
     e: Vec<f64>,
-    /// Weighted-Jacobi scaled diagonal slice.
-    scaled: Vec<f64>,
     op: OpScratch,
 }
 
@@ -176,9 +172,7 @@ struct LevelBufs {
 struct RankRun<'a> {
     nranks: usize,
     dev: &'a Device,
-    /// The solver configuration with hybrid Gauss-Seidel mapped to
-    /// L1-Jacobi, on the distributed and the gathered levels alike.
-    cfg: AmgConfig,
+    cfg: &'a AmgConfig,
     h: &'a Hierarchy,
     /// First gathered level; levels `0..boundary` run distributed.
     boundary: usize,
@@ -267,7 +261,7 @@ fn halo_exchange(rr: &mut RankRun, k: usize, op: HaloOp) {
     account(rr, lanes, msgs, prec);
 }
 
-/// One distributed smoothing sweep at level `k < boundary`: exchange the
+/// One distributed L1-Jacobi sweep at level `k < boundary`: exchange the
 /// iterate's halo, apply the owned row block, update the owned lanes.
 fn smooth_dist(rr: &mut RankRun, k: usize) {
     halo_exchange(rr, k, HaloOp::AOnX);
@@ -275,29 +269,10 @@ fn smooth_dist(rr: &mut RankRun, k: usize) {
     let ctx = ctx_at(rr, Phase::Solve, k);
     let rl = &rr.levels[k];
     let (lo, hi) = (rl.lo, rl.hi);
-    let LevelBufs {
-        x,
-        b,
-        ax,
-        scaled,
-        op,
-        ..
-    } = &mut rr.bufs[k];
+    let LevelBufs { x, b, ax, op, .. } = &mut rr.bufs[k];
     rl.a.spmv(&ctx, x, op, ax);
-    match rr.cfg.smoother {
-        Smoother::WeightedJacobi(w) => {
-            scaled.clear();
-            scaled.extend(h.levels[k].diag_inv[lo..hi].iter().map(|&d| d * w));
-            vec_ops::jacobi_fused(&ctx, scaled, b, ax, &mut x[lo..hi]);
-        }
-        _ => vec_ops::jacobi_fused(
-            &ctx,
-            &h.levels[k].l1_diag_inv[lo..hi],
-            b,
-            ax,
-            &mut x[lo..hi],
-        ),
-    }
+    let l1_diag_inv = &h.levels[k].l1_diag_inv[lo..hi];
+    vec_ops::jacobi_fused(&ctx, l1_diag_inv, b, ax, &mut x[lo..hi]);
 }
 
 /// Record a non-finite value on this rank's owned lanes of level `k`.
@@ -315,7 +290,7 @@ fn cycle_at(rr: &mut RankRun, k: usize, cycle: CycleType) {
         return;
     }
     let LevelBufs { x, b, .. } = &mut rr.bufs[k];
-    vcycle(rr.dev, &rr.cfg, rr.h, k, cycle, b, x, 1, &mut rr.ws);
+    vcycle(rr.dev, rr.cfg, rr.h, k, cycle, b, x, 1, &mut rr.ws);
 }
 
 /// Distributed cycle at level `k < boundary`: halo-exchange SpMV for the
@@ -328,11 +303,8 @@ fn cycle_dist(rr: &mut RankRun, k: usize, cycle: CycleType) {
     let ctx = ctx_at(rr, Phase::Solve, k);
     let nk = h.levels[k].n();
     let n_next = h.levels[k + 1].n();
-    let sweeps = rr.cfg.num_sweeps;
 
-    for _ in 0..sweeps {
-        smooth_dist(rr, k);
-    }
+    smooth_dist(rr, k);
     check_finite_dist(rr, k, "pre-smoothing");
 
     // Owned residual, staged into a full-length vector for R's operand.
@@ -399,9 +371,7 @@ fn cycle_dist(rr: &mut RankRun, k: usize, cycle: CycleType) {
         vec_ops::axpy(&ctx, 1.0, &cur.e, &mut cur.x[rl.lo..rl.hi]);
     }
 
-    for _ in 0..sweeps {
-        smooth_dist(rr, k);
-    }
+    smooth_dist(rr, k);
     check_finite_dist(rr, k, "post-smoothing");
 }
 
@@ -442,7 +412,7 @@ fn run_stationary(rr: &mut RankRun) -> SolveReport {
         let _span = dev.span(SpanKind::Region, SpanLabel::named("initial residual"));
         residual_norm_dist(rr)
     };
-    let mut col = Column::new(&rr.cfg, b_norm, initial, None);
+    let mut col = Column::new(rr.cfg, b_norm, initial, None);
     let mut health_events = Vec::new();
     let cycle = rr.cfg.cycle;
     for it in 0..rr.cfg.max_iterations {
@@ -456,7 +426,7 @@ fn run_stationary(rr: &mut RankRun) -> SolveReport {
         cycle_at(rr, 0, cycle);
         let norm = residual_norm_dist(rr);
         let site = rr.ws.take_non_finite();
-        col.judge_cycle(dev, &rr.cfg, norm, false, site, &mut health_events);
+        col.judge_cycle(dev, rr.cfg, norm, false, site, &mut health_events);
     }
     col.report(health_events)
 }
@@ -712,12 +682,6 @@ fn rank_main(
     }
     let prep_seconds = dev.elapsed() - prep_start;
 
-    // Hybrid Gauss-Seidel sweeps sequentially within a row block, which
-    // does not distribute as-is; the distributed cycle runs L1-Jacobi.
-    let mut cfg = cfg.clone();
-    if cfg.smoother == Smoother::HybridGaussSeidel {
-        cfg.smoother = Smoother::L1Jacobi;
-    }
     let mut bufs: Vec<LevelBufs> = (0..=boundary).map(|_| LevelBufs::default()).collect();
     let (lo0, hi0) = parts[0].range(rank);
     bufs[0].x = vec![0.0; n0];

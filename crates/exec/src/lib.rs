@@ -180,7 +180,7 @@ pub struct SpgemmRows<'a> {
 pub type SpgemmTarget = (usize, usize);
 
 thread_local! {
-    /// Grow-only scratch of [`spgemm_block_rows`]: the C slot of each
+    /// Grow-only scratch of `spgemm_block_rows`: the C slot of each
     /// block column in the current block-row (never cleared: a row writes
     /// its own columns first and symbolic put every reachable column in
     /// the row, so a stale entry is never read), and the current A block's

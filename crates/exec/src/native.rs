@@ -47,7 +47,7 @@
 //!
 //! [`ExecBackend::spmm_rows`] gets a whole fork-join leaf of block-rows
 //! and a chunk of `N` (1 to [`SPMM_COLS`]) operand columns; SpMV is the
-//! `N = 1` call. One loop ([`crate::fold_block_rows`], shared with the
+//! `N = 1` call. One loop (`fold_block_rows`, shared with the
 //! emulator) walks each row's warp jobs in order and folds their partial
 //! sums into the row, per column, so a row costs no dynamic dispatch and
 //! no per-job counter pass. Each job is one sweep with `G` group
@@ -56,7 +56,7 @@
 //! followed by the emulator's warp-sum tree, per column. The sweep loads
 //! each tile once and steps it into every column's chain of its group:
 //!
-//! * **FP64** ([`sweep_f64`]): the AVX2 body transposes each row-major
+//! * **FP64** (`sweep_f64`): the AVX2 body transposes each row-major
 //!   tile in registers once, so one `__m256d` holds a k-column across the
 //!   4 rows, then runs the same `vmulpd`/`vaddpd` steps (never FMA) into
 //!   each column's group accumulator; the tree runs lane-wise on the
@@ -64,7 +64,7 @@
 //!   function. A column-major f64 copy of the tiles would save the
 //!   transposes but cost 128 B per tile, so the kernel reads the mBSR
 //!   values as stored.
-//! * **FP32/FP16** ([`sweep_f32`]): the same loop over the `f32` tile
+//! * **FP32/FP16** (`sweep_f32`): the same loop over the `f32` tile
 //!   image described below, its four column loads shared by the chunk.
 //! * **Walk order.** Groups are independent chains, so any walk that
 //!   gives each group its own tiles in order yields the same bits. While
@@ -81,13 +81,13 @@
 //! ## SpGEMM numeric: one call per block-row range
 //!
 //! [`ExecBackend::spgemm_rows`] runs a fork-join leaf of C's block-rows
-//! through the walk shared with the emulator ([`crate::spgemm_block_rows`]).
-//! FP64 ([`spgemm_rows_f64`]) broadcasts each A tile once per block and
+//! through the walk shared with the emulator (`spgemm_block_rows`).
+//! FP64 (`spgemm_rows_f64`) broadcasts each A tile once per block and
 //! runs each output row of a valid product as one AVX2 chain (`vmulpd`,
 //! `vaddpd`): from zero, added into the slot and lane-masked by the slot
 //! bitmap on the tensor-core path; straight into the slot on the
 //! CUDA-core path. FP32/FP16 run the same walk with `f32` chains
-//! ([`spgemm_rows_chain`]): dense on the tensor-core path, whose emulated
+//! (`spgemm_rows_chain`): dense on the tensor-core path, whose emulated
 //! MMA is dense too, but only over the set A and B bits on the CUDA-core
 //! path, like the emulator. The dense argument above needs finite
 //! operands, and a TF32 or binary16 operand rounds to `+/-inf` when it
@@ -102,8 +102,8 @@
 //! The reduced-precision SpMV kernels never convert a matrix value. The
 //! SpMV preprocessing asks [`ExecBackend::spmv_tile_image`] for an `f32`
 //! **tile image** of the operand, built once per matrix: tile `t`'s 16
-//! values rounded through the precision's input conversion ([`tf32`] or
-//! [`half`]), stored column-major at `a32[16 t + 4 k + r]` so that column
+//! values rounded through the precision's input conversion (`tf32` or
+//! `half`), stored column-major at `a32[16 t + 4 k + r]` so that column
 //! `k` of a tile is one 4-lane load. A job then runs, per tile, four
 //! column loads times the broadcast operand value `x32[4 bc + k]`, with a
 //! separate `f32` multiply and add, into per-group accumulators that stay
@@ -115,7 +115,7 @@
 //!   to_f32(v)` at both reduced precisions. At FP16 both sides are one
 //!   binary16 rounding (quantizing twice to binary16 is idempotent); at
 //!   FP32 the storage rounding is `f64 -> f32` and TF32 rounding of an
-//!   `f32` is what [`tf32`] applies anyway.
+//!   `f32` is what `tf32` applies anyway.
 //! * **Non-finite operands.** The dense sweep multiplies every slot, so an
 //!   infinite operand value meets the `+/-0.0` of unmapped slots and gives
 //!   NaN where the emulator skips the slot (at FP64 too). Callers check

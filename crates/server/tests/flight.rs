@@ -41,7 +41,6 @@ fn divergent_matrix() -> Csr {
 fn divergent_config() -> AmgConfig {
     let mut cfg = AmgConfig::amgt_fp64();
     cfg.max_levels = 1; // Pure smoother iteration: guaranteed divergence.
-    cfg.coarse_solver = CoarseSolver::Jacobi(1);
     cfg.tolerance = 1e-10;
     cfg.max_iterations = 50;
     cfg

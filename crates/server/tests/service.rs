@@ -406,7 +406,6 @@ fn divergent_solve_yields_diverged_verdict_and_health_metrics() {
     let b = rhs_of_ones(&a);
     let mut cfg = AmgConfig::amgt_fp64();
     cfg.max_levels = 1; // Pure smoother iteration: guaranteed divergence.
-    cfg.coarse_solver = CoarseSolver::Jacobi(1);
     cfg.tolerance = 1e-10;
     cfg.max_iterations = 50;
 
@@ -465,8 +464,9 @@ fn healthy_service_solve_reports_converged_verdict() {
     service.shutdown();
 }
 
-/// A batch whose solve panics (a 3x3 zero matrix: the direct LU coarse
-/// solver finds the coarsest grid singular) fails its job with
+/// A batch whose solve panics (a 3x3 matrix whose public `col_idx` names
+/// column 7: neither `submit` nor the pre-flight checks read columns, so
+/// the solve indexes out of range) fails its job with
 /// `JobError::Internal` instead of killing the worker: the handle resolves
 /// within a second, the panic is counted, and a healthy job submitted next
 /// on the same 1-worker service succeeds.
@@ -477,12 +477,12 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         batch_window: Duration::from_millis(1),
         ..Default::default()
     });
-    let mut cfg = test_config();
-    cfg.coarse_solver = CoarseSolver::DirectLu;
-    let zero = Csr::from_triplets(3, 3, &[]);
+    let cfg = test_config();
+    let mut out_of_range = Csr::identity(3);
+    out_of_range.col_idx[2] = 7;
     let start = Instant::now();
     let bad = service
-        .submit(SolveRequest::new(zero, vec![1.0; 3], cfg.clone()))
+        .submit(SolveRequest::new(out_of_range, vec![1.0; 3], cfg.clone()))
         .unwrap();
     let result = loop {
         if let Some(r) = bad.try_wait() {
@@ -495,9 +495,9 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         std::thread::yield_now();
     };
     match result {
-        Err(JobError::Internal(why)) => assert!(why.contains("singular"), "{why}"),
+        Err(JobError::Internal(why)) => assert!(why.contains("out of range"), "{why}"),
         Err(e) => panic!("expected an internal error, got {e}"),
-        Ok(_) => panic!("a singular coarse grid cannot solve"),
+        Ok(_) => panic!("a column out of range cannot solve"),
     }
 
     let a = test_matrix();

@@ -137,7 +137,6 @@ pub enum KernelKind {
     Vector,
     /// Coarsening graph work (strength, PMIS) — "Others" in Figures 1/2.
     Graph,
-    CoarseSolve,
     Transpose,
     Comm,
 }
@@ -152,7 +151,6 @@ impl KernelKind {
             KernelKind::Convert => "Convert",
             KernelKind::Vector => "Vector",
             KernelKind::Graph => "Graph",
-            KernelKind::CoarseSolve => "CoarseSolve",
             KernelKind::Transpose => "Transpose",
             KernelKind::Comm => "Comm",
         }
@@ -285,11 +283,6 @@ pub mod tuning {
                 tensor: 0.0,
                 cuda: 0.04,
                 memory: 0.35,
-            },
-            (CoarseSolve, _) => Efficiency {
-                tensor: 0.0,
-                cuda: 0.05,
-                memory: 0.50,
             },
             (Transpose, _) => Efficiency {
                 tensor: 0.0,

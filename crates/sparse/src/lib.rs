@@ -9,14 +9,11 @@
 //! * [`mbsr`] — the paper's unified mBSR format (4x4 tiles + nonzero
 //!   bitmaps) and classic BSR for the conversion-cost comparison.
 //! * [`bitmap`] — the `BITMAPMULTIPLY` tile-pattern algebra.
-//! * [`dense`] — dense LU for the coarsest AMG level.
 //! * [`mm`] — Matrix Market I/O for users holding the real SuiteSparse
 //!   files.
 //! * [`gen`] — synthetic generators (stencils, vector-FEM blocks, bands,
 //!   cliques, networks).
 //! * [`coo`] — triplet assembly format.
-//! * [`ldl`] — sparse LDL^T direct solver (elimination-tree up-looking),
-//!   the PanguLU-class coarse-level option.
 //! * [`reorder`] — reverse Cuthill-McKee reordering and symmetric
 //!   permutations (denser tiles for the tensor path).
 //! * [`stats`] — structural diagnostics (tile-fill histograms, row spread).
@@ -34,10 +31,8 @@
 pub mod bitmap;
 pub mod coo;
 pub mod csr;
-pub mod dense;
 pub mod fingerprint;
 pub mod gen;
-pub mod ldl;
 pub mod mbsr;
 pub mod mm;
 pub mod reorder;
@@ -47,7 +42,5 @@ pub mod suite;
 pub use bitmap::{bitmap_multiply, TENSOR_DENSITY_THRESHOLD, TILE, TILE_AREA};
 pub use coo::Coo;
 pub use csr::Csr;
-pub use dense::{Dense, Lu};
 pub use fingerprint::Fingerprint;
-pub use ldl::SparseLdl;
 pub use mbsr::{Bsr, Mbsr};

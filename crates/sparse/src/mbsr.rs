@@ -162,7 +162,7 @@ impl Mbsr {
 
     /// Convert from CSR (the `CSR2MBSR` step of the AmgT data flow).
     ///
-    /// Two sweeps over block-rows, each a 4-way [`TileMerge`] of the
+    /// Two sweeps over block-rows, each a 4-way `TileMerge` of the
     /// block-row's scalar rows: the first counts tiles into `blc_ptr`, the
     /// second writes indices, bitmaps and values. The second forks over
     /// block-rows with disjoint `blc_ptr`-delimited output slices.

@@ -3,7 +3,7 @@
 
 use amgt_sparse::bitmap::{bitmap_multiply, bitmap_multiply_reference, bitmap_transpose, popcount};
 use amgt_sparse::mm::{read_matrix_market_str, write_matrix_market};
-use amgt_sparse::{Csr, Lu, Mbsr};
+use amgt_sparse::{Csr, Mbsr};
 use proptest::prelude::*;
 
 fn arb_csr(max_n: usize, max_per_row: usize) -> impl Strategy<Value = Csr> {
@@ -106,19 +106,6 @@ proptest! {
         write_matrix_market(&mut buf, &a).unwrap();
         let back = read_matrix_market_str(std::str::from_utf8(&buf).unwrap()).unwrap();
         prop_assert_eq!(back, a);
-    }
-
-    #[test]
-    fn lu_solves_diag_dominant_systems((n, seed) in (2usize..40, any::<u64>())) {
-        use rand::{Rng, SeedableRng};
-        let a = amgt_sparse::gen::random_sparse(n, 4, seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5555);
-        let x_true: Vec<f64> = (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect();
-        let b = a.matvec(&x_true);
-        let x = Lu::factor_csr(&a).unwrap().solve(&b);
-        for (u, v) in x.iter().zip(&x_true) {
-            prop_assert!((u - v).abs() < 1e-7 * (1.0 + v.abs()), "{u} vs {v}");
-        }
     }
 
     #[test]

@@ -13,15 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy (amgt-trace, -D warnings)"
 cargo clippy -p amgt-trace --all-targets -- -D warnings
 
-echo "==> rustdoc: no broken intra-doc links"
+echo "==> rustdoc: no broken or private intra-doc links"
 # A deleted or renamed item leaves stale [`links`] in the docs of the code
 # that survives it; rustdoc resolves every link, so deny the broken ones.
+# A public doc that links a private item renders a dead link in the
+# published docs, so deny those too.
 # The vendored stand-ins under vendor/ are not documented.
 vendored=()
 for manifest in vendor/*/Cargo.toml; do
     vendored+=(--exclude "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
 done
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" \
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
     cargo doc --no-deps --workspace "${vendored[@]}" -q
 
 echo "==> tier-1: cargo build --release"
@@ -81,7 +83,7 @@ cargo run --release -q -p amgt-bench --bin bench -- --smoke --out /dev/null \
     --compare "$bench_out" >/dev/null
 echo "    wrote, validated, and round-tripped $bench_out"
 
-echo "==> wallclock bench smoke: schema v4 + allocation self-compare"
+echo "==> wallclock bench smoke: schema v8 wall block + allocation self-compare"
 cargo run --release -q -p amgt-bench --bin bench -- --smoke --wallclock \
     --threads 1 --out "$wall_out" >/dev/null
 python3 -m json.tool "$wall_out" >/dev/null
@@ -142,7 +144,7 @@ echo "==> flight-overhead smoke: recorder on vs off, geomean gated at 5%"
 # The bench's --flight-overhead mode interleaves recorder-disabled and
 # recorder-enabled solves and exits non-zero by itself if the enabled
 # run's solve-phase wall geomean regresses past the budget (default
-# x1.05). The report lands as schema v6 with a flight_overhead block.
+# x1.05). The report carries a flight_overhead block.
 cargo run --release -q -p amgt-bench --bin bench -- --smoke --flight-overhead \
     --out "$flight_out"
 python3 -m json.tool "$flight_out" >/dev/null
@@ -152,7 +154,7 @@ echo "    wrote, validated, and gated $flight_out"
 
 echo "==> distributed smoke: --ranks 4 bench + rank-count invariance suite"
 # The domain-decomposed solver over 4 in-process ranks: the report must
-# land as schema v7 with a dist block per case, and — the comm pattern
+# carry a dist block per case, and — the comm pattern
 # being a deterministic function of the partition — a fresh run compared
 # against the report just written must pass the halo/collective gate.
 cargo run --release -q -p amgt-bench --bin bench -- --smoke --ranks 4 \

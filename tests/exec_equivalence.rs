@@ -563,8 +563,8 @@ fn full_solve_native_matches_sim_bitwise() {
 
 /// `(FNV-1a over the solution bits, iterations, Device::elapsed() bits)`
 /// of the capped `amgt_mixed` venkat25 (Small) setup + solve below, as the
-/// emulator computes them (`Device::elapsed()` = 2.0737e-4 s).
-const VENKAT25_MIXED_GOLDEN: (u64, usize, u64) = (0x53ce_c457_ed8e_de87, 3, 0x3f2b_2e30_37d3_c583);
+/// emulator computes them (`Device::elapsed()` = 2.0533e-4 s).
+const VENKAT25_MIXED_GOLDEN: (u64, usize, u64) = (0x53ce_c457_ed8e_de87, 3, 0x3f2a_e9b0_87e0_eb8f);
 
 /// A real mixed hierarchy: venkat25 (Small) under `amgt_mixed` has an
 /// FP32 CUDA-core level 1, an FP16 CUDA-core level 2 and an FP16

@@ -14,15 +14,15 @@ use amgt_sparse::suite::{generate, Scale};
 
 /// `(matrix, FNV-1a over the hierarchy's value bits, Device::elapsed() bits)`.
 const GOLDEN: [(&str, u64, u64); 5] = [
-    ("cant", 0xf37c_bae1_fe63_2585, 0x3f1f_fc81_9a9a_b6f4),
-    ("venkat25", 0x710a_a944_8455_18c1, 0x3f21_59b6_dd2a_16f0),
-    ("thermal1", 0xd411_c63d_c07d_7e8d, 0x3f12_4285_5c9c_2f5b),
+    ("cant", 0xf37c_bae1_fe63_2585, 0x3f1f_539d_73c4_7b2a),
+    ("venkat25", 0x710a_a944_8455_18c1, 0x3f21_1537_2d37_3cfc),
+    ("thermal1", 0xd411_c63d_c07d_7e8d, 0x3f11_f8a0_8dfe_988e),
     (
         "parabolic_fem",
         0x5b1e_b231_5988_6185,
-        0x3f31_e246_0f38_cbab,
+        0x3f31_be18_b16d_487c,
     ),
-    ("Pres_Poisson", 0x4172_5400_08df_47b1, 0x3f23_c762_8c26_0b83),
+    ("Pres_Poisson", 0x4172_5400_08df_47b1, 0x3f23_619c_7a94_d922),
 ];
 
 fn hierarchy_hash(h: &Hierarchy) -> u64 {
