@@ -33,6 +33,7 @@ use amgt_sparse::gen::{laplacian_2d, laplacian_3d, rhs_of_ones, Stencil2d, Stenc
 use amgt_sparse::suite::{self, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Count every heap allocation so `--wallclock` can report per-phase
@@ -425,7 +426,9 @@ fn kernel_cases(opt: &Options, stem: &str, a: &Csr) -> Vec<BenchCase> {
 }
 
 /// Measure the flight recorder's solve-phase wall overhead on one system:
-/// the same converged solve, recorder off vs on, strictly interleaved so
+/// the same converged solve with no recorder installed vs the bounded
+/// recorder a service worker installs (cleared before each solve, as a
+/// worker clears it between batches), strictly interleaved so
 /// thermal/frequency drift hits both sides equally, best-of-N so scheduler
 /// noise cancels. Also returns a normal bench case (from the warmup run)
 /// so the written report has solver coverage.
@@ -443,30 +446,25 @@ fn flight_overhead_case(opt: &Options, stem: &str, a: &Csr) -> (FlightOverheadCa
     let warm = amgt::solve(&device, &cfg, &h, &b, &mut x);
     let warm_seconds = device.elapsed() - sim0;
 
-    let trace_id = amgt_sim::TraceId::generate();
-    // Warm the recorder path too: the first enabled solve registers the
-    // thread shard and allocates its full-capacity ring — one-time costs
-    // that must not land inside a timed rep.
-    amgt_trace::flight::enable();
-    device.set_flight(Some(trace_id));
-    x.iter_mut().for_each(|v| *v = 0.0);
-    let _ = amgt::solve(&device, &cfg, &h, &b, &mut x);
-
+    let recorder = Arc::new(amgt_trace::flight::recorder());
+    recorder.set_trace_id(amgt_sim::TraceId::generate().get());
     let mut off_ns = u64::MAX;
     let mut on_ns = u64::MAX;
     let timed = |device: &Device, x: &mut Vec<f64>, enabled: bool| {
         if enabled {
-            amgt_trace::flight::enable();
-            device.set_flight(Some(trace_id));
+            recorder.clear();
+            device.install_recorder(Arc::clone(&recorder));
         } else {
-            amgt_trace::flight::disable();
-            device.set_flight(None);
+            device.remove_recorder();
         }
         x.iter_mut().for_each(|v| *v = 0.0);
         let t0 = Instant::now();
         let _ = amgt::solve(device, &cfg, &h, &b, x);
         t0.elapsed().as_nanos() as u64
     };
+    // Warm the recorder path too: the first recorded solve faults in the
+    // reserved pages, a one-time cost that must not land inside a timed rep.
+    timed(&device, &mut x, true);
     for rep in 0..REPS {
         // Alternate which side is measured first so slow frequency or
         // thermal drift cannot systematically bias one of them; min-of-N
@@ -479,9 +477,7 @@ fn flight_overhead_case(opt: &Options, stem: &str, a: &Csr) -> (FlightOverheadCa
             off_ns = off_ns.min(timed(&device, &mut x, false));
         }
     }
-    device.set_flight(None);
-    amgt_trace::flight::disable();
-    amgt_trace::flight::reset();
+    device.remove_recorder();
 
     let diag = h.diagnostics();
     let flight = FlightOverheadCase {

@@ -13,7 +13,8 @@ use amgt_bench::alloc::{snapshot, CountingAlloc};
 use amgt_server::{CacheOutcome, ServiceConfig, SolveRequest, SolverService};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
 use amgt_sparse::suite::{generate, Scale};
-use amgt_trace::flight::TraceId;
+use amgt_trace::flight::{self, TraceId};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[global_allocator]
@@ -23,6 +24,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn hot_paths_are_allocation_free() {
     wait_for_other_threads_to_sleep();
     steady_state_solve_has_zero_allocs_per_iteration();
+    recorded_native_solve_has_zero_allocs_per_iteration();
     mixed_native_solve_has_zero_allocs_per_iteration();
     batched_native_solve_has_zero_allocs_per_iteration();
     server_cache_hit_reuses_cached_workspace();
@@ -131,6 +133,33 @@ fn steady_state_solve_has_zero_allocs_per_iteration() {
             (d8 as f64 - d4 as f64) / 4.0
         );
     }
+}
+
+/// The same gate with the bounded flight recorder installed, sized as a
+/// service worker sizes it: recording every span, kernel and residual of
+/// a steady-state native FP64 solve allocates nothing per V-cycle (spans
+/// are stored as unrendered labels, and every store is reserved up front).
+fn recorded_native_solve_has_zero_allocs_per_iteration() {
+    let a = laplacian_2d(24, 24, Stencil2d::Five);
+    let b = rhs_of_ones(&a);
+    let dev = Device::new(GpuSpec::a100());
+    let mut cfg = AmgConfig::amgt_fp64();
+    cfg.exec = ExecMode::Native;
+    let h = setup(&dev, &cfg, a);
+    let mut ws = SolveWorkspace::for_hierarchy(&h);
+    let recorder = Arc::new(flight::recorder());
+    recorder.set_trace_id(TraceId::generate().get());
+    dev.install_recorder(Arc::clone(&recorder));
+    let (d4, d8) = solve_alloc_deltas(&dev, &cfg, &h, &b, &mut ws);
+    dev.remove_recorder();
+    let rec = recorder.take();
+    assert!(rec.kernels.len() > 100 && !rec.residuals.is_empty());
+    assert_eq!(rec.dropped_spans, 0, "the spans of three solves fit");
+    assert_eq!(
+        d8, d4,
+        "recorded native solve allocates per iteration: 4 iters cost {d4} \
+         allocs, 8 iters cost {d8}"
+    );
 }
 
 /// The same gate for native mixed-precision solves, on both tile-image

@@ -275,10 +275,15 @@ fn print_version(verbose: bool, exec_mode: ExecMode) {
 }
 
 /// `--flight` epilogue: mirror the server's tail-sampling contract for a
-/// single interactive run — a bad verdict dumps the ring contents as
+/// single interactive run — a bad verdict dumps the run's recording as
 /// `amgt-flight-<trace_id>.json` in the working directory, anything else
 /// retains nothing.
-fn finish_flight(id: amgt_sim::TraceId, outcome: SolveOutcome, wall_seconds: f64) {
+fn finish_flight(
+    id: amgt_sim::TraceId,
+    outcome: SolveOutcome,
+    wall_seconds: f64,
+    recording: std::sync::Arc<amgt_sim::Recording>,
+) {
     let bad = matches!(
         outcome,
         SolveOutcome::Stagnated | SolveOutcome::Diverged | SolveOutcome::NonFinite
@@ -293,15 +298,15 @@ fn finish_flight(id: amgt_sim::TraceId, outcome: SolveOutcome, wall_seconds: f64
         reason: amgt_trace::RetainReason::Verdict,
         wall_seconds,
         batch_size: 1,
-        dropped_events: amgt_trace::flight::dropped_events(),
-        events: amgt_trace::flight::snapshot_trace(id),
+        recording,
     };
     let path = format!("amgt-flight-{}.json", id.to_hex());
     match std::fs::write(&path, trace.to_json()) {
         Ok(()) => println!(
-            "flight: verdict {} -> dumped {} event(s) to {path}",
+            "flight: verdict {} -> dumped {} span(s), {} kernel event(s) to {path}",
             outcome.label(),
-            trace.events.len()
+            trace.recording.spans.len(),
+            trace.recording.kernels.len()
         ),
         Err(e) => {
             eprintln!("failed to write flight dump {path}: {e}");
@@ -448,19 +453,16 @@ fn main() {
     }
 
     let device = Device::new(opt.gpu.clone());
-    // Always-on in spirit, opt-in at the CLI: `--flight` turns the ring
-    // buffers on and attaches this run's identity to the device.
-    let flight_id = opt.flight.then(|| {
-        amgt_trace::flight::enable();
-        let id = amgt_sim::TraceId::generate();
-        device.set_flight(Some(id));
-        println!("flight: recording under trace id {}", id.to_hex());
-        id
-    });
-    // Both exporters consume the same recording; capture whenever either
-    // output was requested.
-    let recorder = (opt.trace.is_some() || opt.folded.is_some()).then(|| {
+    // `--trace`, `--folded` and `--flight` all read one recording; capture
+    // whenever any of them was requested. `--flight` also tags it with
+    // this run's identity.
+    let flight_id = opt.flight.then(amgt_sim::TraceId::generate);
+    let recorder = (opt.trace.is_some() || opt.folded.is_some() || opt.flight).then(|| {
         let r = std::sync::Arc::new(amgt_sim::Recorder::new());
+        if let Some(id) = flight_id {
+            r.set_trace_id(id.get());
+            println!("flight: recording under trace id {}", id.to_hex());
+        }
         device.install_recorder(r.clone());
         r
     });
@@ -563,13 +565,17 @@ fn main() {
             100.0 * rep.solve.share(rep.solve.spmv),
         );
     }
-    if let Some(id) = flight_id {
-        device.set_flight(None);
-        finish_flight(id, solve_outcome, t0.elapsed().as_secs_f64());
-    }
     if let Some(recorder) = &recorder {
         device.remove_recorder();
-        let recording = recorder.take();
+        let recording = std::sync::Arc::new(recorder.take());
+        if let Some(id) = flight_id {
+            finish_flight(
+                id,
+                solve_outcome,
+                t0.elapsed().as_secs_f64(),
+                recording.clone(),
+            );
+        }
         if let Some(path) = &opt.trace {
             let json = amgt_trace::chrome_trace(&recording);
             match std::fs::write(path, &json) {

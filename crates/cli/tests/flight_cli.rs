@@ -71,8 +71,8 @@ fn flight_flag_dumps_a_trace_on_bad_verdict_and_nothing_when_healthy() {
     assert!(text.contains("\"verdict\":\"Diverged\""), "{text}");
     assert!(text.contains(&format!("\"trace_id\":\"{hex}\"")));
     assert!(text.contains("\"reason\":\"Verdict\""));
-    assert!(text.contains("\"tag\":\"Residual\""));
-    assert!(text.contains("\"name\":\"Divergence\""));
+    assert!(text.contains("\"residuals\":[{"));
+    assert!(text.contains("\"kind\":\"Divergence\""));
 
     // Healthy run in the same directory: trace id printed, nothing dumped.
     let before: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();

@@ -121,7 +121,7 @@ pub fn bicgstab_solve(
         if s_norm / b_norm < tol {
             vec_ops::axpy(&ctx, alpha, &p_hat, x);
             history.push(s_norm / b_norm);
-            device.flight_residual(history.len(), None, s_norm / b_norm);
+            device.record_residual(history.len(), None, s_norm / b_norm);
             observe(&mut monitor, &mut health_events, s_norm / b_norm);
             converged = true;
             break;
@@ -147,7 +147,7 @@ pub fn bicgstab_solve(
 
         let rel = vec_ops::norm2(&ctx, &r) / b_norm;
         history.push(rel);
-        device.flight_residual(history.len(), None, rel);
+        device.record_residual(history.len(), None, rel);
         observe(&mut monitor, &mut health_events, rel);
         if monitor.nonfinite() {
             break; // Only non-finite aborts a Krylov wrapper.

@@ -146,7 +146,7 @@ pub fn fgmres_solve(
 
             let rel = g[j + 1].abs() / b_norm;
             history.push(rel);
-            device.flight_residual(history.len(), None, rel);
+            device.record_residual(history.len(), None, rel);
             if let Some(m) = monitor.as_mut() {
                 if let Some(ev) = m.observe(rel) {
                     emit_health(device, ev, &mut health_events);

@@ -98,7 +98,7 @@ pub fn pcg_solve(
         final_norm = vec_ops::norm2(&ctx, &r);
         let rel = final_norm / b_norm;
         history.push(rel);
-        device.flight_residual(history.len(), None, rel);
+        device.record_residual(history.len(), None, rel);
         if let Some(ev) = monitor.observe(rel) {
             emit_health(device, ev, &mut health_events);
         }

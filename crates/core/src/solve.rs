@@ -51,7 +51,7 @@ pub struct LevelWorkspace {
 /// Outer-loop state of one right-hand side, and the rules that judge it
 /// between cycles: the zero-`b` norm rule, the tolerance test before the
 /// first cycle and after each one, the convergence monitor and its health
-/// events, the history and the flight residual.
+/// events, the history and the recorded residual.
 ///
 /// [`solve`] and [`solve_batched`] keep one per column. The distributed
 /// driver keeps one per solve and feeds it all-reduced norms, so every
@@ -70,7 +70,7 @@ pub struct Column {
     converged: bool,
     monitor: ConvergenceMonitor,
     history: Vec<f64>,
-    /// Column index stamped on flight residuals and health events
+    /// Column index stamped on recorded residuals and health events
     /// (batched solves only).
     stamp: Option<usize>,
 }
@@ -106,11 +106,11 @@ impl Column {
     }
 
     /// Judge the cycle just run from the residual norm after it. Records
-    /// the relative residual in the history and the flight ring and feeds
-    /// the monitor. When the residual or the iterate (`x_non_finite`) went
-    /// non-finite, the event names `site`, the cycle's first non-finite
-    /// sighting, if there is one. Events without a level are attributed to
-    /// the finest level. Returns whether the column keeps cycling.
+    /// the relative residual in the history and the device's recorder and
+    /// feeds the monitor. When the residual or the iterate
+    /// (`x_non_finite`) went non-finite, the event names `site`, the
+    /// cycle's first non-finite sighting, if there is one. Events without
+    /// a level are attributed to the finest level. Returns whether the column keeps cycling.
     pub fn judge_cycle(
         &mut self,
         device: &Device,
@@ -124,7 +124,7 @@ impl Column {
         self.rel = norm / self.b_norm;
         self.iterations += 1;
         self.history.push(self.rel);
-        device.flight_residual(self.iterations, self.stamp, self.rel);
+        device.record_residual(self.iterations, self.stamp, self.rel);
         let event = match site {
             Some(site) if x_non_finite || !self.rel.is_finite() => {
                 self.monitor.attribute_non_finite(
@@ -373,7 +373,7 @@ fn gather_columns(src: &[f64], n: usize, idx: &[usize], out: &mut Vec<f64>) {
 /// failed numerically or run out of cycles (see the module docs). Returns
 /// the number of cycles run and leaves each column's results in
 /// `ws.columns`. The entry point names the phase span (`label`) and says
-/// whether health and flight events carry their column (`stamp_columns`).
+/// whether health events and residuals carry their column (`stamp_columns`).
 #[allow(clippy::too_many_arguments)]
 fn solve_columns(
     device: &Device,

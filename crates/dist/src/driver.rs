@@ -538,7 +538,7 @@ fn run_pcg(rr: &mut RankRun, tol: f64, max_iters: usize) -> (Vec<f64>, SolveRepo
         final_norm = allreduce(rr, local).sqrt();
         let rel = final_norm / b_norm;
         history.push(rel);
-        dev.flight_residual(history.len(), None, rel);
+        dev.record_residual(history.len(), None, rel);
         if let Some(ev) = monitor.observe(rel) {
             emit_health(dev, ev, &mut health_events);
         }

@@ -121,17 +121,6 @@ impl KernelTimer {
         }
     }
 
-    /// An always-inert timer (for call sites that charge without timing).
-    #[inline]
-    pub fn inert() -> Self {
-        KernelTimer(None)
-    }
-
-    /// Did this timer actually start a measurement?
-    pub fn is_live(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Elapsed nanoseconds, `None` when inert. Consumes the timer.
     #[inline]
     pub fn stop(self) -> Option<u64> {
@@ -164,10 +153,7 @@ mod tests {
     fn disabled_timer_is_inert() {
         let _g = TEST_GUARD.lock();
         disable();
-        let t = KernelTimer::start();
-        assert!(!t.is_live());
-        assert_eq!(t.stop(), None);
-        assert!(!KernelTimer::inert().is_live());
+        assert_eq!(KernelTimer::start().stop(), None);
     }
 
     #[test]
@@ -176,7 +162,6 @@ mod tests {
         reset();
         enable();
         let t = KernelTimer::start();
-        assert!(t.is_live());
         std::hint::black_box((0..1000).sum::<u64>());
         let ns = t.stop().expect("timer was live");
         record(class("SpMV"), ns, 1e-6);

@@ -1,8 +1,8 @@
 //! Retained flight traces and the recently-completed-jobs ring.
 //!
 //! The tail-based sampler in `amgt_trace::flight` decides *whether* a
-//! finished job's ring contents are worth keeping; this module is *where*
-//! they are kept. [`FlightStore`] holds two bounded structures:
+//! finished job's capture is worth keeping; this module is *where* it is
+//! kept. [`FlightStore`] holds two bounded structures:
 //!
 //! * the **retained-trace store** — full [`FlightTrace`]s promoted at job
 //!   completion, evicted oldest-first beyond a fixed capacity so a
@@ -10,8 +10,8 @@
 //!   `/debug/flight` (index) and `/debug/flight/<trace_id>` (full trace,
 //!   with `?format=chrome|folded` re-using the existing exporters).
 //! * the **recent-jobs ring** — one compact [`CompletedJob`] line per
-//!   finished job (success *or* pre-flight rejection), so `/jobs` can show
-//!   what just happened, not only what is in flight.
+//!   finished job (success, panicked batch *or* pre-flight rejection), so
+//!   `/jobs` can show what just happened, not only what is in flight.
 //!
 //! Both are plain mutex-guarded rings: they are touched once per job
 //! completion, never on the per-kernel hot path.
@@ -45,7 +45,7 @@ pub struct CompletedJob {
     pub retained: Option<RetainReason>,
 }
 
-/// Index entry for `/debug/flight`: the retained trace minus its events.
+/// Index entry for `/debug/flight`: the retained trace minus its recording.
 #[derive(Clone, Debug, Serialize)]
 pub struct FlightTraceSummary {
     pub trace_id: TraceId,
@@ -53,10 +53,10 @@ pub struct FlightTraceSummary {
     pub reason: RetainReason,
     pub wall_seconds: f64,
     pub batch_size: usize,
-    /// Events captured in the retained trace.
+    /// Spans and kernels captured in the retained trace.
     pub events: usize,
-    /// Ring-buffer drops observed at retention time (nonzero means the
-    /// trace's oldest events were overwritten before promotion).
+    /// Spans and kernels the bounded capture dropped (see
+    /// [`FlightTrace::dropped_events`]).
     pub dropped_events: u64,
 }
 
@@ -110,8 +110,8 @@ impl FlightStore {
                 reason: t.reason,
                 wall_seconds: t.wall_seconds,
                 batch_size: t.batch_size,
-                events: t.events.len(),
-                dropped_events: t.dropped_events,
+                events: t.recording.spans.len() + t.recording.kernels.len(),
+                dropped_events: t.dropped_events(),
             })
             .collect()
     }
@@ -163,8 +163,7 @@ mod tests {
             reason: RetainReason::Sampled,
             wall_seconds: 1e-3,
             batch_size: 1,
-            dropped_events: 0,
-            events: Vec::new(),
+            recording: Default::default(),
         }
     }
 

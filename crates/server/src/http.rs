@@ -228,8 +228,7 @@ fn jobs_body(service: &SolverService) -> String {
 }
 
 /// One retained flight trace, addressed by hex trace id. `?format=chrome`
-/// and `?format=folded` reconstruct a `Recording` from the trace and run
-/// the existing exporters over it.
+/// and `?format=folded` run the exporters over the trace's recording.
 fn flight_trace_response(service: &SolverService, id_hex: &str, query: &str) -> Response {
     let Some(id) = TraceId::parse_hex(id_hex) else {
         return Response::text(404, "malformed trace id (want 16 hex digits)\n");
@@ -250,12 +249,12 @@ fn flight_trace_response(service: &SolverService, id_hex: &str, query: &str) -> 
         "chrome" => Response {
             status: 200,
             content_type: "application/json",
-            body: chrome_trace(&trace.to_recording()),
+            body: chrome_trace(&trace.recording),
         },
         "folded" => Response {
             status: 200,
             content_type: "text/plain",
-            body: folded_stacks(&trace.to_recording()),
+            body: folded_stacks(&trace.recording),
         },
         other => Response::text(
             400,

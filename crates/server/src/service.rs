@@ -26,7 +26,8 @@ use amgt::prelude::*;
 use amgt::{resetup, setup, solve_batched_with_workspace, Hierarchy, KernelPolicy, SolveWorkspace};
 use amgt_trace::flight;
 use amgt_trace::{
-    FlightTrace, Recorder, Recording, RetainReason, SamplerConfig, SpanKind, TailSampler, TraceId,
+    FlightTrace, Recorder, Recording, RetainReason, SamplerConfig, SpanKind, SpanLabel,
+    TailSampler, TraceId,
 };
 use amgt_tune::PolicyStore;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -76,10 +77,11 @@ pub struct ServiceConfig {
     /// bitwise identical either way, so the override only changes host
     /// wall clock and never observable solver behaviour).
     pub exec: Option<ExecMode>,
-    /// Tail-sampling policy for the always-on flight recorder: bad
-    /// verdicts and pre-flight rejections are always retained; healthy
-    /// jobs are retained at `sample_probability` or when they land in the
-    /// slowest latency decile.
+    /// Tail-sampling policy for the always-on flight recorder (one bounded
+    /// recorder per worker device): bad verdicts, panicked batches and
+    /// pre-flight rejections are always retained; healthy jobs are
+    /// retained at `sample_probability` or when they land in the slowest
+    /// latency decile.
     pub flight_sampler: SamplerConfig,
     /// Retained flight traces kept before oldest-first eviction.
     pub flight_retain: usize,
@@ -115,8 +117,9 @@ pub struct SolveRequest {
     /// Give up if the job has not *started* within this budget of its
     /// submission (checked when a worker picks the job up).
     pub deadline: Option<Duration>,
-    /// Capture a structured trace of the batch this job solves in; the
-    /// [`Recording`] comes back on [`JobOutcome::trace`].
+    /// Return the structured trace of the batch this job solves in on
+    /// [`JobOutcome::trace`] (the worker's recorder captures every batch;
+    /// this asks for its [`Recording`]).
     pub capture_trace: bool,
 }
 
@@ -146,7 +149,7 @@ impl SolveRequest {
 /// A completed solve.
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
-    /// Request identity: generated at enqueue, threaded through the flight
+    /// Request identity: generated at enqueue, threaded through the
     /// recorder, log fields, health events and the retained-trace store.
     pub trace_id: TraceId,
     /// Why this job's flight trace was retained, if the tail sampler
@@ -173,7 +176,8 @@ pub struct JobOutcome {
     /// Wall-clock time from submission to completion.
     pub wall_seconds: f64,
     /// Structured trace of the batch, when the request asked for one.
-    /// Shared (`Arc`) across jobs coalesced into the same batch.
+    /// Shared (`Arc`) across jobs coalesced into the same batch, and with
+    /// the retained flight traces of the batch.
     pub trace: Option<Arc<Recording>>,
     /// The kernel policy the solve actually ran under.
     pub policy: KernelPolicy,
@@ -295,18 +299,20 @@ impl Job {
     }
 }
 
+// The slot is a plain `Option` written in one step, so a guard poisoned by
+// a panic elsewhere still holds a valid value.
 impl JobState {
-    /// Fail the job with `error` unless it already has a result; returns
-    /// whether it did. The slot is a plain `Option` written in one step,
-    /// so a guard poisoned by a panic elsewhere still holds a valid value.
-    fn complete_if_pending(&self, error: &JobError) -> bool {
+    fn is_resolved(&self) -> bool {
+        self.result
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some()
+    }
+
+    fn fail(&self, error: JobError) {
         let mut slot = self.result.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(Err(error.clone()));
+        *slot = Some(Err(error));
         self.done.notify_all();
-        true
     }
 }
 
@@ -363,10 +369,6 @@ impl SolverService {
             Some(path) => PolicyStore::open(path),
             None => PolicyStore::in_memory(),
         };
-        // The flight recorder is always on while a service lives in the
-        // process: recording is bounded (per-thread rings) and retention
-        // is tail-sampled, so "on" is cheap enough to be the default.
-        flight::enable();
         let shared = Arc::new(Shared {
             cache: Mutex::new(HierarchyCache::new(config.cache_capacity)),
             telemetry: ServiceTelemetry::new(),
@@ -473,7 +475,7 @@ impl SolverService {
     /// (`workers: 0`) uses this between submissions; with live workers it
     /// merely competes with them for queued jobs.
     pub fn drain_pending(&self) {
-        let device = Device::new(self.config.spec.clone());
+        let (device, recorder) = worker_device(&self.config.spec);
         let mut stash: VecDeque<Job> = VecDeque::new();
         while let Ok(job) = self.rx.try_recv() {
             stash.push_back(job);
@@ -488,7 +490,7 @@ impl SolverService {
                     i += 1;
                 }
             }
-            process_batch(&device, &self.shared, batch);
+            process_batch(&device, &recorder, &self.shared, batch);
         }
     }
 
@@ -522,8 +524,18 @@ impl SolverService {
     }
 }
 
+/// A worker's simulated device with its flight recorder installed for as
+/// long as the worker owns the device: the recorder is always on, and
+/// bounded and preallocated so recording costs no allocation.
+fn worker_device(spec: &GpuSpec) -> (Device, Arc<Recorder>) {
+    let device = Device::new(spec.clone());
+    let recorder = Arc::new(flight::recorder());
+    device.install_recorder(Arc::clone(&recorder));
+    (device, recorder)
+}
+
 fn worker_loop(cfg: &ServiceConfig, rx: &Receiver<Job>, shared: &Shared) {
-    let device = Device::new(cfg.spec.clone());
+    let (device, recorder) = worker_device(&cfg.spec);
     // Jobs pulled while assembling a batch that belong to a *different*
     // system wait here and seed the next batch.
     let mut stash: VecDeque<Job> = VecDeque::new();
@@ -558,18 +570,20 @@ fn worker_loop(cfg: &ServiceConfig, rx: &Receiver<Job>, shared: &Shared) {
                 Err(_) => break,
             }
         }
-        process_batch(&device, shared, batch);
+        process_batch(&device, &recorder, shared, batch);
     }
 }
 
 /// Solve one batch of compatible jobs on `device`, completing every handle.
+/// `recorder` is the one installed on `device`; it captures the batch
+/// under the leader's trace id.
 ///
 /// A panic while solving does not reach the caller (a worker thread, or
 /// the thread draining the queue): every job of the batch still
-/// unresolved fails with [`JobError::Internal`], the batch's flight
-/// attribution and trace recorder are detached from `device`, and the
-/// panic is counted in [`ServiceMetrics::worker_panics`].
-fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
+/// unresolved fails with [`JobError::Internal`] and keeps the capture up
+/// to the panic as a retained flight trace, and the panic is counted in
+/// [`ServiceMetrics::worker_panics`].
+fn process_batch(device: &Device, recorder: &Recorder, shared: &Shared, batch: Vec<Job>) {
     // A batch reads only clock deltas of its own, so the ledger restarts
     // per batch and a long-lived worker's device stays one batch long.
     device.reset();
@@ -577,13 +591,16 @@ fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
     if live.is_empty() {
         return;
     }
+    recorder.clear();
+    recorder.set_trace_id(live[0].trace_id.get());
     shared.telemetry.jobs_started(live.len());
-    let pending: Vec<(TraceId, Arc<JobState>)> = live
+    let pending: Vec<(TraceId, Instant, Arc<JobState>)> = live
         .iter()
-        .map(|j| (j.trace_id, Arc::clone(&j.state)))
+        .map(|j| (j.trace_id, j.submitted, Arc::clone(&j.state)))
         .collect();
-    let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| solve_batch(device, shared, live)))
-    else {
+    let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| {
+        solve_batch(device, recorder, shared, live);
+    })) else {
         return;
     };
     let why = payload
@@ -591,23 +608,47 @@ fn process_batch(device: &Device, shared: &Shared, batch: Vec<Job>) {
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "panic with a non-string payload".to_string());
-    device.set_flight(None);
-    device.remove_recorder();
     shared.telemetry.record_worker_panic();
-    for (trace_id, state) in pending {
-        let error = JobError::Internal(why.clone());
-        if state.complete_if_pending(&error) {
-            shared.telemetry.jobs_finished(1);
-            shared.telemetry.record_failure();
-            amgt_trace::log::warn(
-                "amgt::server",
-                "batch panicked",
-                &[
-                    ("trace_id", trace_id.to_hex()),
-                    ("reason", error.to_string()),
-                ],
-            );
+    // The span guards closed as the panic unwound through them, so the
+    // capture up to the panic is a well-formed tree.
+    let recording = Arc::new(recorder.snapshot());
+    let batch_size = pending.len();
+    for (trace_id, submitted, state) in pending {
+        // Only this thread resolves the batch's jobs, so a job unresolved
+        // here stays so until `fail` below: its trace and `/jobs` line are
+        // in place before its handle resolves.
+        if state.is_resolved() {
+            continue;
         }
+        let error = JobError::Internal(why.clone());
+        amgt_trace::log::warn(
+            "amgt::server",
+            "batch panicked",
+            &[
+                ("trace_id", trace_id.to_hex()),
+                ("reason", error.to_string()),
+            ],
+        );
+        let wall = submitted.elapsed().as_secs_f64();
+        shared.flight.retain(FlightTrace {
+            trace_id,
+            verdict: error.to_string(),
+            reason: RetainReason::Verdict,
+            wall_seconds: wall,
+            batch_size,
+            recording: Arc::clone(&recording),
+        });
+        shared.telemetry.record_flight_retained();
+        shared.flight.record_completed(CompletedJob {
+            trace_id,
+            verdict: error.to_string(),
+            wall_seconds: wall,
+            batch_size,
+            retained: Some(RetainReason::Verdict),
+        });
+        shared.telemetry.jobs_finished(1);
+        shared.telemetry.record_failure();
+        state.fail(error);
     }
 }
 
@@ -650,9 +691,9 @@ fn preflight(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
                         ("reason", e.to_string()),
                     ],
                 );
-                // Rejections are always retained: the trace is empty of
-                // device events (the job never ran), but the verdict,
-                // latency and identity survive for post-mortems.
+                // Rejections are always retained: the recording is empty
+                // (the job never ran), but the verdict, latency and
+                // identity survive for post-mortems.
                 let wall = job.submitted.elapsed().as_secs_f64();
                 shared.flight.retain(FlightTrace {
                     trace_id: job.trace_id,
@@ -660,8 +701,7 @@ fn preflight(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
                     reason: RetainReason::Rejection,
                     wall_seconds: wall,
                     batch_size: 0,
-                    dropped_events: flight::dropped_events(),
-                    events: flight::snapshot_trace(job.trace_id),
+                    recording: Arc::default(),
                 });
                 shared.telemetry.record_flight_retained();
                 shared.flight.record_completed(CompletedJob {
@@ -680,7 +720,7 @@ fn preflight(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
 }
 
 /// Solve the jobs that passed [`preflight`] as one batch.
-fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
+fn solve_batch(device: &Device, recorder: &Recorder, shared: &Shared, live: Vec<Job>) {
     let mut amg_cfg = live[0].request.config.clone();
     if let Some(exec) = shared.exec_override {
         amg_cfg.exec = exec;
@@ -698,30 +738,10 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
     }
     let sim_start = device.elapsed();
 
-    // Request identity for the batch: the leader's trace id. Every flight
-    // event the setup and solve below record on this device — spans,
-    // kernels, residuals, health — is attributed to it; coalesced jobs
-    // promoted later share the batch's event stream.
+    // The whole batch records under one Job span, in the worker's
+    // recorder, tagged with the leader's trace id.
     let batch_id = live[0].trace_id;
-    device.set_flight(Some(batch_id));
-
-    // Per-batch trace capture: if any coalesced job asked for it, record
-    // the whole batch under one Job span and share the recording.
-    let recorder = live.iter().any(|j| j.request.capture_trace).then(|| {
-        let r = Arc::new(Recorder::new());
-        r.set_trace_id(batch_id.get());
-        device.install_recorder(Arc::clone(&r));
-        r
-    });
-    let job_span = recorder
-        .as_ref()
-        .map(|r| r.open_span(SpanKind::Job, format!("batch x{}", live.len()), sim_start));
-    let batch_label = amgt_trace::SpanLabel::with("batch", live.len() as u64);
-    flight::record(
-        batch_id,
-        sim_start,
-        amgt_trace::EventBody::span_begin(SpanKind::Job, batch_label),
-    );
+    let job_span = device.span(SpanKind::Job, SpanLabel::with("batch", live.len() as u64));
 
     // Hierarchy: cache hit / value refresh / full setup. Setup and refresh
     // are charged to the same device, so `simulated_seconds` honestly
@@ -779,20 +799,12 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
     };
     let report = solve_batched_with_workspace(device, &amg_cfg, &hierarchy, &b, &mut x, ws);
     let simulated = device.elapsed() - sim_start;
-    flight::record(
-        batch_id,
-        device.elapsed(),
-        amgt_trace::EventBody::span_end(SpanKind::Job, batch_label),
-    );
-    device.set_flight(None);
-
-    let trace: Option<Arc<Recording>> = recorder.map(|r| {
-        if let Some(id) = job_span {
-            r.close_span(id, device.elapsed());
-        }
-        device.remove_recorder();
-        Arc::new(r.take())
-    });
+    drop(job_span);
+    // One capture per batch, taken at most once: every job that keeps it
+    // (retained by the sampler, or asked for on `capture_trace`) shares it.
+    let mut capture: Option<Arc<Recording>> = None;
+    let mut shared_capture =
+        || Arc::clone(capture.get_or_insert_with(|| Arc::new(recorder.snapshot())));
 
     let batch_size = live.len();
     shared.telemetry.record_batch(batch_size);
@@ -817,7 +829,6 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
     for (c, job) in live.into_iter().enumerate() {
         let wall = job.submitted.elapsed().as_secs_f64();
         shared.telemetry.record_job(wall, simulated);
-        let job_trace = job.request.capture_trace.then(|| trace.clone()).flatten();
         let health_events: Vec<_> = report
             .health_events
             .iter()
@@ -837,16 +848,15 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
         );
         let flight_retained = shared.sampler.decide(bad, wall);
         if let Some(reason) = flight_retained {
-            // Coalesced jobs share the batch's event stream (recorded
-            // under the leader's id) but are indexed by their own id.
+            // Coalesced jobs share the batch's capture (recorded under the
+            // leader's id) but are indexed by their own id.
             shared.flight.retain(FlightTrace {
                 trace_id: job.trace_id,
                 verdict: verdict.label().to_string(),
                 reason,
                 wall_seconds: wall,
                 batch_size,
-                dropped_events: flight::dropped_events(),
-                events: flight::snapshot_trace(batch_id),
+                recording: shared_capture(),
             });
             shared.telemetry.record_flight_retained();
             amgt_trace::log::info(
@@ -883,7 +893,7 @@ fn solve_batch(device: &Device, shared: &Shared, live: Vec<Job>) {
             batch_size,
             simulated_seconds: simulated,
             wall_seconds: wall,
-            trace: job_trace,
+            trace: job.request.capture_trace.then(&mut shared_capture),
             policy: amg_cfg.policy,
             policy_tuned,
         }));
@@ -908,13 +918,13 @@ mod tests {
         let mut cfg = AmgConfig::amgt_fp64();
         cfg.max_iterations = 5;
         cfg.tolerance = 0.0;
-        let device = Device::new(service.config.spec.clone());
+        let (device, recorder) = worker_device(&service.config.spec);
         let mut first_batch = 0;
         for i in 0..50 {
             let request = SolveRequest::new(a.clone(), b.clone(), cfg.clone());
             let handle = service.submit(request).expect("the queue has room");
             let job = service.rx.try_recv().expect("the job is queued");
-            process_batch(&device, &service.shared, vec![job]);
+            process_batch(&device, &recorder, &service.shared, vec![job]);
             assert!(handle.wait().is_ok(), "batch {i} failed");
             if i == 0 {
                 // The first batch also sets the hierarchy up: the longest.

@@ -7,7 +7,7 @@
 use amgt::prelude::*;
 use amgt_server::{IntrospectionServer, ServiceConfig, SolveRequest, SolverService};
 use amgt_sparse::gen::{laplacian_2d, rhs_of_ones, Stencil2d};
-use amgt_trace::{EventTag, HealthEventKind, RetainReason, SamplerConfig, SpanKind};
+use amgt_trace::{HealthEventKind, RetainReason, SamplerConfig, SpanKind};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -98,36 +98,26 @@ fn divergent_job_leaves_a_post_mortem_trace_fetchable_by_id() {
     assert_eq!(trace.batch_size, 1);
     assert!(trace.wall_seconds >= 0.0);
 
-    // Span tree: a Job root span with phase spans inside, all captured as
-    // begin/end pairs in the ring.
-    let begins: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.body.tag == EventTag::SpanBegin)
-        .collect();
+    // Span tree: a Job root span with phase spans inside, all closed.
+    let rec = &trace.recording;
+    let roots = rec.children(None);
     assert!(
-        begins
-            .iter()
-            .any(|e| e.body.span_kind == SpanKind::Job && e.body.name == "batch"),
-        "no Job root span in {begins:?}"
+        roots.len() == 1 && roots[0].kind == SpanKind::Job && roots[0].name == "batch 1",
+        "no single Job root span in {roots:?}"
     );
     assert!(
-        begins
+        rec.spans
             .iter()
-            .any(|e| e.body.span_kind == SpanKind::Phase && e.body.name.starts_with("solve")),
-        "no solve phase span in {begins:?}"
+            .any(|s| s.kind == SpanKind::Phase && s.name.starts_with("solve")),
+        "no solve phase span in {:?}",
+        rec.spans
     );
-    let n_ends = trace
-        .events
-        .iter()
-        .filter(|e| e.body.tag == EventTag::SpanEnd)
-        .count();
-    assert_eq!(begins.len(), n_ends, "unbalanced span events");
+    assert!(rec.spans.iter().all(|s| s.closed), "unclosed spans");
 
     // The Divergence health event arrived with level + precision
     // attribution intact.
-    let health = trace.health_events();
-    let div = health
+    let div = rec
+        .health
         .iter()
         .find(|e| e.kind == HealthEventKind::Divergence)
         .expect("Divergence health event in the trace");
@@ -138,15 +128,15 @@ fn divergent_job_leaves_a_post_mortem_trace_fetchable_by_id() {
     // The residual history matches what the solve reported, iteration by
     // iteration. The service always runs the batched path, so this job's
     // residuals live under its batch column (0 — it rode alone).
-    let residuals = trace.residual_history(Some(0));
+    let residuals = rec.residual_history(Some(0));
     assert_eq!(residuals.len(), outcome.iterations);
     assert!(
         residuals.last().copied().unwrap() > 1.0,
         "diverged run must end above the initial residual: {residuals:?}"
     );
 
-    // And every event in the trace belongs to this job.
-    assert!(trace.events.iter().all(|e| e.trace_id == submitted_id));
+    // And the whole capture belongs to this job.
+    assert_eq!(rec.trace_id, submitted_id.get());
 
     // The same trace over real HTTP, by id.
     let server = {
@@ -166,10 +156,10 @@ fn divergent_job_leaves_a_post_mortem_trace_fetchable_by_id() {
     assert_eq!(status, 200);
     assert!(body.contains(&format!("\"trace_id\":\"{hex}\"")), "{body}");
     assert!(body.contains("\"verdict\":\"Diverged\""), "{body}");
-    assert!(body.contains("\"name\":\"Divergence\""), "{body}");
-    assert!(body.contains("\"tag\":\"Residual\""), "{body}");
+    assert!(body.contains("\"kind\":\"Divergence\""), "{body}");
+    assert!(body.contains("\"residuals\":[{"), "{body}");
 
-    // The exporters reconstruct a Recording from the same events.
+    // The exporters run over the same recording.
     let (status, body) = http_get(http.addr(), &format!("/debug/flight/{hex}?format=chrome"));
     assert_eq!(status, 200);
     assert!(body.contains("\"traceEvents\":["), "{body}");
@@ -248,4 +238,38 @@ fn shutdown_dumps_retained_traces_to_flight_dir() {
     assert!(text.contains("\"verdict\":\"Diverged\""));
     assert!(text.contains(&format!("\"trace_id\":\"{}\"", id.to_hex())));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `capture_trace` job whose batch the sampler also retains gets the
+/// very same recording on its outcome and in the retained store: one
+/// capture per batch.
+#[test]
+fn captured_and_retained_traces_share_one_recording() {
+    let service = SolverService::new(ServiceConfig {
+        workers: 0,
+        flight_sampler: SamplerConfig {
+            sample_probability: 1.0,
+            ..SamplerConfig::default()
+        },
+        ..Default::default()
+    });
+    let a = laplacian_2d(16, 16, Stencil2d::Five);
+    let b = rhs_of_ones(&a);
+    let mut cfg = AmgConfig::amgt_fp64();
+    cfg.tolerance = 1e-8;
+
+    let handle = service
+        .submit(SolveRequest::new(a, b, cfg).with_trace())
+        .unwrap();
+    let id = handle.trace_id();
+    service.drain_pending();
+    let outcome = handle.wait().unwrap();
+
+    assert_eq!(outcome.flight_retained, Some(RetainReason::Sampled));
+    let captured = outcome.trace.expect("a capture_trace job has a recording");
+    let retained = service.flight_trace(id).expect("sampled at probability 1");
+    assert!(Arc::ptr_eq(&captured, &retained.recording));
+    assert_eq!(captured.trace_id, id.get());
+    assert_eq!(captured.children(None).len(), 1, "one Job root span");
+    service.shutdown();
 }

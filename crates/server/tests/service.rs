@@ -368,7 +368,7 @@ fn per_job_trace_capture_returns_batch_recording() {
     assert_eq!(roots.len(), 1, "one root span: {roots:?}");
     let job_span = roots[0];
     assert_eq!(job_span.kind, amgt_trace::SpanKind::Job);
-    assert_eq!(job_span.name, "batch x2");
+    assert_eq!(job_span.name, "batch 2");
     assert!(job_span.closed);
     let phases: Vec<&str> = rec
         .children(Some(job_span.id))
@@ -385,7 +385,7 @@ fn per_job_trace_capture_returns_batch_recording() {
     // And it exports.
     let json = amgt_trace::chrome_trace(rec);
     assert!(json.contains("\"traceEvents\":["));
-    assert!(json.contains("batch x2"));
+    assert!(json.contains("batch 2"));
 }
 
 /// 2D Laplacian shifted to negative definiteness (`L - 9 I`): the L1-Jacobi
@@ -499,6 +499,27 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         Err(e) => panic!("expected an internal error, got {e}"),
         Ok(_) => panic!("a column out of range cannot solve"),
     }
+    // The panicked batch keeps its capture up to the panic, retained under
+    // the failed job's id and listed among the completed jobs.
+    let trace = service
+        .flight_trace(bad.trace_id())
+        .expect("a panicked batch retains its trace");
+    assert_eq!(trace.reason, amgt_trace::RetainReason::Verdict);
+    assert!(trace.verdict.contains("out of range"), "{}", trace.verdict);
+    assert!(
+        trace
+            .recording
+            .spans
+            .iter()
+            .any(|s| s.kind == amgt_trace::SpanKind::Phase && s.name == "setup"),
+        "no setup span in {:?}",
+        trace.recording.spans
+    );
+    assert!(service
+        .recent_jobs()
+        .iter()
+        .any(|j| j.trace_id == bad.trace_id()
+            && j.retained == Some(amgt_trace::RetainReason::Verdict)));
 
     let a = test_matrix();
     let b = rhs_of_ones(&a);

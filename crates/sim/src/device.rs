@@ -7,11 +7,10 @@
 
 use crate::cost::{kernel_seconds, Algo, GpuSpec, KernelCost, KernelKind};
 use crate::precision::Precision;
-use amgt_trace::flight::{self, EventBody};
-use amgt_trace::{HealthEvent, KernelSample, Recorder, SpanKind, SpanLabel, TraceId};
+use amgt_trace::{KernelSample, Recorder, SpanKind, SpanLabel};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Phase of the AMG algorithm an event belongs to.
@@ -57,7 +56,9 @@ struct DeviceState {
 }
 
 /// A simulated GPU: immutable spec + mutable clock/ledger, plus an
-/// optional [`Recorder`] the trace layer installs.
+/// optional [`Recorder`] the trace layer installs — the device's one
+/// tracing hook. The request identity of the work being charged lives on
+/// the recorder ([`Recorder::set_trace_id`]).
 ///
 /// When no recorder is installed (the default), the only tracing cost on
 /// the charge path is one relaxed atomic load.
@@ -66,11 +67,6 @@ pub struct Device {
     state: Mutex<DeviceState>,
     traced: AtomicBool,
     recorder: Mutex<Option<Arc<Recorder>>>,
-    /// Raw flight-recorder [`TraceId`] of the job currently charging this
-    /// device (`0` = no request identity). Consulted only when the global
-    /// flight gate is already enabled, so an untraced run still pays one
-    /// relaxed load per charge.
-    flight_ctx: AtomicU64,
 }
 
 /// RAII guard for a trace span opened on a [`Device`]. Closes the span at
@@ -82,10 +78,6 @@ pub struct Device {
 pub struct DeviceSpan<'a> {
     device: &'a Device,
     open: Option<(Arc<Recorder>, u64)>,
-    /// Flight-recorder bookkeeping: the trace id captured at open plus the
-    /// span identity, so the SpanEnd event pairs with its SpanBegin even if
-    /// the device's flight context changes while the guard lives.
-    flight_open: Option<(TraceId, SpanKind, SpanLabel)>,
 }
 
 impl DeviceSpan<'_> {
@@ -100,13 +92,6 @@ impl Drop for DeviceSpan<'_> {
         if let Some((recorder, id)) = self.open.take() {
             recorder.close_span(id, self.device.elapsed());
         }
-        if let Some((trace_id, kind, label)) = self.flight_open.take() {
-            flight::record(
-                trace_id,
-                self.device.elapsed(),
-                EventBody::span_end(kind, label),
-            );
-        }
     }
 }
 
@@ -117,7 +102,6 @@ impl Device {
             state: Mutex::new(DeviceState::default()),
             traced: AtomicBool::new(false),
             recorder: Mutex::new(None),
-            flight_ctx: AtomicU64::new(0),
         }
     }
 
@@ -147,63 +131,21 @@ impl Device {
     }
 
     /// Open a named span at the current simulated clock; the returned
-    /// guard closes it on drop. The [`SpanLabel`] is rendered to a string
-    /// only when a recorder is installed, so untraced runs pay no
-    /// formatting cost; the flight recorder stores the label unrendered.
+    /// guard closes it on drop. The recorder stores the [`SpanLabel`]
+    /// unrendered, so opening a span never allocates.
     pub fn span(&self, kind: SpanKind, label: SpanLabel) -> DeviceSpan<'_> {
         let open = self.recorder().map(|recorder| {
-            let id = recorder.open_span(kind, label.render(), self.elapsed());
+            let id = recorder.open_span(kind, label, self.elapsed());
             (recorder, id)
         });
-        let flight_open = if flight::is_enabled() {
-            self.flight_id().map(|trace_id| {
-                flight::record(trace_id, self.elapsed(), EventBody::span_begin(kind, label));
-                (trace_id, kind, label)
-            })
-        } else {
-            None
-        };
-        DeviceSpan {
-            device: self,
-            open,
-            flight_open,
-        }
+        DeviceSpan { device: self, open }
     }
 
-    /// Attach (or clear, with `None`) the flight-recorder request identity
-    /// that subsequent charges on this device are attributed to.
-    pub fn set_flight(&self, trace_id: Option<TraceId>) {
-        self.flight_ctx
-            .store(trace_id.map_or(0, |id| id.get()), Ordering::Relaxed);
-    }
-
-    /// The flight-recorder request identity currently attached, if any.
-    pub fn flight_id(&self) -> Option<TraceId> {
-        TraceId::from_raw(self.flight_ctx.load(Ordering::Relaxed))
-    }
-
-    /// Record a per-iteration residual into the flight ring, attributed to
-    /// the attached request identity. No-op when the flight recorder is
-    /// disabled or no identity is attached.
-    pub fn flight_residual(&self, iteration: usize, column: Option<usize>, relres: f64) {
-        if flight::is_enabled() {
-            if let Some(id) = self.flight_id() {
-                flight::record(
-                    id,
-                    self.elapsed(),
-                    EventBody::residual(iteration, column, relres),
-                );
-            }
-        }
-    }
-
-    /// Record a health incident into the flight ring, attributed to the
-    /// attached request identity. No-op when disabled or unattributed.
-    pub fn flight_health(&self, ev: &HealthEvent) {
-        if flight::is_enabled() {
-            if let Some(id) = self.flight_id() {
-                flight::record(id, self.elapsed(), EventBody::health(ev));
-            }
+    /// Record one outer iteration's relative residual into the installed
+    /// recorder, if any.
+    pub fn record_residual(&self, iteration: usize, column: Option<usize>, relres: f64) {
+        if let Some(recorder) = self.recorder() {
+            recorder.record_residual(iteration, column, relres);
         }
     }
 
@@ -253,39 +195,7 @@ impl Device {
                 kind, algo, phase, level, precision, sim_start, seconds, cost, wall_ns,
             );
         }
-        self.flight_kernel(kind, algo, phase, level, precision, sim_start, seconds);
         seconds
-    }
-
-    /// Flight-recorder kernel hook: one relaxed load when the global gate
-    /// is off, one more for the per-device identity when it is on.
-    #[allow(clippy::too_many_arguments)]
-    fn flight_kernel(
-        &self,
-        kind: KernelKind,
-        algo: Algo,
-        phase: Phase,
-        level: u32,
-        precision: Precision,
-        sim_start: f64,
-        seconds: f64,
-    ) {
-        if flight::is_enabled() {
-            if let Some(id) = self.flight_id() {
-                flight::record(
-                    id,
-                    sim_start,
-                    EventBody::kernel(
-                        kind.label(),
-                        algo.label(),
-                        phase.label(),
-                        level,
-                        precision.label(),
-                        seconds,
-                    ),
-                );
-            }
-        }
     }
 
     /// Append to the ledger and advance the clock; returns the clock value
@@ -329,7 +239,7 @@ impl Device {
         cost: &KernelCost,
         wall_ns: u64,
     ) {
-        if let Some(recorder) = self.recorder.lock().clone() {
+        if let Some(recorder) = self.recorder.lock().as_ref() {
             recorder.record_kernel(KernelSample {
                 kind: kind.label(),
                 algo: algo.label(),
@@ -641,24 +551,12 @@ mod tests {
 
     #[test]
     fn flight_hooks_attribute_to_the_attached_identity() {
-        use amgt_trace::flight::EventTag;
-        // The only sim-crate test that enables the process-global flight
-        // gate; other tests' devices carry no identity, so they cannot
-        // pollute this trace id even while the gate is on.
-        flight::enable();
         let dev = Device::new(GpuSpec::a100());
-        // No identity attached: the enabled gate alone records nothing.
-        dev.charge(
-            KernelKind::Vector,
-            Algo::Shared,
-            Phase::Preprocess,
-            0,
-            Precision::Fp64,
-            &cost_bytes(1e6),
-        );
-        let id = TraceId::generate();
-        dev.set_flight(Some(id));
-        assert_eq!(dev.flight_id(), Some(id));
+        // No recorder installed: residuals go nowhere.
+        dev.record_residual(1, None, 0.5);
+        let recorder = Arc::new(Recorder::new());
+        recorder.set_trace_id(0xabcd);
+        dev.install_recorder(recorder.clone());
         {
             let _span = dev.span(SpanKind::Level, SpanLabel::with("level", 2));
             dev.charge(
@@ -669,39 +567,21 @@ mod tests {
                 Precision::Fp16,
                 &cost_bytes(1e6),
             );
-            dev.flight_residual(1, None, 0.25);
+            dev.record_residual(1, Some(3), 0.25);
         }
-        dev.set_flight(None);
-        // Detached again: further charges are unattributed.
-        dev.charge(
-            KernelKind::Vector,
-            Algo::Shared,
-            Phase::Solve,
-            0,
-            Precision::Fp64,
-            &cost_bytes(1e6),
-        );
-        flight::disable();
+        dev.remove_recorder();
+        // Detached again: further residuals are unattributed.
+        dev.record_residual(2, Some(3), 0.125);
 
-        let events = flight::snapshot_trace(id);
-        let tags: Vec<EventTag> = events.iter().map(|e| e.body.tag).collect();
-        assert_eq!(
-            tags,
-            vec![
-                EventTag::SpanBegin,
-                EventTag::Kernel,
-                EventTag::Residual,
-                EventTag::SpanEnd
-            ],
-            "{events:?}"
-        );
-        assert_eq!(events[0].body.name, "level");
-        assert_eq!(events[0].body.arg, 2);
-        assert_eq!(events[1].body.name, KernelKind::SpMV.label());
-        assert_eq!(events[1].body.precision, "FP16");
-        assert_eq!(events[1].body.level, 2);
-        assert_eq!(events[2].body.value, 0.25);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+        let rec = recorder.take();
+        assert_eq!(rec.trace_id, 0xabcd);
+        assert_eq!(rec.spans.len(), 1);
+        assert_eq!(rec.spans[0].name, "level 2");
+        assert_eq!(rec.kernels.len(), 1);
+        assert_eq!(rec.kernels[0].precision, "FP16");
+        assert_eq!(rec.kernels[0].parent, Some(rec.spans[0].id));
+        assert_eq!(rec.residual_history(Some(3)), vec![0.25]);
+        assert!(rec.residual_history(None).is_empty());
     }
 
     #[test]

@@ -363,7 +363,7 @@ fn percent(part: f64, whole: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{KernelSample, Recorder, SpanKind};
+    use crate::recorder::{KernelSample, Recorder, SpanKind, SpanLabel};
 
     fn sample(
         kind: &'static str,
@@ -390,11 +390,11 @@ mod tests {
 
     fn two_phase_recording() -> Recording {
         let r = Recorder::new();
-        let setup = r.open_span(SpanKind::Phase, "setup", 0.0);
+        let setup = r.open_span(SpanKind::Phase, SpanLabel::named("setup"), 0.0);
         r.record_kernel(sample("SpGEMM-numeric", "Setup", 0, 0.0, 3e-6));
         r.record_kernel(sample("Convert", "Setup", 1, 3e-6, 1e-6));
         r.close_span(setup, 4e-6);
-        let solve = r.open_span(SpanKind::Phase, "solve", 4e-6);
+        let solve = r.open_span(SpanKind::Phase, SpanLabel::named("solve"), 4e-6);
         r.record_kernel(sample("SpMV", "Solve", 0, 4e-6, 2e-6));
         r.record_kernel(sample("SpMV", "Solve", 0, 6e-6, 2e-6));
         r.record_kernel(sample("SpMV", "Solve", 1, 8e-6, 1e-6));
@@ -470,8 +470,8 @@ mod tests {
     fn chrome_trace_with_unclosed_spans_is_parseable_json() {
         // Snapshot mid-solve: two spans still open, one kernel charged.
         let r = Recorder::new();
-        r.open_span(SpanKind::Phase, "solve", 0.0);
-        r.open_span(SpanKind::Iteration, "iteration 1", 1e-6);
+        r.open_span(SpanKind::Phase, SpanLabel::named("solve"), 0.0);
+        r.open_span(SpanKind::Iteration, SpanLabel::with("iteration", 1), 1e-6);
         r.record_kernel(sample("SpMV", "Solve", 0, 1e-6, 2e-6));
         let rec = r.snapshot();
         assert!(

@@ -49,17 +49,6 @@ impl HealthEventKind {
             HealthEventKind::NonFinite => "NonFinite",
         }
     }
-
-    /// Inverse of [`label`](Self::label) — used when rebuilding events
-    /// from compact flight-recorder captures.
-    pub fn from_label(label: &str) -> Option<HealthEventKind> {
-        match label {
-            "Stagnation" => Some(HealthEventKind::Stagnation),
-            "Divergence" => Some(HealthEventKind::Divergence),
-            "NonFinite" => Some(HealthEventKind::NonFinite),
-            _ => None,
-        }
-    }
 }
 
 /// One structured health incident. Emitted through
@@ -83,9 +72,9 @@ pub struct HealthEvent {
     pub column: Option<usize>,
     /// Free-form context ("residual grew 1.2e5x", ...).
     pub detail: String,
-    /// Raw flight-recorder [`TraceId`](crate::TraceId) of the job that
-    /// produced the event; `0` when the solve ran without request
-    /// identity (direct library use).
+    /// Raw [`TraceId`](crate::TraceId) of the job that produced the
+    /// event, taken from the device's recorder; `0` when the solve ran
+    /// without request identity (direct library use).
     pub trace_id: u64,
 }
 

@@ -7,8 +7,12 @@
 //! * [`recorder`] — a thread-safe [`Recorder`] of [`SpanRecord`]s (phase /
 //!   level / iteration / job regions) and [`KernelRecord`]s (one per
 //!   simulated kernel launch), ring-buffer backed so memory stays bounded.
-//!   When no recorder is installed on a device the cost is one relaxed
-//!   atomic load per kernel — the zero-cost-when-disabled path.
+//!   It is the one trace capture of a device: when no recorder is
+//!   installed the cost is one relaxed atomic load per kernel — the
+//!   zero-cost-when-disabled path.
+//! * [`flight`] — request identity ([`TraceId`]), the bounded recorder a
+//!   long-lived worker installs for life, and the [`TailSampler`] that
+//!   decides which finished jobs keep their capture as a [`FlightTrace`].
 //! * [`metrics`] — [`Counter`] / [`Gauge`] / [`Histogram`] primitives and a
 //!   [`Registry`] with Prometheus-style text exposition, used by
 //!   `amgt-server` for its scrape endpoint.
@@ -33,14 +37,12 @@ pub mod profile;
 pub mod recorder;
 
 pub use export::{chrome_trace, folded_stacks, folded_total_ns, Breakdown, BreakdownRow};
-pub use flight::{
-    EventBody, EventTag, FlightEvent, FlightTrace, RetainReason, SamplerConfig, SpanLabel,
-    TailSampler, TraceId,
-};
+pub use flight::{FlightTrace, RetainReason, SamplerConfig, TailSampler, TraceId};
 pub use health::{HealthEvent, HealthEventKind, HierarchyDiagnostics, LevelStats};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use profile::{ClassProfile, FidelityReport, FidelityRow, KernelClass, WallAgg, WallProfile};
 pub use recorder::{
-    KernelRecord, KernelSample, PolicyNote, PolicyParam, Recorder, Recording, SpanKind, SpanRecord,
+    KernelRecord, KernelSample, PolicyNote, PolicyParam, Recorder, Recording, ResidualRecord,
+    SpanKind, SpanLabel, SpanRecord,
 };

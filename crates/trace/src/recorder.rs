@@ -13,9 +13,13 @@
 //!
 //! Both stores are bounded: spans stop being recorded past `span_capacity`
 //! (newest dropped, counted), kernel events live in a ring buffer that
-//! drops the *oldest* event past `kernel_capacity` (also counted). A
-//! snapshot of the whole state is a [`Recording`], which the exporters in
-//! [`crate::export`] consume.
+//! drops the *oldest* event past `kernel_capacity` (also counted). Health
+//! events and per-iteration residuals ride along, bounded by the span
+//! capacity. Spans are stored as allocation-free [`SpanLabel`]s and
+//! rendered to names only when a [`Recording`] is snapshotted, so a
+//! recorder built with [`Recorder::with_capacity`] and reused through
+//! [`Recorder::clear`] records without allocating. The exporters in
+//! [`crate::export`] consume the [`Recording`].
 
 use crate::health::{HealthEvent, HierarchyDiagnostics};
 use parking_lot::Mutex;
@@ -36,6 +40,36 @@ pub enum SpanKind {
     Level,
     /// Anything else (initial residual, coarse factorization, ...).
     Region,
+}
+
+/// Compact span label: a static base name plus an optional numeric
+/// argument (`"level" + 3` renders as `"level 3"`). Lets the recording
+/// path describe spans without allocating.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+pub struct SpanLabel {
+    pub name: &'static str,
+    pub arg: Option<u64>,
+}
+
+impl SpanLabel {
+    pub const fn named(name: &'static str) -> SpanLabel {
+        SpanLabel { name, arg: None }
+    }
+
+    pub const fn with(name: &'static str, arg: u64) -> SpanLabel {
+        SpanLabel {
+            name,
+            arg: Some(arg),
+        }
+    }
+
+    /// The human-readable form (allocates; not for the hot path).
+    pub fn render(&self) -> String {
+        match self.arg {
+            Some(a) => format!("{} {a}", self.name),
+            None => self.name.to_string(),
+        }
+    }
 }
 
 /// One recorded region. `sim_*` are simulated-device seconds, `wall_*` are
@@ -110,6 +144,16 @@ pub struct KernelSample {
     pub launches: u32,
 }
 
+/// One outer iteration's relative residual.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+pub struct ResidualRecord {
+    /// Outer iteration (1-based).
+    pub iteration: usize,
+    /// Batched-RHS column; `None` for single-vector solves.
+    pub column: Option<usize>,
+    pub relative_residual: f64,
+}
+
 /// One named scalar of the kernel policy a run executed under.
 #[derive(Clone, Debug, Serialize)]
 pub struct PolicyParam {
@@ -146,6 +190,8 @@ pub struct Recording {
     /// Numerical-health incidents (stagnation/divergence/non-finite) in
     /// emission order.
     pub health: Vec<HealthEvent>,
+    /// Per-iteration relative residuals in emission order.
+    pub residuals: Vec<ResidualRecord>,
     /// Hierarchy-quality stats attached after the most recent AMG setup.
     pub hierarchy: Option<HierarchyDiagnostics>,
     /// Kernel-policy provenance for the run, when the driver attached one.
@@ -158,9 +204,9 @@ pub struct Recording {
     /// recorded). Results are bitwise identical across backends; wall-clock
     /// fields are only comparable between recordings with equal labels.
     pub exec: String,
-    /// Raw flight-recorder trace id of the job this recording captured
-    /// (`0` = the run carried no request identity). Lets an opt-in full
-    /// trace be joined against flight-recorder artifacts and log lines.
+    /// Raw [`TraceId`](crate::TraceId) of the job this recording captured
+    /// (`0` = the run carried no request identity). Joins the recording
+    /// against log lines, health events and retained flight traces.
     pub trace_id: u64,
 }
 
@@ -169,7 +215,18 @@ impl Recording {
         self.spans.is_empty()
             && self.kernels.is_empty()
             && self.health.is_empty()
+            && self.residuals.is_empty()
             && self.hierarchy.is_none()
+    }
+
+    /// Per-iteration relative residuals recorded for `column` (`None`
+    /// matches single-vector residuals).
+    pub fn residual_history(&self, column: Option<usize>) -> Vec<f64> {
+        self.residuals
+            .iter()
+            .filter(|r| r.column == column)
+            .map(|r| r.relative_residual)
+            .collect()
     }
 
     /// Sum of all kernel durations — must agree with `Device::elapsed()`
@@ -246,11 +303,14 @@ struct RecorderState {
     next_seq: u64,
     /// Open-span stack; the top is the parent of new spans and kernels.
     stack: Vec<u64>,
-    spans: Vec<SpanRecord>,
+    /// Spans with their unrendered labels; `name` stays empty until a
+    /// snapshot renders it.
+    spans: Vec<(SpanLabel, SpanRecord)>,
     dropped_spans: u64,
     kernels: VecDeque<KernelRecord>,
     dropped_kernels: u64,
     health: Vec<HealthEvent>,
+    residuals: Vec<ResidualRecord>,
     hierarchy: Option<HierarchyDiagnostics>,
     policy: Option<PolicyNote>,
     threads: usize,
@@ -274,6 +334,10 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 /// paper-scale run with room to spare.
 pub const DEFAULT_KERNEL_CAPACITY: usize = 1 << 20;
 
+/// Open-span nesting reserved up front: job, phase, iteration and one
+/// span per level visit fit many times over.
+const STACK_RESERVE: usize = 64;
+
 impl Default for Recorder {
     fn default() -> Self {
         Recorder::new()
@@ -281,12 +345,24 @@ impl Default for Recorder {
 }
 
 impl Recorder {
+    /// Recorder with the default bounds, growing its stores on demand.
     pub fn new() -> Self {
-        Recorder::with_capacity(DEFAULT_SPAN_CAPACITY, DEFAULT_KERNEL_CAPACITY)
+        Recorder::bounded(DEFAULT_SPAN_CAPACITY, DEFAULT_KERNEL_CAPACITY, false)
     }
 
-    /// Recorder with explicit memory bounds.
+    /// Recorder with explicit memory bounds, all of it reserved up front:
+    /// recording never reallocates, and [`Recorder::clear`] keeps the
+    /// reservation.
     pub fn with_capacity(span_capacity: usize, kernel_capacity: usize) -> Self {
+        Recorder::bounded(span_capacity, kernel_capacity, true)
+    }
+
+    fn bounded(span_capacity: usize, kernel_capacity: usize, reserve: bool) -> Self {
+        let (spans, kernels) = if reserve {
+            (span_capacity, kernel_capacity)
+        } else {
+            (0, 0)
+        };
         Recorder {
             epoch: Instant::now(),
             span_capacity,
@@ -294,12 +370,13 @@ impl Recorder {
             state: Mutex::new(RecorderState {
                 next_span_id: 1,
                 next_seq: 0,
-                stack: Vec::new(),
-                spans: Vec::new(),
+                stack: Vec::with_capacity(STACK_RESERVE),
+                spans: Vec::with_capacity(spans),
                 dropped_spans: 0,
-                kernels: VecDeque::new(),
+                kernels: VecDeque::with_capacity(kernels),
                 dropped_kernels: 0,
                 health: Vec::new(),
+                residuals: Vec::with_capacity(spans),
                 hierarchy: None,
                 policy: None,
                 threads: 0,
@@ -315,24 +392,27 @@ impl Recorder {
 
     /// Open a span at simulated time `sim_ts`; returns its id. The span
     /// becomes the parent of subsequent spans/kernels until closed.
-    pub fn open_span(&self, kind: SpanKind, name: impl Into<String>, sim_ts: f64) -> u64 {
+    pub fn open_span(&self, kind: SpanKind, label: SpanLabel, sim_ts: f64) -> u64 {
         let wall = self.wall_us();
         let mut st = self.state.lock();
         let id = st.next_span_id;
         st.next_span_id += 1;
         let parent = st.stack.last().copied();
         if st.spans.len() < self.span_capacity {
-            st.spans.push(SpanRecord {
-                id,
-                parent,
-                kind,
-                name: name.into(),
-                sim_start: sim_ts,
-                sim_end: sim_ts,
-                wall_start_us: wall,
-                wall_end_us: wall,
-                closed: false,
-            });
+            st.spans.push((
+                label,
+                SpanRecord {
+                    id,
+                    parent,
+                    kind,
+                    name: String::new(),
+                    sim_start: sim_ts,
+                    sim_end: sim_ts,
+                    wall_start_us: wall,
+                    wall_end_us: wall,
+                    closed: false,
+                },
+            ));
         } else {
             st.dropped_spans += 1;
         }
@@ -348,8 +428,8 @@ impl Recorder {
         if let Some(pos) = st.stack.iter().rposition(|&s| s == id) {
             st.stack.truncate(pos);
         }
-        if let Ok(i) = st.spans.binary_search_by_key(&id, |s| s.id) {
-            let span = &mut st.spans[i];
+        if let Ok(i) = st.spans.binary_search_by_key(&id, |(_, s)| s.id) {
+            let span = &mut st.spans[i].1;
             span.sim_end = sim_ts;
             span.wall_end_us = wall;
             span.closed = true;
@@ -397,6 +477,19 @@ impl Recorder {
         }
     }
 
+    /// Record one outer iteration's relative residual. Bounded by the span
+    /// capacity, like the health events; past it the newest are dropped.
+    pub fn record_residual(&self, iteration: usize, column: Option<usize>, relative_residual: f64) {
+        let mut st = self.state.lock();
+        if st.residuals.len() < self.span_capacity {
+            st.residuals.push(ResidualRecord {
+                iteration,
+                column,
+                relative_residual,
+            });
+        }
+    }
+
     /// Attach hierarchy-quality diagnostics (computed after AMG setup).
     /// A re-setup replaces the previous diagnostics.
     pub fn set_hierarchy(&self, diag: HierarchyDiagnostics) {
@@ -421,21 +514,35 @@ impl Recorder {
         self.state.lock().exec = exec.into();
     }
 
-    /// Attach the raw flight-recorder trace id of the job being recorded
-    /// (see [`Recording::trace_id`]).
+    /// Attach the raw [`TraceId`](crate::TraceId) of the job being
+    /// recorded (see [`Recording::trace_id`]).
     pub fn set_trace_id(&self, trace_id: u64) {
         self.state.lock().trace_id = trace_id;
     }
 
-    /// Clone the current state without draining it.
+    /// The raw trace id attached by [`Recorder::set_trace_id`] (`0` = none).
+    pub fn trace_id(&self) -> u64 {
+        self.state.lock().trace_id
+    }
+
+    /// Clone the current state without draining it; span labels are
+    /// rendered to names here.
     pub fn snapshot(&self) -> Recording {
         let st = self.state.lock();
         Recording {
-            spans: st.spans.clone(),
+            spans: st
+                .spans
+                .iter()
+                .map(|(label, span)| SpanRecord {
+                    name: label.render(),
+                    ..span.clone()
+                })
+                .collect(),
             kernels: st.kernels.iter().cloned().collect(),
             dropped_spans: st.dropped_spans,
             dropped_kernels: st.dropped_kernels,
             health: st.health.clone(),
+            residuals: st.residuals.clone(),
             hierarchy: st.hierarchy.clone(),
             policy: st.policy.clone(),
             threads: st.threads,
@@ -444,24 +551,26 @@ impl Recorder {
         }
     }
 
-    /// Drain the recorder, leaving it empty (ids keep counting up).
-    pub fn take(&self) -> Recording {
+    /// Empty the recorder in place, keeping every store's capacity. Ids
+    /// keep counting up, so records from two epochs never collide; the
+    /// thread width, exec label and trace id stay attached.
+    pub fn clear(&self) {
         let mut st = self.state.lock();
-        let rec = Recording {
-            spans: std::mem::take(&mut st.spans),
-            kernels: st.kernels.drain(..).collect(),
-            dropped_spans: st.dropped_spans,
-            dropped_kernels: st.dropped_kernels,
-            health: std::mem::take(&mut st.health),
-            hierarchy: st.hierarchy.take(),
-            policy: st.policy.take(),
-            threads: st.threads,
-            exec: st.exec.clone(),
-            trace_id: st.trace_id,
-        };
         st.stack.clear();
+        st.spans.clear();
         st.dropped_spans = 0;
+        st.kernels.clear();
         st.dropped_kernels = 0;
+        st.health.clear();
+        st.residuals.clear();
+        st.hierarchy = None;
+        st.policy = None;
+    }
+
+    /// [`Recorder::snapshot`] followed by [`Recorder::clear`].
+    pub fn take(&self) -> Recording {
+        let rec = self.snapshot();
+        self.clear();
         rec
     }
 }
@@ -488,12 +597,52 @@ mod tests {
     }
 
     #[test]
+    fn span_labels_render_with_and_without_arg() {
+        assert_eq!(SpanLabel::named("solve").render(), "solve");
+        assert_eq!(SpanLabel::with("level", 3).render(), "level 3");
+    }
+
+    #[test]
+    fn clear_empties_in_place_and_keeps_capacity() {
+        let r = Recorder::with_capacity(8, 4);
+        r.set_trace_id(42);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("solve"), 0.0);
+        r.record_kernel(sample(0, 1e-6));
+        r.record_residual(1, None, 0.5);
+        r.close_span(a, 1e-6);
+        let reserved = {
+            let st = r.state.lock();
+            (st.spans.capacity(), st.kernels.capacity())
+        };
+        r.clear();
+        let rec = r.snapshot();
+        assert!(rec.is_empty(), "{rec:?}");
+        assert_eq!(rec.trace_id, 42, "the trace id stays attached");
+        let st = r.state.lock();
+        assert_eq!((st.spans.capacity(), st.kernels.capacity()), reserved);
+        assert!(reserved.0 >= 8 && reserved.1 >= 4, "{reserved:?}");
+    }
+
+    #[test]
+    fn residual_list_is_bounded_by_span_capacity() {
+        let r = Recorder::with_capacity(3, 4);
+        for i in 1..=5 {
+            r.record_residual(i, Some(1), 1.0 / i as f64);
+        }
+        r.record_residual(1, None, 0.9);
+        let rec = r.take();
+        assert_eq!(rec.residuals.len(), 3, "newest dropped past the bound");
+        assert_eq!(rec.residual_history(Some(1)), vec![1.0, 0.5, 1.0 / 3.0]);
+        assert!(rec.residual_history(None).is_empty());
+    }
+
+    #[test]
     fn spans_nest_via_stack() {
         let r = Recorder::new();
-        let a = r.open_span(SpanKind::Phase, "solve", 0.0);
-        let b = r.open_span(SpanKind::Iteration, "iteration 1", 0.0);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("solve"), 0.0);
+        let b = r.open_span(SpanKind::Iteration, SpanLabel::with("iteration", 1), 0.0);
         r.record_kernel(sample(0, 1e-6));
-        let c = r.open_span(SpanKind::Level, "level 0", 1e-6);
+        let c = r.open_span(SpanKind::Level, SpanLabel::with("level", 0), 1e-6);
         r.record_kernel(sample(0, 2e-6));
         r.close_span(c, 3e-6);
         r.close_span(b, 3e-6);
@@ -514,11 +663,11 @@ mod tests {
     #[test]
     fn close_pops_unclosed_descendants() {
         let r = Recorder::new();
-        let outer = r.open_span(SpanKind::Phase, "outer", 0.0);
-        let _leaked = r.open_span(SpanKind::Region, "leaked", 0.0);
+        let outer = r.open_span(SpanKind::Phase, SpanLabel::named("outer"), 0.0);
+        let _leaked = r.open_span(SpanKind::Region, SpanLabel::named("leaked"), 0.0);
         r.close_span(outer, 1.0);
         // The stack is empty again: a new span is a root.
-        let root2 = r.open_span(SpanKind::Phase, "next", 1.0);
+        let root2 = r.open_span(SpanKind::Phase, SpanLabel::named("next"), 1.0);
         let rec = r.snapshot();
         assert_eq!(rec.span(root2).unwrap().parent, None);
         assert!(!rec.span(_leaked).unwrap().closed);
@@ -541,9 +690,9 @@ mod tests {
     #[test]
     fn span_capacity_drops_newest() {
         let r = Recorder::with_capacity(2, 16);
-        let a = r.open_span(SpanKind::Phase, "a", 0.0);
-        let b = r.open_span(SpanKind::Phase, "b", 0.0);
-        let c = r.open_span(SpanKind::Phase, "c", 0.0);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("a"), 0.0);
+        let b = r.open_span(SpanKind::Phase, SpanLabel::named("b"), 0.0);
+        let c = r.open_span(SpanKind::Phase, SpanLabel::named("c"), 0.0);
         r.close_span(c, 1.0);
         r.close_span(b, 1.0);
         r.close_span(a, 1.0);
@@ -556,7 +705,7 @@ mod tests {
     #[test]
     fn take_drains_and_resets() {
         let r = Recorder::new();
-        let a = r.open_span(SpanKind::Phase, "x", 0.0);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("x"), 0.0);
         r.record_kernel(sample(0, 1e-6));
         r.close_span(a, 1e-6);
         let first = r.take();
@@ -564,15 +713,15 @@ mod tests {
         let second = r.take();
         assert!(second.is_empty());
         // Ids keep growing, so records from the two epochs never collide.
-        let b = r.open_span(SpanKind::Phase, "y", 0.0);
+        let b = r.open_span(SpanKind::Phase, SpanLabel::named("y"), 0.0);
         assert!(b > a);
     }
 
     #[test]
     fn render_span_tree_shows_nesting() {
         let r = Recorder::new();
-        let a = r.open_span(SpanKind::Phase, "solve", 0.0);
-        let b = r.open_span(SpanKind::Level, "level 0", 0.0);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("solve"), 0.0);
+        let b = r.open_span(SpanKind::Level, SpanLabel::with("level", 0), 0.0);
         r.record_kernel(sample(0, 5e-6));
         r.close_span(b, 5e-6);
         r.close_span(a, 5e-6);
@@ -677,7 +826,7 @@ mod tests {
     #[test]
     fn recording_serializes_to_json() {
         let r = Recorder::new();
-        let a = r.open_span(SpanKind::Phase, "setup", 0.0);
+        let a = r.open_span(SpanKind::Phase, SpanLabel::named("setup"), 0.0);
         r.record_kernel(sample(1, 1e-6));
         r.close_span(a, 1e-6);
         let json = r.take().to_json();

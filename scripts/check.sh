@@ -140,11 +140,12 @@ cargo run --release -q -p amgt-bench --bin bench -- --smoke --wallclock \
     --exec native --threads 4 --out /dev/null --compare "$wall_par_out" >/dev/null
 echo "    wrote, validated, and gated $wall_par_out at pool width 4"
 
-echo "==> flight-overhead smoke: recorder on vs off, geomean gated at 5%"
-# The bench's --flight-overhead mode interleaves recorder-disabled and
-# recorder-enabled solves and exits non-zero by itself if the enabled
-# run's solve-phase wall geomean regresses past the budget (default
-# x1.05). The report carries a flight_overhead block.
+echo "==> flight-overhead smoke: the service's recorder installed vs none, geomean gated at 5%"
+# The bench's --flight-overhead mode interleaves solves with no recorder
+# and with the bounded recorder a service worker installs, and exits
+# non-zero by itself if the recorded run's solve-phase wall geomean
+# regresses past the budget (default x1.05). The report carries a
+# flight_overhead block.
 cargo run --release -q -p amgt-bench --bin bench -- --smoke --flight-overhead \
     --out "$flight_out"
 python3 -m json.tool "$flight_out" >/dev/null
