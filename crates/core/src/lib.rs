@@ -6,6 +6,9 @@
 //! smoothing, <= 7 levels, 50 V-cycles) over pluggable kernel backends —
 //! the vendor-style CSR baseline or the paper's mBSR tensor-core kernels —
 //! at uniform FP64 or the mixed FP64/FP32/FP16 per-level precision policy.
+//! A solve runs stationary cycles ([`solve()`]) or wraps one cycle per
+//! iteration in CG ([`pcg::pcg_solve`]), the one Krylov method the paper
+//! uses (Section II.B).
 //!
 //! ```
 //! use amgt::prelude::*;
@@ -31,13 +34,10 @@
 #![allow(clippy::type_complexity)]
 
 pub mod backend;
-pub mod bicgstab;
 pub mod config;
 pub mod diagnostics;
 pub mod driver;
-pub mod gmres;
 pub mod hierarchy;
-pub mod hypre_compat;
 pub mod interp;
 pub mod pcg;
 pub mod pmis;
@@ -58,11 +58,9 @@ pub use solve::{
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::bicgstab::bicgstab_solve;
     pub use crate::config::{AmgConfig, BackendKind, PrecisionPolicy};
     pub use crate::diagnostics::SolveOutcome;
     pub use crate::driver::{geomean, run_amg, RunReport};
-    pub use crate::gmres::fgmres_solve;
     pub use crate::hierarchy::{setup, Hierarchy};
     pub use crate::pcg::pcg_solve;
     pub use crate::solve::{

@@ -20,7 +20,7 @@
 //! [`solve_batched`] at `b.ncols`.
 //!
 //! The pieces other drivers reuse are public: [`vcycle`] is one cycle from
-//! any start level (the Krylov preconditioners apply it from level 0, the
+//! any start level (PCG's preconditioner applies it from level 0, the
 //! distributed driver runs its gathered coarse region through it), and
 //! [`Column`] holds what judges one right-hand side between cycles.
 

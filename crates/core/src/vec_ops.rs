@@ -147,14 +147,7 @@ pub fn jacobi_fused(ctx: &Ctx, dinv: &[f64], b: &[f64], ax: &[f64], x: &mut [f64
     charge_stream(ctx, len, 5.0, 3.0, timer);
 }
 
-/// `z = x - y` into a fresh vector.
-pub fn sub(ctx: &Ctx, x: &[f64], y: &[f64]) -> Vec<f64> {
-    let mut z = Vec::new();
-    sub_into(ctx, x, y, &mut z);
-    z
-}
-
-/// `z = x - y` into a caller-owned buffer (same charge as [`sub`]).
+/// `z = x - y` into a caller-owned buffer.
 pub fn sub_into(ctx: &Ctx, x: &[f64], y: &[f64], z: &mut Vec<f64>) {
     let timer = ctx.timer();
     assert_eq!(x.len(), y.len());
@@ -213,22 +206,6 @@ pub fn norms2(ctx: &Ctx, x: &[f64], norms: &mut [f64]) {
     charge_stream(ctx, x.len(), 1.0, 2.0, timer);
 }
 
-/// Fill with zeros (charged as a stream write).
-pub fn zero_fill(ctx: &Ctx, x: &mut [f64]) {
-    let timer = ctx.timer();
-    let n = x.len();
-    par::join_block_chunks(
-        x,
-        0,
-        n,
-        1,
-        VEC_GRAIN,
-        &|_, _, chunk| chunk.fill(0.0),
-        &|(), ()| (),
-    );
-    charge_stream(ctx, n, 1.0, 0.0, timer);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,17 +224,16 @@ mod tests {
         assert_eq!(y, vec![3.0, 4.0, 5.0]);
         xpby(&c, &[1.0, 1.0, 1.0], -1.0, &mut y);
         assert_eq!(y, vec![-2.0, -3.0, -4.0]);
-        assert_eq!(sub(&c, &[3.0, 3.0], &[1.0, 2.0]), vec![2.0, 1.0]);
+        let mut z = Vec::new();
+        sub_into(&c, &[3.0, 3.0], &[1.0, 2.0], &mut z);
+        assert_eq!(z, vec![2.0, 1.0]);
         assert_eq!(dot(&c, &[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&c, &[3.0, 4.0]), 5.0);
-        let mut w = vec![1.0; 4];
-        zero_fill(&c, &mut w);
-        assert_eq!(w, vec![0.0; 4]);
         let mut xf = vec![1.0, 1.0];
         jacobi_fused(&c, &[0.5, 0.25], &[3.0, 5.0], &[1.0, 1.0], &mut xf);
         assert_eq!(xf, vec![2.0, 2.0]);
         // Every op charged one Vector event.
-        assert_eq!(dev.events().len(), 7);
+        assert_eq!(dev.events().len(), 6);
         assert!(dev.events().iter().all(|e| e.kind == KernelKind::Vector));
     }
 

@@ -12,10 +12,12 @@
 //!
 //! The driver owns only what distribution changes: the halo-exchange cycle
 //! on the distributed levels and the all-reduced norms. The gathered region
-//! runs [`amgt::solve::vcycle`] itself, and the stationary outer loop is
+//! runs [`amgt::solve::vcycle`] itself, the stationary outer loop is
 //! judged by [`amgt::solve::Column`], the per-column state of the
-//! single-device solver. The smoother is the single-device one, L1-Jacobi,
-//! applied to each rank's owned rows after a halo exchange.
+//! single-device solver, and distributed PCG is [`amgt::pcg::PcgOps::pcg`],
+//! the single-device PCG loop, over halo-exchanged products and all-reduced
+//! dots. The smoother is the single-device one, L1-Jacobi, applied to each
+//! rank's owned rows after a halo exchange.
 //!
 //! Determinism: the stationary cycle contains no reductions inside the
 //! update path, so the iterate trajectory is **bitwise invariant in the
@@ -32,15 +34,13 @@
 use crate::comm::{CommCounters, Communicator, LocalComm};
 use crate::partition::{build_halo_plans, HaloPlan, RankMatrix};
 use amgt::config::{AmgConfig, CycleType};
-use amgt::diagnostics::{emit_health, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 use amgt::hierarchy::{setup, Hierarchy};
+use amgt::pcg::PcgOps;
 use amgt::solve::{vcycle, Column, SolveReport, SolveWorkspace};
 use amgt::vec_ops;
 use amgt::OpScratch;
 use amgt_kernels::Ctx;
-use amgt_sim::{
-    Cluster, Device, HealthEvent, Interconnect, KernelKind, Phase, SpanKind, SpanLabel,
-};
+use amgt_sim::{Cluster, Device, Interconnect, KernelKind, Phase, SpanKind, SpanLabel};
 use amgt_sparse::reorder::{partition_contiguous, Partition};
 use amgt_sparse::Csr;
 
@@ -431,146 +431,43 @@ fn run_stationary(rr: &mut RankRun) -> SolveReport {
     col.report(health_events)
 }
 
-/// One V-cycle preconditioner application: `z = M^{-1} r` (owned lanes).
-fn precond(rr: &mut RankRun, r_o: &[f64], z_o: &mut Vec<f64>) {
-    let n = rr.h.levels[0].n();
-    {
-        let LevelBufs { x, b, .. } = &mut rr.bufs[0];
-        b.clear();
-        b.extend_from_slice(r_o);
-        x.clear();
-        x.resize(n, 0.0);
-    }
-    cycle_at(rr, 0, rr.cfg.cycle);
-    let (lo, hi) = (rr.levels[0].lo, rr.levels[0].hi);
-    z_o.clear();
-    z_o.extend_from_slice(&rr.bufs[0].x[lo..hi]);
-}
-
-/// Distributed PCG (the mirror of [`amgt::pcg::pcg_solve`]): owned-lane
-/// vectors, a full-length search direction for the halo-exchange `A p`, and
-/// every dot product combined by rank-ordered all-reduce. Returns the
-/// assembled solution plus the report.
-fn run_pcg(rr: &mut RankRun, tol: f64, max_iters: usize) -> (Vec<f64>, SolveReport) {
-    let dev = rr.dev;
-    let n = rr.h.levels[0].n();
-    let (lo, hi) = (rr.levels[0].lo, rr.levels[0].hi);
-    let ctx = ctx_at(rr, Phase::Solve, 0);
-    let bo: Vec<f64> = rr.bufs[0].b.clone();
-    let b_norm = {
-        let local = vec_ops::dot(&ctx, &bo, &bo);
-        let nb = allreduce(rr, local).sqrt();
-        if nb == 0.0 {
-            1.0
-        } else {
-            nb
-        }
-    };
-
-    // Initial residual from the zero iterate (still one charged SpMV, as
-    // in the single-device PCG).
-    let mut x_full = vec![0.0; n];
-    rr.bufs[0].x.clear();
-    rr.bufs[0].x.resize(n, 0.0);
-    halo_exchange(rr, 0, HaloOp::AOnX);
-    {
-        let rl = &rr.levels[0];
-        let LevelBufs { x, ax, op, .. } = &mut rr.bufs[0];
-        rl.a.spmv(&ctx, x, op, ax);
-    }
-    let mut r_o = Vec::new();
-    vec_ops::sub_into(&ctx, &bo, &rr.bufs[0].ax, &mut r_o);
-    let local = vec_ops::dot(&ctx, &r_o, &r_o);
-    let initial = allreduce(rr, local).sqrt();
-    let initial_rel = initial / b_norm;
-    if initial_rel < tol {
-        let x_out = rr.comm.allgather(&x_full[lo..hi]);
-        account_gather(rr, n - (hi - lo));
-        let report = SolveReport {
-            iterations: 0,
-            initial_residual_norm: initial,
-            initial_relative_residual: initial_rel,
-            final_residual_norm: initial,
-            history: vec![],
-            converged: true,
-            outcome: SolveOutcome::Converged,
-            convergence_factor: 0.0,
-            health_events: vec![],
-        };
-        return (x_out, report);
+/// Distributed PCG: [`PcgOps::pcg`] over one rank's owned rows. `A p`
+/// exchanges the halo of the owned `p`, every dot product is combined by a
+/// rank-ordered all-reduce, and the preconditioner is one distributed
+/// cycle from the finest level.
+impl PcgOps for RankRun<'_> {
+    fn apply(&mut self, p: &[f64], ap: &mut Vec<f64>) {
+        let (lo, hi) = (self.levels[0].lo, self.levels[0].hi);
+        self.bufs[0].x[lo..hi].copy_from_slice(p);
+        halo_exchange(self, 0, HaloOp::AOnX);
+        let ctx = ctx_at(self, Phase::Solve, 0);
+        let LevelBufs { x, op, .. } = &mut self.bufs[0];
+        self.levels[0].a.spmv(&ctx, x, op, ap);
     }
 
-    let mut monitor = ConvergenceMonitor::new(HealthThresholds::default(), initial_rel);
-    let mut health_events: Vec<HealthEvent> = Vec::new();
-    let mut z_o = Vec::new();
-    precond(rr, &r_o, &mut z_o);
-    let mut p_full = vec![0.0; n];
-    p_full[lo..hi].copy_from_slice(&z_o);
-    let local = vec_ops::dot(&ctx, &r_o, &z_o);
-    let mut rz = allreduce(rr, local);
+    fn dot(&mut self, x: &[f64], y: &[f64]) -> f64 {
+        let local = vec_ops::dot(&ctx_at(self, Phase::Solve, 0), x, y);
+        allreduce(self, local)
+    }
 
-    let mut ap_o: Vec<f64> = Vec::new();
-    let mut history = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0usize;
-    let mut final_norm = initial;
-    for _ in 0..max_iters {
-        iterations += 1;
-        rr.bufs[0].x.clear();
-        rr.bufs[0].x.extend_from_slice(&p_full);
-        halo_exchange(rr, 0, HaloOp::AOnX);
+    fn norm(&mut self, x: &[f64]) -> f64 {
+        self.dot(x, x).sqrt()
+    }
+
+    fn precond(&mut self, r: &[f64], z: &mut Vec<f64>) {
+        let n = self.h.levels[0].n();
         {
-            let rl = &rr.levels[0];
-            let LevelBufs { x, ax, op, .. } = &mut rr.bufs[0];
-            rl.a.spmv(&ctx, x, op, ax);
+            let LevelBufs { x, b, .. } = &mut self.bufs[0];
+            b.clear();
+            b.extend_from_slice(r);
+            x.clear();
+            x.resize(n, 0.0);
         }
-        ap_o.clear();
-        ap_o.extend_from_slice(&rr.bufs[0].ax);
-        let local = vec_ops::dot(&ctx, &p_full[lo..hi], &ap_o);
-        let pap = allreduce(rr, local);
-        if pap <= 0.0 || !pap.is_finite() {
-            break;
-        }
-        let alpha = rz / pap;
-        vec_ops::axpy(&ctx, alpha, &p_full[lo..hi], &mut x_full[lo..hi]);
-        vec_ops::axpy(&ctx, -alpha, &ap_o, &mut r_o);
-        let local = vec_ops::dot(&ctx, &r_o, &r_o);
-        final_norm = allreduce(rr, local).sqrt();
-        let rel = final_norm / b_norm;
-        history.push(rel);
-        dev.record_residual(history.len(), None, rel);
-        if let Some(ev) = monitor.observe(rel) {
-            emit_health(dev, ev, &mut health_events);
-        }
-        if monitor.nonfinite() {
-            break;
-        }
-        if rel < tol {
-            converged = true;
-            break;
-        }
-        precond(rr, &r_o, &mut z_o);
-        let local = vec_ops::dot(&ctx, &r_o, &z_o);
-        let rz_new = allreduce(rr, local);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        vec_ops::xpby(&ctx, &z_o, beta, &mut p_full[lo..hi]);
+        cycle_at(self, 0, self.cfg.cycle);
+        let (lo, hi) = (self.levels[0].lo, self.levels[0].hi);
+        z.clear();
+        z.extend_from_slice(&self.bufs[0].x[lo..hi]);
     }
-
-    let x_out = rr.comm.allgather(&x_full[lo..hi]);
-    account_gather(rr, n - (hi - lo));
-    let report = SolveReport {
-        iterations,
-        initial_residual_norm: initial,
-        initial_relative_residual: initial_rel,
-        final_residual_norm: final_norm,
-        history,
-        converged,
-        outcome: monitor.outcome(converged),
-        convergence_factor: monitor.geometric_factor(),
-        health_events,
-    };
-    (x_out, report)
 }
 
 /// What one rank's thread hands back to the coordinator.
@@ -708,16 +605,22 @@ fn rank_main(
     let solve_start = dev.elapsed();
     let (x, report) = {
         let _span = dev.span(SpanKind::Phase, SpanLabel::named("dist solve"));
-        match mode {
-            DistMode::Stationary => {
-                let report = run_stationary(&mut rr);
-                let (lo, hi) = (rr.levels[0].lo, rr.levels[0].hi);
-                let x = rr.comm.allgather(&rr.bufs[0].x[lo..hi]);
-                account_gather(&mut rr, n0 - (hi - lo));
-                (x, report)
+        let report = match mode {
+            DistMode::Stationary => run_stationary(&mut rr),
+            DistMode::Pcg { tol, max_iters } => {
+                // The cycle stages its right-hand side in `bufs[0].b`, so
+                // PCG keeps `b` and its owned iterate apart.
+                let ctx = ctx_at(&rr, Phase::Solve, 0);
+                let b = std::mem::take(&mut rr.bufs[0].b);
+                let mut x = vec![0.0; rows];
+                let report = rr.pcg(&ctx, &b, &mut x, tol, max_iters);
+                rr.bufs[0].x[lo0..hi0].copy_from_slice(&x);
+                report
             }
-            DistMode::Pcg { tol, max_iters } => run_pcg(&mut rr, tol, max_iters),
-        }
+        };
+        let x = rr.comm.allgather(&rr.bufs[0].x[lo0..hi0]);
+        account_gather(&mut rr, n0 - rows);
+        (x, report)
     };
     let compute_seconds = dev.elapsed() - solve_start;
 

@@ -13,7 +13,7 @@
 //!   first-class setup outputs; they predict cycle cost and explain "why
 //!   is the iteration count what it is".
 //! * [`HealthEvent`] — structured convergence-health incidents emitted by
-//!   `solve` / `solve_batched` / the Krylov wrappers: [`Stagnation`]
+//!   `solve` / `solve_batched` / PCG, on one device or many: [`Stagnation`]
 //!   (residual-ratio EMA stuck near 1 over a window), [`Divergence`]
 //!   (residual growth beyond a factor of the initial residual), and
 //!   [`NonFinite`] (NaN/Inf caught at a cycle boundary, naming the level

@@ -165,10 +165,14 @@ cargo run --release -q -p amgt-bench --bin bench -- --validate "$dist_out" >/dev
 grep -q '"dist"' "$dist_out"
 cargo run --release -q -p amgt-bench --bin bench -- --smoke --ranks 4 \
     --out /dev/null --compare "$dist_out" >/dev/null
+# Distributed PCG through the CLI: the 2304-row Poisson system distributes
+# over 4 ranks and must converge.
+dist_pcg_log="$(cargo run --release -q --bin amgt-cli -- --poisson2d 48 --ranks 4 --pcg)"
+grep -q 'converged = true' <<<"$dist_pcg_log"
 # Rank-count invariance over the full Table II suite: P = 1 bitwise vs
 # the single-device solver, P in {2, 4} bitwise-invariant iterates.
 cargo test --release -q -p amgt-dist --test rank_invariance
-echo "    wrote, validated, and round-tripped $dist_out; invariance suite passed"
+echo "    wrote, validated, and round-tripped $dist_out; CLI PCG converged; invariance suite passed"
 
 echo "==> profile smoke: --profile fidelity JSON + non-empty folded stacks"
 cargo run --release -q --bin amgt-cli -- --poisson2d 32 --exec native \

@@ -1,8 +1,6 @@
-//! Integration tests for the Krylov wrappers (PCG, FGMRES, BiCGStab) on
-//! suite matrices, across backends and precision policies.
+//! Integration tests for AMG-preconditioned CG on suite matrices, across
+//! backends and precision policies.
 
-use amgt::bicgstab::bicgstab_solve;
-use amgt::gmres::fgmres_solve;
 use amgt::pcg::pcg_solve;
 use amgt::prelude::*;
 use amgt_sparse::gen::rhs_of_ones;
@@ -17,27 +15,17 @@ fn hierarchy_for(name: &str, cfg: &AmgConfig) -> (Device, amgt::Hierarchy, Vec<f
 }
 
 #[test]
-fn all_three_krylov_methods_converge_on_thermal1() {
+fn pcg_converges_on_thermal1() {
     let cfg = AmgConfig::amgt_fp64();
     let (dev, h, b) = hierarchy_for("thermal1", &cfg);
 
-    let mut x1 = vec![0.0; b.len()];
-    let pcg = pcg_solve(&dev, &cfg, &h, &b, &mut x1, 1e-9, 60);
+    let mut x = vec![0.0; b.len()];
+    let pcg = pcg_solve(&dev, &cfg, &h, &b, &mut x, 1e-9, 60);
     assert!(pcg.converged, "pcg {:?}", pcg.history.last());
 
-    let mut x2 = vec![0.0; b.len()];
-    let gmres = fgmres_solve(&dev, &cfg, &h, &b, &mut x2, 1e-9, 20, 5);
-    assert!(gmres.converged, "gmres {:?}", gmres.history.last());
-
-    let mut x3 = vec![0.0; b.len()];
-    let bicg = bicgstab_solve(&dev, &cfg, &h, &b, &mut x3, 1e-9, 60);
-    assert!(bicg.converged, "bicgstab {:?}", bicg.history.last());
-
-    // All three converge to the same solution (all ones).
-    for x in [&x1, &x2, &x3] {
-        for &xi in x.iter() {
-            assert!((xi - 1.0).abs() < 1e-5, "{xi}");
-        }
+    // The solution of A x = A 1 is all ones.
+    for &xi in &x {
+        assert!((xi - 1.0).abs() < 1e-5, "{xi}");
     }
 }
 
