@@ -203,15 +203,10 @@ impl Operator {
 }
 
 /// `C = A * B` through the backend SpGEMM. Inputs must share the backend.
-pub fn op_matmul(ctx: &Ctx, a: &Operator, b: &Operator) -> Operator {
-    let mut ws = SpgemmWorkspace::default();
-    op_matmul_ws(ctx, a, b, &mut ws)
-}
-
-/// [`op_matmul`] reusing a caller-owned SpGEMM workspace (hash-table slab,
-/// prefix-sum scratch). The workspace grows monotonically, so one instance
-/// serves every RAP product of a hierarchy setup and is reused across
-/// `resetup`. Vendor products take no workspace and ignore it.
+/// The caller owns the SpGEMM workspace (hash-table slab, prefix-sum
+/// scratch). It grows monotonically, so one instance serves every product
+/// of a hierarchy setup and is reused across `resetup`. Vendor products
+/// take no workspace and ignore it.
 pub fn op_matmul_ws(ctx: &Ctx, a: &Operator, b: &Operator, ws: &mut SpgemmWorkspace) -> Operator {
     assert_eq!(a.backend, b.backend, "mixed-backend product");
     match a.backend {
@@ -280,8 +275,9 @@ mod tests {
         let a = elasticity_3d(2, 2, 3, 4, NeighborSet::Face, 3);
         let v = Operator::prepare(&ctx(&dev), BackendKind::Vendor, a.clone());
         let t = Operator::prepare(&ctx(&dev), BackendKind::AmgT, a);
-        let cv = op_matmul(&ctx(&dev), &v, &v);
-        let ct = op_matmul(&ctx(&dev), &t, &t);
+        let mut ws = SpgemmWorkspace::default();
+        let cv = op_matmul_ws(&ctx(&dev), &v, &v, &mut ws);
+        let ct = op_matmul_ws(&ctx(&dev), &t, &t, &mut ws);
         assert!(cv.csr.max_abs_diff(&ct.csr) < 1e-8);
         assert!(ct.mbsr.is_some());
         assert!(cv.mbsr.is_none());

@@ -19,9 +19,12 @@ use amgt_kernels::convert::mbsr_to_csr;
 use amgt_kernels::spgemm_mbsr::{spgemm_mbsr_with_workspace, SpgemmWorkspace};
 use amgt_kernels::vendor::spgemm_csr;
 use amgt_kernels::Ctx;
-use amgt_sim::{Algo, Device, KernelCost, KernelKind, Phase, Precision, SpanKind, SpanLabel};
+use amgt_sim::{
+    Algo, Device, HierarchyDiagnostics, KernelCost, KernelKind, Phase, Precision, SpanKind,
+    SpanLabel,
+};
 use amgt_sparse::Csr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One level of the grid hierarchy.
 #[derive(Clone)]
@@ -69,6 +72,9 @@ pub struct Hierarchy {
     /// hierarchy. Shared across clones so cached hierarchies keep their
     /// capacity.
     spgemm_ws: Arc<Mutex<SpgemmWorkspace>>,
+    /// [`Hierarchy::diagnostics`], computed on first use and cleared by
+    /// [`resetup`].
+    diagnostics: OnceLock<HierarchyDiagnostics>,
 }
 
 impl Hierarchy {
@@ -81,9 +87,12 @@ impl Hierarchy {
     }
 
     /// Per-level quality statistics plus operator/grid complexity; the same
-    /// structure `setup` attaches to an installed trace recorder.
-    pub fn diagnostics(&self) -> amgt_sim::HierarchyDiagnostics {
-        crate::diagnostics::hierarchy_diagnostics(self)
+    /// structure `setup` attaches to an installed trace recorder. Computed
+    /// on the first call after `setup` or [`resetup`] and kept, so later
+    /// edits to `levels` do not show in it.
+    pub fn diagnostics(&self) -> &HierarchyDiagnostics {
+        self.diagnostics
+            .get_or_init(|| crate::diagnostics::hierarchy_diagnostics(self))
     }
 }
 
@@ -149,8 +158,13 @@ fn smoother_diagonal(ctx: &Ctx, a: &Csr) -> Vec<f64> {
     l1
 }
 
-/// Run the full setup phase on a device.
+/// Run the full setup phase on a device, on a worker of the global pool
+/// ([`amgt_exec::par::on_pool`]).
 pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
+    amgt_exec::par::on_pool(|| setup_levels(device, cfg, a0))
+}
+
+fn setup_levels(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
     assert_eq!(a0.nrows(), a0.ncols(), "AMG needs a square system");
     let _phase_span = device.span(SpanKind::Phase, SpanLabel::named("setup"));
     let mut levels: Vec<Level> = Vec::new();
@@ -235,9 +249,10 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
         levels,
         stats,
         spgemm_ws: Arc::new(Mutex::new(spgemm_ws)),
+        diagnostics: OnceLock::new(),
     };
     if let Some(rec) = device.recorder() {
-        rec.set_hierarchy(h.diagnostics());
+        rec.set_hierarchy(h.diagnostics().clone());
     }
     h
 }
@@ -248,14 +263,29 @@ pub fn setup(device: &Device, cfg: &AmgConfig, a0: Csr) -> Hierarchy {
 /// Galerkin products and smoother diagonals — the
 /// adaptive-setup idea of alpha-Setup-AMG (Xu et al., cited by the paper).
 /// Skips the strength/PMIS/interpolation graph work entirely (2 of 3
-/// SpGEMMs per level remain: the two RAP products).
+/// SpGEMMs per level remain: the two RAP products). Runs on a worker of
+/// the global pool ([`amgt_exec::par::on_pool`]).
 pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
     assert_eq!(a0.nrows(), h.finest().n(), "pattern/order mismatch");
-    let _phase_span = device.span(SpanKind::Phase, SpanLabel::named("resetup"));
     // Reuse the workspace the original setup grew (clone the Arc so the
-    // guard does not pin `h` while the loop borrows its levels).
+    // guard does not pin `h` while the loop borrows its levels). Clones of
+    // a hierarchy share it, so the lock may wait for another thread's
+    // resetup: take it before entering the pool, where a blocked worker
+    // could hold up the very work the other resetup waits for.
     let spgemm_ws = h.spgemm_ws.clone();
     let mut spgemm_ws = spgemm_ws.lock().unwrap_or_else(|e| e.into_inner());
+    let ws = &mut *spgemm_ws;
+    amgt_exec::par::on_pool(|| resetup_levels(device, cfg, h, a0, ws));
+}
+
+fn resetup_levels(
+    device: &Device,
+    cfg: &AmgConfig,
+    h: &mut Hierarchy,
+    a0: Csr,
+    spgemm_ws: &mut SpgemmWorkspace,
+) {
+    let _phase_span = device.span(SpanKind::Phase, SpanLabel::named("resetup"));
     let mut current = Some(a0);
     let n_levels = h.levels.len();
     for k in 0..n_levels {
@@ -273,7 +303,7 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
         if k + 1 < n_levels {
             let p_op = h.levels[k].p.as_ref().expect("existing hierarchy has P");
             let r_op = h.levels[k].r.as_ref().expect("existing hierarchy has R");
-            current = Some(rap(&ctx, cfg.backend, &a_op, p_op, r_op, &mut spgemm_ws));
+            current = Some(rap(&ctx, cfg.backend, &a_op, p_op, r_op, spgemm_ws));
         }
         let lvl = &mut h.levels[k];
         lvl.a = a_op;
@@ -281,9 +311,10 @@ pub fn resetup(device: &Device, cfg: &AmgConfig, h: &mut Hierarchy, a0: Csr) {
     }
     h.stats.operator_complexity =
         h.stats.grid_nnz.iter().map(|&z| z as f64).sum::<f64>() / h.stats.grid_nnz[0].max(1) as f64;
+    h.diagnostics = OnceLock::new();
 
     if let Some(rec) = device.recorder() {
-        rec.set_hierarchy(h.diagnostics());
+        rec.set_hierarchy(h.diagnostics().clone());
     }
 }
 
@@ -427,6 +458,25 @@ mod tests {
                 .csr
                 .matmul(&l0.a.csr.matmul(&l0.p.as_ref().unwrap().csr));
         assert!(h.levels[1].a.csr.max_abs_diff(&expect) < 1e-9);
+    }
+
+    #[test]
+    fn diagnostics_follow_resetup() {
+        // Same order, denser pattern: the refreshed levels gain nonzeros,
+        // so diagnostics cached before the resetup would be stale.
+        let cfg = AmgConfig::amgt_fp64();
+        let (dev, mut h) = build(&cfg, laplacian_2d(20, 20, Stencil2d::Five));
+        let before = h.diagnostics().clone();
+        resetup(&dev, &cfg, &mut h, laplacian_2d(20, 20, Stencil2d::Nine));
+        let after = h.diagnostics();
+        assert!(after.levels[0].nnz > before.levels[0].nnz);
+        assert!(after.operator_complexity != before.operator_complexity);
+        for (k, level) in after.levels.iter().enumerate() {
+            assert_eq!(level.nnz, h.stats.grid_nnz[k], "level {k}");
+        }
+        let direct = crate::diagnostics::hierarchy_diagnostics(&h);
+        assert_eq!(after.operator_complexity, direct.operator_complexity);
+        assert!((after.operator_complexity - h.stats.operator_complexity).abs() < 1e-12);
     }
 
     #[test]

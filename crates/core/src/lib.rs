@@ -46,7 +46,7 @@ pub mod strength;
 pub mod vec_ops;
 
 pub use amgt_kernels::{ExecMode, KernelPolicy};
-pub use backend::{op_matmul, op_matmul_ws, OpScratch, Operator};
+pub use backend::{op_matmul_ws, OpScratch, Operator};
 pub use config::{AmgConfig, BackendKind, CycleType, PrecisionPolicy};
 pub use diagnostics::{hierarchy_diagnostics, ConvergenceMonitor, HealthThresholds, SolveOutcome};
 pub use driver::{geomean, run_amg, run_amg_traced, PhaseBreakdown, RunReport};

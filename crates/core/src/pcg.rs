@@ -156,7 +156,8 @@ impl PcgOps for Finest<'_> {
 }
 
 /// Solve `A x = b` by AMG-preconditioned CG ([`PcgOps::pcg`] on one
-/// device) from the guess in `x`.
+/// device, on a worker of the global pool: [`amgt_exec::par::on_pool`])
+/// from the guess in `x`.
 ///
 /// `tol` is the relative-residual stopping criterion; `max_iters` caps the
 /// iteration count. The hierarchy must have been built for the same matrix.
@@ -182,7 +183,7 @@ pub fn pcg_solve(
         scratch: OpScratch::default(),
         ws: SolveWorkspace::for_hierarchy(h),
     };
-    ops.pcg(&ctx, b, x, tol, max_iters)
+    amgt_exec::par::on_pool(|| ops.pcg(&ctx, b, x, tol, max_iters))
 }
 
 #[cfg(test)]

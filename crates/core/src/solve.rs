@@ -509,7 +509,8 @@ pub fn solve(
 /// identical kernel charges, but all per-cycle vectors come from `ws`.
 /// Reusing one workspace across repeated solves of one hierarchy makes the
 /// steady-state solve phase allocation-free. The cycles run in place on
-/// `b` and `x`.
+/// `b` and `x`, on a worker of the global pool
+/// ([`amgt_exec::par::on_pool`]).
 pub fn solve_with_workspace(
     device: &Device,
     cfg: &AmgConfig,
@@ -524,18 +525,20 @@ pub fn solve_with_workspace(
         x.resize(n, 0.0);
     }
     let mut health_events = Vec::new();
-    solve_columns(
-        device,
-        cfg,
-        h,
-        b,
-        x,
-        1,
-        ws,
-        "solve",
-        false,
-        &mut health_events,
-    );
+    amgt_exec::par::on_pool(|| {
+        solve_columns(
+            device,
+            cfg,
+            h,
+            b,
+            x,
+            1,
+            ws,
+            "solve",
+            false,
+            &mut health_events,
+        )
+    });
     ws.columns[0].report(health_events)
 }
 
@@ -600,7 +603,8 @@ pub fn solve_batched(
 
 /// [`solve_batched`] with caller-owned buffers (see
 /// [`solve_with_workspace`]): bitwise-identical per-column iterates,
-/// identical charges, reusable batch staging and per-level blocks.
+/// identical charges, reusable batch staging and per-level blocks. Runs
+/// on a worker of the global pool like [`solve_with_workspace`].
 pub fn solve_batched_with_workspace(
     device: &Device,
     cfg: &AmgConfig,
@@ -616,18 +620,20 @@ pub fn solve_batched_with_workspace(
         *x = MultiVector::zeros(n, ncols);
     }
     let mut health_events = Vec::new();
-    let iterations = solve_columns(
-        device,
-        cfg,
-        h,
-        &b.data,
-        &mut x.data,
-        ncols,
-        ws,
-        "solve batched",
-        true,
-        &mut health_events,
-    );
+    let iterations = amgt_exec::par::on_pool(|| {
+        solve_columns(
+            device,
+            cfg,
+            h,
+            &b.data,
+            &mut x.data,
+            ncols,
+            ws,
+            "solve batched",
+            true,
+            &mut health_events,
+        )
+    });
     let cols = &mut ws.columns;
     BatchedSolveReport {
         ncols,

@@ -6,7 +6,7 @@
 
 use amgt::prelude::*;
 use amgt::solve::{solve, solve_with_workspace, SolveWorkspace};
-use amgt::{op_matmul, op_matmul_ws, CycleType, OpScratch, Operator};
+use amgt::{op_matmul_ws, CycleType, OpScratch, Operator};
 use amgt_kernels::spgemm_mbsr::SpgemmWorkspace;
 use amgt_kernels::Ctx;
 use amgt_sim::{Phase, Precision};
@@ -96,8 +96,8 @@ proptest! {
         // Two products through one workspace, versus fresh state each time.
         let ab_ws = op_matmul_ws(&c, &a, &b, &mut ws);
         let ba_ws = op_matmul_ws(&c, &b, &a, &mut ws);
-        let ab = op_matmul(&c, &a, &b);
-        let ba = op_matmul(&c, &b, &a);
+        let ab = op_matmul_ws(&c, &a, &b, &mut SpgemmWorkspace::default());
+        let ba = op_matmul_ws(&c, &b, &a, &mut SpgemmWorkspace::default());
         prop_assert_eq!(&ab.csr, &ab_ws.csr);
         prop_assert_eq!(&ba.csr, &ba_ws.csr);
     }

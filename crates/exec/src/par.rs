@@ -9,6 +9,18 @@
 //! steady-state solve loop allocation-free (see the `alloc_free` gate in
 //! `amgt-bench`).
 //!
+//! # Entering the pool
+//!
+//! A fork on a pool worker is a lock-free push to that worker's own
+//! deque. A fork on any other thread first moves the whole join onto the
+//! global pool: an injector mutex, a condvar wake-up and a blocking wait,
+//! which costs more than many of the solver's small kernels. The solver's
+//! single-device entry points therefore run their whole call through
+//! [`on_pool`], so a solve pays that hand-off once instead of once per
+//! kernel. Never wrap work that blocks on another thread (the distributed
+//! ranks wait on each other's collectives): jobs queued on the pool run
+//! one per worker, so more blocked jobs than workers deadlock.
+//!
 //! # Determinism rule
 //!
 //! Every helper here splits at the midpoint of its *index range*, so the
@@ -21,6 +33,18 @@
 //! its grain or split rule depend on `rayon::current_num_threads()` —
 //! that trades the repo-wide thread-count-invariance contract for
 //! nothing.
+
+/// Run `op` on a worker of the global pool, so every fork inside it stays
+/// worker-local. Runs `op` inline on a thread that already works for a
+/// pool, and when no global pool of width ≥ 2 exists; otherwise moves it
+/// onto the global pool once (`rayon::join`'s external path) and blocks
+/// until it returns. Panics in `op` resume on the caller.
+pub fn on_pool<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    if rayon::current_thread_index().is_some() {
+        return op();
+    }
+    rayon::join(op, || ()).0
+}
 
 /// Process `blocks` consecutive `block_len`-element blocks of `out` (the
 /// final block may be short) by splitting recursively into `rayon::join`

@@ -13,7 +13,7 @@ use crate::ctx::{Ctx, ExecMode};
 use crate::spmv_mbsr::{SpmvPath, SpmvPlan, SpmvScratch};
 use amgt_exec::SPMM_COLS;
 use amgt_sim::mma::MMA_FLOPS;
-use amgt_sim::{Algo, KernelCost, KernelKind};
+use amgt_sim::{Algo, KernelCost, KernelKind, Precision};
 use amgt_sparse::bitmap::{TILE, TILE_AREA};
 use amgt_sparse::Mbsr;
 
@@ -163,7 +163,8 @@ pub fn spmm_mbsr_into(
 
     // Pad tails are re-zeroed each call: the scratch may carry stale values
     // from a previous operand. Columns are independent, so the sweep forks
-    // per column.
+    // per column. FP64 operands pass through unrounded: a copy and a
+    // branch-free finiteness fold.
     scratch.xp.resize(padded * ncols, 0.0);
     let finite = amgt_exec::par::join_block_chunks(
         &mut scratch.xp[..padded * ncols],
@@ -176,9 +177,14 @@ pub fn spmm_mbsr_into(
             for jc in 0..ncol {
                 let dst = &mut chunk[jc * padded..(jc + 1) * padded];
                 let src = &x[(first_col + jc) * x_nrows..][..x_nrows];
-                for (d, &v) in dst[..x_nrows].iter_mut().zip(src) {
-                    *d = prec.quantize(v);
-                    finite &= amgt_exec::operand_is_finite(prec, *d);
+                if prec == Precision::Fp64 {
+                    dst[..x_nrows].copy_from_slice(src);
+                    finite &= src.iter().fold(true, |f, v| f & v.is_finite());
+                } else {
+                    for (d, &v) in dst[..x_nrows].iter_mut().zip(src) {
+                        *d = prec.quantize(v);
+                        finite &= amgt_exec::operand_is_finite(prec, *d);
+                    }
                 }
                 dst[x_nrows..].fill(0.0);
             }

@@ -45,13 +45,13 @@ pub struct ServiceConfig {
     /// Worker threads, each owning one simulated device. `0` = synchronous
     /// mode: jobs queue up and are drained by [`SolverService::shutdown`].
     ///
-    /// Composition with the kernel thread pool: each worker's solves fork
-    /// onto the process-wide `rayon` pool, so the process runs up to
-    /// `workers x rayon::current_num_threads()` compute threads at once.
-    /// Size them so the product stays near the host's core count (e.g.
-    /// 2 workers x pool width 4 on an 8-core host); oversubscription is
-    /// detected at construction and warned about, never fatal — results
-    /// are bitwise identical at any width, only latency suffers.
+    /// Composition with the kernel thread pool: with a global `rayon` pool
+    /// of width 2 or more, each worker's set-ups and solves run on the
+    /// pool (the worker waits for them), so at most the pool's width of
+    /// compute threads run at once; without one, each worker computes on
+    /// its own thread. Oversubscription of the host is detected at
+    /// construction and warned about, never fatal — results are bitwise
+    /// identical at any width, only latency suffers.
     pub workers: usize,
     /// Bounded submission-queue capacity; a full queue rejects submits.
     pub queue_capacity: usize,
@@ -193,7 +193,8 @@ pub enum JobError {
     DeadlineExceeded,
     /// The handle was cancelled before processing started.
     Cancelled,
-    /// The matrix was rejected (non-square, or RHS length mismatch).
+    /// The matrix was rejected (non-square, RHS length mismatch, or a
+    /// malformed CSR structure).
     Invalid(String),
     /// Solving the job's batch panicked (the message is the panic's). The
     /// worker that ran it keeps serving.
@@ -348,20 +349,23 @@ impl SolverService {
             (1..=MAX_BATCH).contains(&config.batch_max),
             "batch_max must be 1..=8"
         );
-        // Best-effort oversubscription check: every worker's solves fan
-        // out over the shared kernel pool, so warn (and proceed) when the
-        // worst-case compute-thread product clearly exceeds the host.
+        // Best-effort oversubscription check: workers compute on the
+        // shared kernel pool when there is one and on their own threads
+        // otherwise, so warn (and proceed) when that count clearly exceeds
+        // the host.
         let pool_width = rayon::current_num_threads();
+        let compute = if pool_width > 1 {
+            pool_width
+        } else {
+            config.workers
+        };
         let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if config.workers * pool_width > 2 * cores {
+        if compute > 2 * cores {
             eprintln!(
-                "amgt-server: {} worker(s) x kernel pool width {} = {} compute \
-                 threads oversubscribes {} core(s); results are unaffected but \
+                "amgt-server: {} worker(s) on a kernel pool of width {} run {} compute \
+                 threads, which oversubscribes {} core(s); results are unaffected but \
                  latency will suffer — shrink `workers` or `--threads`",
-                config.workers,
-                pool_width,
-                config.workers * pool_width,
-                cores
+                config.workers, pool_width, compute, cores
             );
         }
         let (tx, rx) = bounded::<Job>(config.queue_capacity);
@@ -681,42 +685,45 @@ fn preflight(shared: &Shared, batch: Vec<Job>) -> Vec<Job> {
             None
         };
         match err {
-            Some(e) => {
-                shared.telemetry.record_failure();
-                amgt_trace::log::warn(
-                    "amgt::server",
-                    "job rejected in pre-flight",
-                    &[
-                        ("trace_id", job.trace_id.to_hex()),
-                        ("reason", e.to_string()),
-                    ],
-                );
-                // Rejections are always retained: the recording is empty
-                // (the job never ran), but the verdict, latency and
-                // identity survive for post-mortems.
-                let wall = job.submitted.elapsed().as_secs_f64();
-                shared.flight.retain(FlightTrace {
-                    trace_id: job.trace_id,
-                    verdict: e.to_string(),
-                    reason: RetainReason::Rejection,
-                    wall_seconds: wall,
-                    batch_size: 0,
-                    recording: Arc::default(),
-                });
-                shared.telemetry.record_flight_retained();
-                shared.flight.record_completed(CompletedJob {
-                    trace_id: job.trace_id,
-                    verdict: e.to_string(),
-                    wall_seconds: wall,
-                    batch_size: 0,
-                    retained: Some(RetainReason::Rejection),
-                });
-                job.complete(Err(e));
-            }
+            Some(e) => reject(shared, job, e),
             None => live.push(job),
         }
     }
     live
+}
+
+/// Fail `job` with the validation error `e` before it runs.
+fn reject(shared: &Shared, job: Job, e: JobError) {
+    shared.telemetry.record_failure();
+    amgt_trace::log::warn(
+        "amgt::server",
+        "job rejected",
+        &[
+            ("trace_id", job.trace_id.to_hex()),
+            ("reason", e.to_string()),
+        ],
+    );
+    // Rejections are always retained: the recording is empty (the job
+    // never ran), but the verdict, latency and identity survive for
+    // post-mortems.
+    let wall = job.submitted.elapsed().as_secs_f64();
+    shared.flight.retain(FlightTrace {
+        trace_id: job.trace_id,
+        verdict: e.to_string(),
+        reason: RetainReason::Rejection,
+        wall_seconds: wall,
+        batch_size: 0,
+        recording: Arc::default(),
+    });
+    shared.telemetry.record_flight_retained();
+    shared.flight.record_completed(CompletedJob {
+        trace_id: job.trace_id,
+        verdict: e.to_string(),
+        wall_seconds: wall,
+        batch_size: 0,
+        retained: Some(RetainReason::Rejection),
+    });
+    job.complete(Err(e));
 }
 
 /// Solve the jobs that passed [`preflight`] as one batch.
@@ -764,6 +771,18 @@ fn solve_batch(device: &Device, recorder: &Recorder, shared: &Shared, live: Vec<
                 (h, ws)
             }
             _ => {
+                // A new structure: check it once here, so hits and
+                // refreshes (which share a checked structure) pay nothing.
+                // The batch's jobs share the structure and its verdict.
+                if let Err(why) = live[0].request.matrix.check_structure() {
+                    drop(job_span);
+                    for job in live {
+                        shared.telemetry.jobs_finished(1);
+                        let e = JobError::Invalid(format!("malformed CSR matrix: {why}"));
+                        reject(shared, job, e);
+                    }
+                    return;
+                }
                 let h = Arc::new(setup(device, &amg_cfg, live[0].request.matrix.clone()));
                 let ws = shared
                     .cache
@@ -808,7 +827,7 @@ fn solve_batch(device: &Device, recorder: &Recorder, shared: &Shared, live: Vec<
 
     let batch_size = live.len();
     shared.telemetry.record_batch(batch_size);
-    shared.telemetry.record_hierarchy(&hierarchy.diagnostics());
+    shared.telemetry.record_hierarchy(hierarchy.diagnostics());
     amgt_trace::log::info(
         "amgt::server",
         "batch solved",

@@ -464,12 +464,12 @@ fn healthy_service_solve_reports_converged_verdict() {
     service.shutdown();
 }
 
-/// A batch whose solve panics (a 3x3 matrix whose public `col_idx` names
-/// column 7: neither `submit` nor the pre-flight checks read columns, so
-/// the solve indexes out of range) fails its job with
-/// `JobError::Internal` instead of killing the worker: the handle resolves
-/// within a second, the panic is counted, and a healthy job submitted next
-/// on the same 1-worker service succeeds.
+/// A batch whose set-up panics (a request policy with
+/// `spmv_warp_capacity = 0` and every block row load-balanced: the service
+/// does not validate request policies, so the SpMV plan steps by 0) fails
+/// its job with `JobError::Internal` instead of killing the worker: the
+/// handle resolves within a second, the panic is counted, and a healthy
+/// job submitted next on the same 1-worker service succeeds.
 #[test]
 fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
     let service = SolverService::new(ServiceConfig {
@@ -478,12 +478,13 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         ..Default::default()
     });
     let cfg = test_config();
-    let mut out_of_range = Csr::identity(3);
-    out_of_range.col_idx[2] = 7;
+    let mut zero_step = cfg.clone();
+    zero_step.policy.spmv_warp_capacity = 0;
+    zero_step.policy.spmv_variation_threshold = -1.0;
+    let a = test_matrix();
+    let b = rhs_of_ones(&a);
     let start = Instant::now();
-    let bad = service
-        .submit(SolveRequest::new(out_of_range, vec![1.0; 3], cfg.clone()))
-        .unwrap();
+    let bad = service.submit(SolveRequest::new(a, b, zero_step)).unwrap();
     let result = loop {
         if let Some(r) = bad.try_wait() {
             break r;
@@ -495,9 +496,9 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         std::thread::yield_now();
     };
     match result {
-        Err(JobError::Internal(why)) => assert!(why.contains("out of range"), "{why}"),
+        Err(JobError::Internal(why)) => assert!(why.contains("step != 0"), "{why}"),
         Err(e) => panic!("expected an internal error, got {e}"),
-        Ok(_) => panic!("a column out of range cannot solve"),
+        Ok(_) => panic!("a zero warp capacity cannot set up"),
     }
     // The panicked batch keeps its capture up to the panic, retained under
     // the failed job's id and listed among the completed jobs.
@@ -505,7 +506,7 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
         .flight_trace(bad.trace_id())
         .expect("a panicked batch retains its trace");
     assert_eq!(trace.reason, amgt_trace::RetainReason::Verdict);
-    assert!(trace.verdict.contains("out of range"), "{}", trace.verdict);
+    assert!(trace.verdict.contains("step != 0"), "{}", trace.verdict);
     assert!(
         trace
             .recording
@@ -537,5 +538,45 @@ fn panicking_batch_fails_its_jobs_and_the_worker_keeps_serving() {
     assert!(service
         .metrics_prometheus()
         .contains("amgt_worker_panics_total 1\n"));
+    service.shutdown();
+}
+
+/// A 3x3 matrix whose public `col_idx` names column 7 after `Csr::new`'s
+/// checks is a new structure, so the worker checks it before set-up and
+/// fails the job with `JobError::Invalid`: nothing panics, and a healthy
+/// job submitted next on the same 1-worker service succeeds.
+#[test]
+fn malformed_csr_is_rejected_as_invalid_and_the_worker_keeps_serving() {
+    let service = SolverService::new(ServiceConfig {
+        workers: 1,
+        batch_window: Duration::from_millis(1),
+        ..Default::default()
+    });
+    let cfg = test_config();
+    let mut out_of_range = Csr::identity(3);
+    out_of_range.col_idx[2] = 7;
+    let bad = service
+        .submit(SolveRequest::new(out_of_range, vec![1.0; 3], cfg.clone()))
+        .unwrap();
+    match bad.wait() {
+        Err(JobError::Invalid(why)) => {
+            assert!(why.contains("row 2 column 7 out of range"), "{why}");
+        }
+        Err(e) => panic!("expected an invalid-request error, got {e}"),
+        Ok(_) => panic!("a column out of range cannot solve"),
+    }
+    let a = test_matrix();
+    let b = rhs_of_ones(&a);
+    let good = service
+        .submit(SolveRequest::new(a, b, cfg))
+        .unwrap()
+        .wait()
+        .expect("the worker keeps serving");
+    assert!(good.converged);
+    let m = service.metrics();
+    assert_eq!(m.worker_panics, 0);
+    assert_eq!(m.jobs_failed, 1);
+    assert_eq!(m.jobs_completed, 1);
+    assert_eq!(m.jobs_inflight, 0);
     service.shutdown();
 }

@@ -26,8 +26,8 @@ impl Csr {
     /// Build from raw arrays, validating the invariants.
     ///
     /// # Panics
-    /// Panics when the arrays are inconsistent (wrong lengths, unsorted or
-    /// duplicate columns, out-of-range indices, non-monotone row pointers).
+    /// Panics when the arrays are inconsistent (see
+    /// [`Csr::check_structure`]).
     pub fn new(
         nrows: usize,
         ncols: usize,
@@ -35,27 +35,69 @@ impl Csr {
         col_idx: Vec<u32>,
         vals: Vec<f64>,
     ) -> Self {
-        assert_eq!(row_ptr.len(), nrows + 1, "row_ptr length");
-        assert_eq!(col_idx.len(), vals.len(), "col/val length mismatch");
-        assert_eq!(*row_ptr.last().unwrap(), col_idx.len(), "row_ptr tail");
-        assert_eq!(row_ptr[0], 0, "row_ptr head");
-        for r in 0..nrows {
-            assert!(row_ptr[r] <= row_ptr[r + 1], "row_ptr not monotone at {r}");
-            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            for w in row.windows(2) {
-                assert!(w[0] < w[1], "row {r} columns not strictly ascending");
-            }
-            if let Some(&last) = row.last() {
-                assert!((last as usize) < ncols, "row {r} column out of range");
-            }
-        }
-        Csr {
+        let a = Csr {
             nrows,
             ncols,
             row_ptr,
             col_idx,
             vals,
+        };
+        if let Err(why) = a.check_structure() {
+            panic!("{why}");
         }
+        a
+    }
+
+    /// Check the structural invariants [`Csr::new`] asserts, without
+    /// panicking: array lengths, row pointers that start at 0, never
+    /// decrease and end at `nnz`, and strictly ascending in-range columns
+    /// in every row. The public arrays can be edited after construction,
+    /// so code that takes a matrix from outside checks it here.
+    ///
+    /// # Errors
+    /// Describes the first invariant the matrix breaks.
+    pub fn check_structure(&self) -> Result<(), String> {
+        let (row_ptr, col_idx) = (&self.row_ptr, &self.col_idx);
+        if row_ptr.len() != self.nrows + 1 {
+            return Err(format!(
+                "row_ptr length {} for {} rows",
+                row_ptr.len(),
+                self.nrows
+            ));
+        }
+        if col_idx.len() != self.vals.len() {
+            return Err(format!(
+                "col/val length mismatch: {} columns, {} values",
+                col_idx.len(),
+                self.vals.len()
+            ));
+        }
+        if row_ptr[0] != 0 {
+            return Err(format!("row_ptr head {} is not 0", row_ptr[0]));
+        }
+        if row_ptr[self.nrows] != col_idx.len() {
+            return Err(format!(
+                "row_ptr tail {} does not match {} nonzeros",
+                row_ptr[self.nrows],
+                col_idx.len()
+            ));
+        }
+        if let Some(r) = row_ptr.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("row_ptr not monotone at {r}"));
+        }
+        for r in 0..self.nrows {
+            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("row {r} columns not strictly ascending"));
+            }
+            if let Some(&last) = row.last().filter(|&&c| c as usize >= self.ncols) {
+                return Err(format!(
+                    "row {r} column {last} out of range for {} columns",
+                    self.ncols
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// An `n x n` matrix with no nonzeros.
@@ -453,6 +495,25 @@ mod tests {
     #[should_panic(expected = "columns not strictly ascending")]
     fn new_rejects_unsorted() {
         Csr::new(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn check_structure_reports_edits_made_after_new() {
+        assert_eq!(Csr::identity(3).check_structure(), Ok(()));
+        let mut a = Csr::identity(3);
+        a.col_idx[2] = 7;
+        let why = a.check_structure().unwrap_err();
+        assert!(why.contains("row 2 column 7 out of range"), "{why}");
+        let mut a = Csr::identity(3);
+        a.row_ptr[1] = 3;
+        let why = a.check_structure().unwrap_err();
+        assert!(why.contains("not monotone at 1"), "{why}");
+        let mut a = Csr::identity(3);
+        a.vals.pop();
+        assert!(a.check_structure().unwrap_err().contains("col/val"));
+        let mut a = Csr::identity(3);
+        a.row_ptr.pop();
+        assert!(a.check_structure().unwrap_err().contains("row_ptr length"));
     }
 
     #[test]

@@ -118,6 +118,22 @@ echo "==> thread-count invariance: full solves bitwise across widths 1/2/4/8"
 # produce bitwise-identical solutions and identical simulated charges.
 cargo test --release -q -p amgt-integration-tests --test thread_invariance
 
+echo "==> global-pool solve: venkat25 Mixed at --threads 1 and 2, identical solve lines"
+# With a global pool, each solver call runs on a pool worker and forks
+# from there; the solve must converge and not change with the width.
+solve_line() {
+    cargo run --release -q --bin amgt-cli -- --suite venkat25 --mixed --exec native \
+        --threads "$1" | grep '^solve:'
+}
+solve_t1="$(solve_line 1)"
+solve_t2="$(solve_line 2)"
+grep -q 'converged = true' <<<"$solve_t1"
+[ "$solve_t1" = "$solve_t2" ] || {
+    echo "solve lines differ: '$solve_t1' vs '$solve_t2'"
+    exit 1
+}
+echo "    $solve_t1 (both widths)"
+
 echo "==> parallel wallclock smoke: --threads 4 native run + allocation gate"
 # Pool width 4: results must stay bitwise identical to the 1-thread
 # reports above (the compare below gates simulated seconds + iteration
