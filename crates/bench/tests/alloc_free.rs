@@ -30,6 +30,7 @@ fn hot_paths_are_allocation_free() {
     server_cache_hit_reuses_cached_workspace();
     trace_id_hex_allocation_is_value_independent();
     native_setup_allocations_stay_bounded();
+    vendor_setup_allocations_stay_bounded();
 }
 
 /// Block until every other thread of the process is asleep.
@@ -313,8 +314,20 @@ fn trace_id_hex_allocation_is_value_independent() {
 /// interpolation and the range-granular SpGEMM numeric (21,002).
 fn native_setup_allocations_stay_bounded() {
     const CEILING: u64 = 2_100;
+    let allocs = cant_setup_allocations(BackendKind::AmgT);
+    eprintln!("native FP64 setup of cant: {allocs} allocations");
+    assert!(
+        allocs <= CEILING,
+        "FP64 native setup of cant allocated {allocs} times (ceiling {CEILING})"
+    );
+}
+
+/// Allocations of one FP64 native setup of `cant` (Small scale) on
+/// `backend`, measured after a warm setup has grown the per-thread kernel
+/// scratch.
+fn cant_setup_allocations(backend: BackendKind) -> u64 {
     let a = generate("cant", Scale::Small).expect("suite matrix");
-    let mut cfg = AmgConfig::paper(BackendKind::AmgT, PrecisionPolicy::Uniform64);
+    let mut cfg = AmgConfig::paper(backend, PrecisionPolicy::Uniform64);
     cfg.exec = ExecMode::Native;
     let dev = Device::new(GpuSpec::a100());
     drop(setup(&dev, &cfg, a.clone()));
@@ -324,10 +337,21 @@ fn native_setup_allocations_stay_bounded() {
     let h = setup(&dev, &cfg, a2);
     let d = snapshot().since(&s0);
     drop(h);
-    eprintln!("native FP64 setup of cant: {} allocations", d.allocs);
+    d.allocs
+}
+
+/// Allocations of one FP64 vendor (HYPRE-baseline) native setup of `cant`
+/// (Small scale), after a warm setup. The vendor SpGEMM's symbolic pass
+/// counts each row's columns and fills one flat column array, so a
+/// product allocates a bounded number of arrays, not one per row. The
+/// ceiling sits at a tenth of the count when the symbolic pass built one
+/// `Vec` per row (21,206).
+fn vendor_setup_allocations_stay_bounded() {
+    const CEILING: u64 = 2_120;
+    let allocs = cant_setup_allocations(BackendKind::Vendor);
+    eprintln!("vendor FP64 setup of cant: {allocs} allocations");
     assert!(
-        d.allocs <= CEILING,
-        "FP64 native setup of cant allocated {} times (ceiling {CEILING})",
-        d.allocs
+        allocs <= CEILING,
+        "vendor FP64 setup of cant allocated {allocs} times (ceiling {CEILING})"
     );
 }

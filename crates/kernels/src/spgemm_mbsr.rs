@@ -700,6 +700,31 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_product_round_trips_through_csr() {
+        // +-1 operands: products cancel exactly, and the symbolic bitmaps
+        // keep the cancelled entries as stored zeros.
+        let signed = |mut a: Csr| {
+            for (i, v) in a.vals.iter_mut().enumerate() {
+                *v = if i % 3 == 0 { -1.0 } else { 1.0 };
+            }
+            a
+        };
+        let a = signed(random_sparse(45, 5, 11));
+        let b = signed(random_sparse(45, 5, 12));
+        let dev = Device::new(GpuSpec::a100());
+        let (mc, _) = spgemm_mbsr(&ctx(&dev), &Mbsr::from_csr(&a), &Mbsr::from_csr(&b));
+        let stored_zeros = (0..mc.n_blocks())
+            .flat_map(|t| (0..TILE_AREA).map(move |s| (t, s)))
+            .filter(|&(t, s)| mc.blc_map[t] & (1 << s) != 0 && mc.tile(t)[s] == 0.0)
+            .count();
+        assert!(stored_zeros > 0, "the operands must cancel somewhere");
+        let back = Mbsr::from_csr(&mc.to_csr());
+        assert_eq!(back, mc);
+        let bits = |m: &Mbsr| m.blc_val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&mc));
+    }
+
+    #[test]
     fn hash_table_counts_probes_and_dedups() {
         let mut t = HashTable::with_bound(8);
         for k in [3u32, 7, 3, 3, 9, 7] {

@@ -98,31 +98,40 @@ pub fn spgemm_csr(ctx: &Ctx, a: &Csr, b: &Csr) -> (Csr, VendorSpgemmStats) {
 
     // --- Symbolic phase ---
     // The GPU kernel hashes per product; on the CPU we reproduce the same
-    // result with a sparse accumulator (generation-stamped marker array per
-    // rayon worker) so paper-scale matrices stay tractable. The *charged*
-    // cost below still models the hash algorithm.
-    let row_cols: Vec<Vec<u32>> = (0..n)
-        .into_par_iter()
-        .map_init(
-            || (vec![u32::MAX; b.ncols()], 0u32),
-            |(marker, generation), r| {
-                *generation += 1;
-                let gen = *generation;
-                let mut cols: Vec<u32> = Vec::new();
-                let (acols, _) = a.row(r);
-                for &k in acols {
-                    for &c in b.row(k as usize).0 {
-                        if marker[c as usize] != gen {
-                            marker[c as usize] = gen;
-                            cols.push(c);
-                        }
+    // result with a sparse accumulator (a generation-stamped column marker)
+    // so paper-scale matrices stay tractable: one pass counts each row's
+    // distinct columns, a prefix sum sizes the flat column array, and a
+    // second pass fills each row's stretch and sorts it. The *charged* cost
+    // below still models the hash algorithm.
+    let mut marker = vec![u32::MAX; b.ncols()];
+    let mut generation = 0u32;
+    let mut visit_row = |r: usize, mut put: Option<&mut [u32]>| -> usize {
+        generation += 1;
+        let mut len = 0;
+        for &k in a.row(r).0 {
+            for &c in b.row(k as usize).0 {
+                if marker[c as usize] != generation {
+                    marker[c as usize] = generation;
+                    if let Some(out) = put.as_deref_mut() {
+                        out[len] = c;
                     }
+                    len += 1;
                 }
-                cols.sort_unstable();
-                cols
-            },
-        )
-        .collect();
+            }
+        }
+        len
+    };
+    let mut row_ptr = vec![0usize; n + 1];
+    for r in 0..n {
+        row_ptr[r + 1] = row_ptr[r] + visit_row(r, None);
+    }
+    let nnz = row_ptr[n];
+    let mut col_idx = vec![0u32; nnz];
+    for r in 0..n {
+        let cols = &mut col_idx[row_ptr[r]..row_ptr[r + 1]];
+        visit_row(r, Some(&mut *cols));
+        cols.sort_unstable();
+    }
 
     let sym_cost = KernelCost {
         int_ops: 6.0 * products as f64, // Hash probe + insert per product.
@@ -141,50 +150,30 @@ pub fn spgemm_csr(ctx: &Ctx, a: &Csr, b: &Csr) -> (Csr, VendorSpgemmStats) {
 
     // --- Numeric phase: hash-accumulate values. ---
     let num_timer = ctx.timer();
-    let mut row_ptr = vec![0usize; n + 1];
-    for r in 0..n {
-        row_ptr[r + 1] = row_ptr[r] + row_cols[r].len();
-    }
-    let nnz = row_ptr[n];
-    let mut col_idx = vec![0u32; nnz];
     let mut vals = vec![0.0f64; nnz];
-    {
-        // Disjoint output rows: safe parallel fill.
-        let mut col_rest: &mut [u32] = &mut col_idx;
-        let mut val_rest: &mut [f64] = &mut vals;
-        let mut rows: Vec<(usize, &mut [u32], &mut [f64])> = Vec::with_capacity(n);
-        for r in 0..n {
-            let len = row_ptr[r + 1] - row_ptr[r];
-            let (c0, c1) = col_rest.split_at_mut(len);
-            let (v0, v1) = val_rest.split_at_mut(len);
-            col_rest = c1;
-            val_rest = v1;
-            rows.push((r, c0, v0));
-        }
-        rows.into_par_iter().for_each(|(r, cslice, vslice)| {
-            let cols = &row_cols[r];
-            cslice.copy_from_slice(cols);
-            // Dense-in-row accumulation via position lookup (the hash table
-            // equivalent; exact and deterministic).
-            let (acols, avals) = a.row(r);
-            for (&k, &av) in acols.iter().zip(avals) {
-                let av = prec.quantize(av);
-                let (bcols, bvals) = b.row(k as usize);
-                for (&c, &bv) in bcols.iter().zip(bvals) {
-                    let idx = cols.binary_search(&c).expect("symbolic covered column");
-                    let prod = prec.round_product(av, prec.quantize(bv));
-                    vslice[idx] = prec.round_accum(vslice[idx] + prod);
-                }
+    for r in 0..n {
+        let (lo, hi) = (row_ptr[r], row_ptr[r + 1]);
+        let (cols, vslice) = (&col_idx[lo..hi], &mut vals[lo..hi]);
+        // Dense-in-row accumulation via position lookup (the hash table
+        // equivalent; exact and deterministic).
+        let (acols, avals) = a.row(r);
+        for (&k, &av) in acols.iter().zip(avals) {
+            let av = prec.quantize(av);
+            let (bcols, bvals) = b.row(k as usize);
+            for (&c, &bv) in bcols.iter().zip(bvals) {
+                let idx = cols.binary_search(&c).expect("symbolic covered column");
+                let prod = prec.round_product(av, prec.quantize(bv));
+                vslice[idx] = prec.round_accum(vslice[idx] + prod);
             }
-        });
+        }
     }
 
     let vb = prec.bytes() as f64;
     let num_cost = KernelCost {
         cuda_flops: 2.0 * products as f64,
         int_ops: 6.0 * products as f64 // Hash probes.
-            + row_cols.iter().map(|c| {
-                let l = c.len() as f64;
+            + row_ptr.windows(2).map(|w| {
+                let l = (w[1] - w[0]) as f64;
                 if l > 1.0 { l * l.log2() } else { 0.0 }
             }).sum::<f64>(), // Per-row sort.
         // B-row reads hit L2 for about half of the intermediate products.

@@ -55,6 +55,19 @@ pub const fn nonempty_rows(map: u16) -> u32 {
     ((y * 0x1111) >> 12) & 0xF
 }
 
+/// Entries in each row of the tile pattern, as four 16-bit lanes of a
+/// `u64` (lane `r` holds the popcount of row `r`). SWAR: the two steps of
+/// a nibble popcount leave each row's count in its own nibble, which is
+/// then spread to its lane. Lanes of different tiles can be summed until
+/// one would pass `u16::MAX`.
+#[inline]
+pub(crate) const fn row_popcounts(map: u16) -> u64 {
+    let x = map as u64;
+    let x = x - ((x >> 1) & 0x5555);
+    let x = (x & 0x3333) + ((x >> 2) & 0x3333);
+    (x & 0xF) | ((x & 0xF0) << 12) | ((x & 0xF00) << 24) | ((x & 0xF000) << 36)
+}
+
 /// Extract column `c` of the tile pattern as a 4-bit mask (bit `r` set when
 /// `(r, c)` present).
 #[inline]
@@ -156,6 +169,17 @@ mod tests {
         assert_eq!(col_mask(m, 2), 0b1001); // rows 0 and 3
         assert_eq!(col_mask(m, 0), 0b0010); // row 1
         assert_eq!(col_mask(m, 1), 0);
+    }
+
+    #[test]
+    fn row_popcounts_counts_every_pattern() {
+        for map in 0..=u16::MAX {
+            let lanes = row_popcounts(map);
+            for r in 0..TILE {
+                let want = row_mask(map, r).count_ones() as u64;
+                assert_eq!((lanes >> (16 * r)) & 0xFFFF, want, "{map:#06x} row {r}");
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,27 @@ impl Csr {
         a
     }
 
+    /// Build from arrays that hold [`Csr::new`]'s invariants by
+    /// construction (the mBSR to CSR conversion); checked in debug builds
+    /// only.
+    pub(crate) fn from_valid_parts(
+        nrows: usize,
+        ncols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        vals: Vec<f64>,
+    ) -> Self {
+        let a = Csr {
+            nrows,
+            ncols,
+            row_ptr,
+            col_idx,
+            vals,
+        };
+        debug_assert_eq!(a.check_structure(), Ok(()));
+        a
+    }
+
     /// Check the structural invariants [`Csr::new`] asserts, without
     /// panicking: array lengths, row pointers that start at 0, never
     /// decrease and end at `nnz`, and strictly ascending in-range columns

@@ -10,6 +10,8 @@
 
 use crate::bitmap::{self, TILE, TILE_AREA};
 use crate::csr::Csr;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// A sparse matrix in mBSR format.
 #[derive(Clone, Debug, PartialEq)]
@@ -162,32 +164,64 @@ impl Mbsr {
 
     /// Convert from CSR (the `CSR2MBSR` step of the AmgT data flow).
     ///
-    /// Two sweeps over block-rows, each a 4-way `TileMerge` of the
-    /// block-row's scalar rows: the first counts tiles into `blc_ptr`, the
-    /// second writes indices, bitmaps and values. The second forks over
-    /// block-rows with disjoint `blc_ptr`-delimited output slices.
+    /// Two sweeps over block-rows, each forked over fixed-size runs of
+    /// block-rows with disjoint outputs, and neither with a data-dependent
+    /// branch per entry (block-rows of coarse-level operands hold dozens
+    /// of tiles with one or two entries each, where such branches miss):
+    ///
+    /// 1. **Structure.** A block-row's distinct block columns, found from
+    ///    its column indices alone through a per-thread grow-only stamp per
+    ///    block column, are sorted into the block-row's own stretch of an
+    ///    `nnz`-long scratch (a block-row has at most as many tiles as
+    ///    entries), and their count goes to `blc_ptr`. A prefix sum then
+    ///    sets `blc_ptr` and compacts the stretches into `blc_idx`.
+    /// 2. **Scatter.** Every scalar entry goes to its tile slot and sets
+    ///    its bitmap bit, its tile found through a per-thread block column
+    ///    to tile map filled from the block-row's `blc_idx`.
+    ///
+    /// Explicitly stored zeros set their bit like any other entry.
     pub fn from_csr(a: &Csr) -> Mbsr {
         let nrows = a.nrows();
         let ncols = a.ncols();
         let blk_rows = nrows.div_ceil(TILE);
         let blk_cols = ncols.div_ceil(TILE);
+        // First CSR entry of block-row `br` (`br <= blk_rows`).
+        let entry_lo = |br: usize| a.row_ptr[(br * TILE).min(nrows)];
 
+        let mut blc_idx = vec![0u32; a.nnz()];
         let mut blc_ptr = vec![0usize; blk_rows + 1];
+        fork_block_rows(
+            0..blk_rows,
+            (&mut blc_idx[..], &mut blc_ptr[1..]),
+            &|(idx, cnt), r0, mid| {
+                let (idx_lo, idx_hi) = idx.split_at_mut(entry_lo(mid) - entry_lo(r0));
+                let (cnt_lo, cnt_hi) = cnt.split_at_mut(mid - r0);
+                ((idx_lo, cnt_lo), (idx_hi, cnt_hi))
+            },
+            &|rows, (idx, cnt)| block_columns(a, rows, idx, cnt, blk_cols),
+        );
         for br in 0..blk_rows {
-            blc_ptr[br + 1] = blc_ptr[br] + TileMerge::new(a, br).count();
+            let (src, n) = (entry_lo(br), blc_ptr[br + 1]);
+            blc_ptr[br + 1] = blc_ptr[br] + n;
+            blc_idx.copy_within(src..src + n, blc_ptr[br]);
         }
         let n_blocks = blc_ptr[blk_rows];
-        let mut blc_idx = vec![0u32; n_blocks];
+        blc_idx.truncate(n_blocks);
+        blc_idx.shrink_to_fit();
+
         let mut blc_map = vec![0u16; n_blocks];
         let mut blc_val = vec![0.0f64; n_blocks * TILE_AREA];
-        fill_tiles(
-            a,
-            &blc_ptr,
-            0,
-            blk_rows,
-            &mut blc_idx,
-            &mut blc_map,
-            &mut blc_val,
+        let (tiles, _) = blc_val.as_chunks_mut::<TILE_AREA>();
+        fork_block_rows(
+            0..blk_rows,
+            (&mut blc_map[..], tiles),
+            &|(map, val), r0, mid| {
+                let cut = blc_ptr[mid] - blc_ptr[r0];
+                let (map_lo, map_hi) = map.split_at_mut(cut);
+                let (val_lo, val_hi) = val.split_at_mut(cut);
+                ((map_lo, val_lo), (map_hi, val_hi))
+            },
+            &|rows, (map, val)| scatter_entries(a, &blc_ptr, &blc_idx, rows, map, val, blk_cols),
         );
 
         Mbsr {
@@ -205,48 +239,128 @@ impl Mbsr {
     /// Convert back to CSR (the `MBSR2CSR` step after the Galerkin product).
     /// Entries not present in the bitmap are dropped even if a value slot is
     /// nonzero (the bitmap is authoritative).
+    ///
+    /// Two sweeps over block-rows, forked like [`Mbsr::from_csr`]'s: the
+    /// first counts each scalar row's entries from per-row bitmap
+    /// popcounts, and after a prefix sum the second walks each tile's set
+    /// bits (`trailing_zeros`) in slot order into per-row cursors. Slot
+    /// order is row-major and tiles ascend by block column, so every row's
+    /// columns come out ascending.
+    ///
+    /// # Panics
+    /// Panics when a block-row's block columns are not strictly ascending
+    /// and in range, or a bit lies past the last column: the CSR would
+    /// break [`Csr::new`]'s invariants. The first sweep checks this per
+    /// tile, so no per-entry check of the result is needed.
     pub fn to_csr(&self) -> Csr {
-        let mut row_ptr = vec![0usize; self.nrows + 1];
-        for br in 0..self.blk_rows {
-            let (_, maps) = self.block_row(br);
-            for &m in maps {
-                for lr in 0..TILE {
-                    let r = br * TILE + lr;
-                    if r < self.nrows {
-                        row_ptr[r + 1] += bitmap::row_mask(m, lr).count_ones() as usize;
-                    }
-                }
-            }
-        }
-        for r in 0..self.nrows {
+        let nrows = self.nrows;
+        let mut row_ptr = vec![0usize; nrows + 1];
+        // Counts of the block-rows from `r0` on start at `row_ptr[r0 * TILE + 1]`.
+        fork_block_rows(
+            0..self.blk_rows,
+            &mut row_ptr[1..],
+            &|cnt, r0, mid| cnt.split_at_mut((mid - r0) * TILE),
+            &|rows, cnt| self.count_row_entries(rows, cnt),
+        );
+        for r in 0..nrows {
             row_ptr[r + 1] += row_ptr[r];
         }
-        let nnz = row_ptr[self.nrows];
+        let nnz = row_ptr[nrows];
         let mut col_idx = vec![0u32; nnz];
         let mut vals = vec![0.0; nnz];
-        let mut cursor = row_ptr.clone();
-        for br in 0..self.blk_rows {
+        let entry_lo = |br: usize| row_ptr[(br * TILE).min(nrows)];
+        fork_block_rows(
+            0..self.blk_rows,
+            (&mut col_idx[..], &mut vals[..]),
+            &|(cols, vals), r0, mid| {
+                let cut = entry_lo(mid) - entry_lo(r0);
+                let (cols_lo, cols_hi) = cols.split_at_mut(cut);
+                let (vals_lo, vals_hi) = vals.split_at_mut(cut);
+                ((cols_lo, vals_lo), (cols_hi, vals_hi))
+            },
+            &|rows, (cols, vals)| self.gather_entries(&row_ptr, rows, cols, vals),
+        );
+        Csr::from_valid_parts(nrows, self.ncols, row_ptr, col_idx, vals)
+    }
+
+    /// Bitmap bits of block-row `br` that fall inside the matrix's rows
+    /// (all 16 but in a ragged last block-row).
+    #[inline]
+    fn rows_inside(&self, br: usize) -> (usize, u16) {
+        let rows = TILE.min(self.nrows - br * TILE);
+        (rows, (u32::MAX >> (32 - TILE * rows)) as u16)
+    }
+
+    /// Bitmap bits of a tile in block column `bc` that fall inside the
+    /// matrix's columns (all 16 but in a ragged last block column).
+    #[inline]
+    fn cols_inside(&self, bc: usize) -> u16 {
+        let cols = TILE.min(self.ncols - bc * TILE);
+        ((1u16 << cols) - 1) * 0x1111
+    }
+
+    /// Entry counts of the scalar rows of block-rows `rows` into `cnt`,
+    /// which starts at the first of them, after checking that the
+    /// block-rows' tiles give ascending in-range CSR columns.
+    fn count_row_entries(&self, rows: Range<usize>, cnt: &mut [usize]) {
+        let r0 = rows.start;
+        for br in rows {
+            let (cols, maps) = self.block_row(br);
+            assert!(
+                cols.windows(2).all(|w| w[0] < w[1]),
+                "block row {br} unsorted"
+            );
+            if let (Some(&bc), Some(&m)) = (cols.last(), maps.last()) {
+                assert!(
+                    (bc as usize) < self.blk_cols && m & !self.cols_inside(bc as usize) == 0,
+                    "block row {br} reaches past column {}",
+                    self.ncols
+                );
+            }
+            let (n_rows, _) = self.rows_inside(br);
+            let mut n = [0usize; TILE];
+            // A tile adds at most 4 to a 16-bit lane: sum lanes over runs
+            // short enough not to carry into the next lane.
+            for run in maps.chunks(u16::MAX as usize / TILE) {
+                let lanes: u64 = run.iter().map(|&m| bitmap::row_popcounts(m)).sum();
+                for (lr, n) in n.iter_mut().enumerate() {
+                    *n += (lanes >> (16 * lr)) as u16 as usize;
+                }
+            }
+            cnt[(br - r0) * TILE..][..n_rows].copy_from_slice(&n[..n_rows]);
+        }
+    }
+
+    /// Column indices and values of block-rows `rows` into `cols`/`vals`,
+    /// which start at the first entry of the first of them.
+    fn gather_entries(
+        &self,
+        row_ptr: &[usize],
+        rows: Range<usize>,
+        cols: &mut [u32],
+        vals: &mut [f64],
+    ) {
+        let base = row_ptr[rows.start * TILE];
+        for br in rows {
+            let (n_rows, inside) = self.rows_inside(br);
+            let mut cursor = [0usize; TILE];
+            for (lr, c) in cursor.iter_mut().enumerate().take(n_rows) {
+                *c = row_ptr[br * TILE + lr] - base;
+            }
             for b in self.blc_ptr[br]..self.blc_ptr[br + 1] {
-                let bc = self.blc_idx[b] as usize;
-                let m = self.blc_map[b];
+                let col0 = self.blc_idx[b] * TILE as u32;
                 let tile = self.tile(b);
-                for lr in 0..TILE {
-                    let r = br * TILE + lr;
-                    if r >= self.nrows {
-                        break;
-                    }
-                    for lc in 0..TILE {
-                        if bitmap::get_bit(m, lr, lc) {
-                            let p = cursor[r];
-                            col_idx[p] = (bc * TILE + lc) as u32;
-                            vals[p] = tile[lr * TILE + lc];
-                            cursor[r] += 1;
-                        }
-                    }
+                let mut m = self.blc_map[b] & inside;
+                while m != 0 {
+                    let slot = m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let p = &mut cursor[slot / TILE];
+                    cols[*p] = col0 + (slot % TILE) as u32;
+                    vals[*p] = tile[slot];
+                    *p += 1;
                 }
             }
         }
-        Csr::new(self.nrows, self.ncols, row_ptr, col_idx, vals)
     }
 
     /// Exact `y = A x` on the tile structure (reference for kernel tests).
@@ -286,7 +400,10 @@ impl Mbsr {
             + self.blc_val.len() * value_bytes) as f64
     }
 
-    /// Validate internal invariants (test / debug aid).
+    /// Validate internal invariants (test / debug aid): array lengths,
+    /// ascending in-range block columns, no empty tile, no bit past the
+    /// last row or column in a ragged last tile, and no value without its
+    /// bit.
     pub fn validate(&self) {
         assert_eq!(self.blc_ptr.len(), self.blk_rows + 1);
         assert_eq!(self.blc_idx.len(), self.blc_map.len());
@@ -300,8 +417,15 @@ impl Mbsr {
             if let Some(&last) = cols.last() {
                 assert!((last as usize) < self.blk_cols);
             }
-            for (i, &m) in maps.iter().enumerate() {
+            let (_, rows_inside) = self.rows_inside(br);
+            for (i, (&m, &bc)) in maps.iter().zip(cols).enumerate() {
                 assert_ne!(m, 0, "empty tile stored in block row {br} slot {i}");
+                let inside = rows_inside & self.cols_inside(bc as usize);
+                assert_eq!(
+                    m & !inside,
+                    0,
+                    "block row {br} slot {i} has a bit past the matrix edge"
+                );
             }
         }
         // Bitmap and value slots agree: zero slots where the bit is clear.
@@ -316,103 +440,138 @@ impl Mbsr {
     }
 }
 
-/// Block-rows per leaf of [`Mbsr::from_csr`]'s fill sweep. Any split
-/// gives the same bits (each leaf writes its own rows); this only keeps
-/// leaves large enough to amortize the fork.
-const FILL_GRAIN: usize = 64;
+/// Block-rows per leaf of the conversion sweeps. Any split gives the same
+/// bits (each leaf writes only its own block-rows' outputs); this only
+/// keeps leaves large enough to amortize the fork.
+const CONVERT_GRAIN: usize = 64;
 
-/// Fill block-rows `[r0, r1)` of a CSR->mBSR conversion into `idx`/`map`/
-/// `val`, which start at row `r0`'s first tile. Halves the row range — and
-/// the output slices at the matching `blc_ptr` boundary — until at most
-/// [`FILL_GRAIN`] rows remain.
-fn fill_tiles(
+/// Run `leaf(rows, out)` over block-rows `rows`, halving the range — and
+/// `out`, through `split(out, r0, mid)` at block-row `mid` — until at most
+/// [`CONVERT_GRAIN`] block-rows remain, and forking the halves. The split
+/// points depend only on the range, never on the pool width.
+fn fork_block_rows<O: Send>(
+    rows: Range<usize>,
+    out: O,
+    split: &(impl Fn(O, usize, usize) -> (O, O) + Sync),
+    leaf: &(impl Fn(Range<usize>, O) + Sync),
+) {
+    if rows.len() > CONVERT_GRAIN {
+        let mid = rows.start + rows.len() / 2;
+        let (lo, hi) = split(out, rows.start, mid);
+        rayon::join(
+            || fork_block_rows(rows.start..mid, lo, split, leaf),
+            || fork_block_rows(mid..rows.end, hi, split, leaf),
+        );
+    } else {
+        leaf(rows, out);
+    }
+}
+
+thread_local! {
+    /// Grow-only per-block-column scratch of the [`Mbsr::from_csr`]
+    /// sweeps, never cleared. `stamp` holds, per block column, the stamp of
+    /// the last block-row whose structure touched it (`now` is the thread's
+    /// current stamp; stamps only grow, so a stale entry never matches).
+    /// `slot_of` holds the column's tile in the current block-row of the
+    /// scatter, which writes its own block columns before reading any.
+    static CONVERT_SCRATCH: RefCell<ConvertScratch> = const {
+        RefCell::new(ConvertScratch { stamp: Vec::new(), now: 0, slot_of: Vec::new() })
+    };
+}
+
+struct ConvertScratch {
+    stamp: Vec<u32>,
+    now: u32,
+    slot_of: Vec<u32>,
+}
+
+/// Structure sweep of [`Mbsr::from_csr`] over block-rows `rows`: each
+/// block-row's distinct block columns, ascending, at the start of its own
+/// stretch of `idx` (which begins at the first entry of `rows`, one slot
+/// per entry), and their count in `cnt`.
+///
+/// Branch-free over the entries, in two passes over the stretch: the
+/// first writes each entry's block column and keeps it when it differs
+/// from the previous one (a row's columns ascend, so this drops the
+/// repeats within a tile row); the second keeps the columns whose stamp is
+/// not yet the block-row's. Neighbours in the second pass differ, so no
+/// stamp is read right after the same stamp was written.
+fn block_columns(a: &Csr, rows: Range<usize>, idx: &mut [u32], cnt: &mut [usize], blk_cols: usize) {
+    let nrows = a.nrows();
+    let base = a.row_ptr[rows.start * TILE];
+    CONVERT_SCRATCH.with_borrow_mut(|ConvertScratch { stamp, now, .. }| {
+        if stamp.len() < blk_cols {
+            stamp.resize(blk_cols, 0);
+        }
+        for br in rows.clone() {
+            if *now == u32::MAX {
+                stamp.fill(0);
+                *now = 0;
+            }
+            *now += 1;
+            let (lo, hi) = (
+                a.row_ptr[br * TILE],
+                a.row_ptr[(br * TILE + TILE).min(nrows)],
+            );
+            let out = &mut idx[lo - base..hi - base];
+            let (mut runs, mut last) = (0, u32::MAX);
+            for &c in &a.col_idx[lo..hi] {
+                let bc = c / TILE as u32;
+                out[runs] = bc;
+                runs += (bc != last) as usize;
+                last = bc;
+            }
+            let mut n = 0;
+            for i in 0..runs {
+                let bc = out[i];
+                out[n] = bc;
+                n += (stamp[bc as usize] != *now) as usize;
+                stamp[bc as usize] = *now;
+            }
+            out[..n].sort_unstable();
+            cnt[br - rows.start] = n;
+        }
+    });
+}
+
+/// Scatter sweep of [`Mbsr::from_csr`] over block-rows `rows`: every entry
+/// into its tile's value slot, and its bit into the tile's bitmap, through
+/// a per-thread block column to tile map (no search, no branch per entry).
+/// `map` and `val` start at the first tile of `rows`.
+fn scatter_entries(
     a: &Csr,
     blc_ptr: &[usize],
-    r0: usize,
-    r1: usize,
-    idx: &mut [u32],
+    blc_idx: &[u32],
+    rows: Range<usize>,
     map: &mut [u16],
-    val: &mut [f64],
+    val: &mut [[f64; TILE_AREA]],
+    blk_cols: usize,
 ) {
-    if r1 - r0 > FILL_GRAIN {
-        let mid = r0 + (r1 - r0) / 2;
-        let cut = blc_ptr[mid] - blc_ptr[r0];
-        let (idx_lo, idx_hi) = idx.split_at_mut(cut);
-        let (map_lo, map_hi) = map.split_at_mut(cut);
-        let (val_lo, val_hi) = val.split_at_mut(cut * TILE_AREA);
-        rayon::join(
-            || fill_tiles(a, blc_ptr, r0, mid, idx_lo, map_lo, val_lo),
-            || fill_tiles(a, blc_ptr, mid, r1, idx_hi, map_hi, val_hi),
-        );
-        return;
-    }
-    for br in r0..r1 {
-        let mut tiles = TileMerge::new(a, br);
-        for t in blc_ptr[br] - blc_ptr[r0]..blc_ptr[br + 1] - blc_ptr[r0] {
-            let out = &mut val[t * TILE_AREA..(t + 1) * TILE_AREA];
-            (idx[t], map[t]) = tiles
-                .next_tile(|slot, v| out[slot] = v)
-                .expect("tile counted by the first sweep");
+    let base = blc_ptr[rows.start];
+    CONVERT_SCRATCH.with_borrow_mut(|ConvertScratch { slot_of, .. }| {
+        if slot_of.len() < blk_cols {
+            slot_of.resize(blk_cols, 0);
         }
-    }
-}
-
-/// The tiles of one CSR block-row in ascending block-column order: a 4-way
-/// merge of its scalar rows' block-column streams. CSR columns are
-/// strictly ascending within a row ([`Csr::new`]), so each stream is
-/// non-decreasing and every row's entries for one tile are adjacent — one
-/// forward cursor per row finds them without sorting or searching.
-pub(crate) struct TileMerge<'a> {
-    cols: [&'a [u32]; TILE],
-    vals: [&'a [f64]; TILE],
-}
-
-impl<'a> TileMerge<'a> {
-    /// Cursors at the start of block-row `br`'s (up to four) rows.
-    pub(crate) fn new(a: &'a Csr, br: usize) -> Self {
-        let mut cols: [&[u32]; TILE] = [&[]; TILE];
-        let mut vals: [&[f64]; TILE] = [&[]; TILE];
-        for lr in 0..TILE.min(a.nrows() - br * TILE) {
-            (cols[lr], vals[lr]) = a.row(br * TILE + lr);
-        }
-        TileMerge { cols, vals }
-    }
-
-    /// Advance past the next tile and return its block column and bitmap,
-    /// calling `put(slot, value)` for each of its entries (`slot` is the
-    /// row-major position within the tile). `None` once the block-row is
-    /// exhausted.
-    #[inline]
-    pub(crate) fn next_tile(&mut self, mut put: impl FnMut(usize, f64)) -> Option<(u32, u16)> {
-        let bc = self
-            .cols
-            .iter()
-            .filter_map(|c| c.first())
-            .map(|&c| c / TILE as u32)
-            .min()?;
-        let mut map = 0u16;
-        for lr in 0..TILE {
-            let cols = self.cols[lr];
-            let n = cols.iter().take_while(|&&c| c / TILE as u32 == bc).count();
-            for (&c, &v) in cols[..n].iter().zip(self.vals[lr]) {
-                let slot = lr * TILE + (c as usize % TILE);
-                map |= 1 << slot;
-                put(slot, v);
+        for br in rows {
+            let (lo, hi) = (blc_ptr[br], blc_ptr[br + 1]);
+            for (t, &bc) in blc_idx[lo..hi].iter().enumerate() {
+                slot_of[bc as usize] = t as u32;
             }
-            self.cols[lr] = &cols[n..];
-            self.vals[lr] = &self.vals[lr][n..];
+            let (map, val) = (
+                &mut map[lo - base..hi - base],
+                &mut val[lo - base..hi - base],
+            );
+            for lr in 0..TILE.min(a.nrows() - br * TILE) {
+                let (cols, vals) = a.row(br * TILE + lr);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    let t = slot_of[(c / TILE as u32) as usize] as usize;
+                    let slot = lr * TILE + (c as usize % TILE);
+                    map[t] |= 1 << slot;
+                    val[t][slot] = v;
+                }
+            }
         }
-        Some((bc, map))
-    }
-
-    /// Number of tiles left in the block-row.
-    pub(crate) fn count(mut self) -> usize {
-        let mut n = 0;
-        while self.next_tile(|_, _| {}).is_some() {
-            n += 1;
-        }
-        n
-    }
+    });
 }
 
 impl Bsr {
@@ -583,6 +742,66 @@ mod tests {
         let b16 = m.bytes_at(2);
         let val_bytes = (m.n_blocks() * TILE_AREA) as f64;
         assert_eq!(b64 - b16, val_bytes * 6.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the matrix edge")]
+    fn validate_rejects_a_bit_past_the_last_row() {
+        // 5 x 8: the second block-row holds one scalar row. Slot (1, 0) of
+        // its tile lies on row 5, outside the matrix.
+        let mut val = vec![0.0; TILE_AREA];
+        (val[0], val[TILE]) = (1.0, 2.0);
+        Mbsr::from_raw_parts(5, 8, 2, 2, vec![0, 0, 1], vec![0], vec![0b1_0001], val).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "past the matrix edge")]
+    fn validate_rejects_a_bit_past_the_last_column() {
+        // 4 x 6: the second block column holds two scalar columns. Slot
+        // (0, 3) of its tile lies on column 7, outside the matrix.
+        let mut val = vec![0.0; TILE_AREA];
+        (val[0], val[3]) = (1.0, 2.0);
+        Mbsr::from_raw_parts(4, 6, 1, 2, vec![0, 1], vec![1], vec![0b1001], val).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "value without bit")]
+    fn validate_rejects_a_value_past_the_last_row() {
+        let mut val = vec![0.0; TILE_AREA];
+        (val[0], val[TILE]) = (1.0, 2.0);
+        Mbsr::from_raw_parts(5, 8, 2, 2, vec![0, 0, 1], vec![0], vec![0b1], val).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past column 6")]
+    fn to_csr_rejects_a_bit_past_the_last_column() {
+        let mut m = Mbsr::from_csr(&Csr::identity(6));
+        // Slot (0, 3) of the corner tile is column 7.
+        *m.blc_map.last_mut().unwrap() |= 1 << 3;
+        m.to_csr();
+    }
+
+    #[test]
+    #[should_panic(expected = "block row 0 unsorted")]
+    fn to_csr_rejects_unsorted_block_columns() {
+        let mut m = Mbsr::from_csr(&Csr::from_triplets(4, 8, &[(0, 0, 1.0), (0, 4, 2.0)]));
+        m.blc_idx.swap(0, 1);
+        m.to_csr();
+    }
+
+    #[test]
+    fn to_csr_counts_a_row_past_one_popcount_lane() {
+        // 65,540 entries in one row: more than a 16-bit lane holds.
+        let n = 65_540;
+        let a = Csr::new(1, n, vec![0, n], (0..n as u32).collect(), vec![1.0; n]);
+        assert_eq!(Mbsr::from_csr(&a).to_csr(), a);
+    }
+
+    #[test]
+    fn validate_accepts_a_full_ragged_corner() {
+        // 5 x 6: every slot of the corner tile inside the matrix is set.
+        let val = [1.0, 2.0].into_iter().chain([0.0; 14]).collect();
+        Mbsr::from_raw_parts(5, 6, 2, 2, vec![0, 0, 1], vec![1], vec![0b11], val).validate();
     }
 
     #[test]

@@ -55,6 +55,12 @@ echo "==> exec-backend equivalence: native vs emulator, bitwise"
 cargo run --release -q --bin amgt-cli -- --version --verbose
 cargo test --release -q -p amgt-integration-tests --test exec_equivalence
 
+echo "==> setup kernels in release: golden setup bits + sparse conversion properties"
+# The host-speed setup kernels (CSR<->mBSR sweeps, SpGEMM) are tuned in
+# optimized code, and the tier-1 sweep runs these tests only in debug.
+cargo test --release -q -p amgt-integration-tests --test golden_setup
+cargo test --release -q -p amgt-sparse --test proptests
+
 echo "==> trace exporter smoke: solve -> chrome trace JSON"
 trace_out="$(mktemp -t amgt-trace-XXXXXX.json)"
 bench_out="$(mktemp -t amgt-bench-XXXXXX.json)"
